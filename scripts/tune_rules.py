@@ -43,7 +43,8 @@ def hand_profile(rb):
     return params
 
 
-def main() -> int:
+def tuned_rules_text() -> str:
+    """The content of scenarios/tuned.rules; prints the objective before and after."""
     base = sim.load_scenario(ROOT / "scenarios" / "default.scenario")
     suite = build_suite(base)
     rb = fis.default_rulebase()
@@ -51,11 +52,15 @@ def main() -> int:
     print(f"initial objective: {sim.mission_objective(suite, fis.with_term_parameters(rb, init))}")
     result = sim.tune(suite, init, budget=BUDGET)
     print(f"tuned objective:   {result.best_objective}  ({result.evaluations} evaluations)")
-    out = ROOT / "scenarios" / "tuned.rules"
     tuned = fis.with_term_parameters(rb, result.params)
     header = ("# Tuned rule base produced by scripts/tune_rules.py "
               f"(budget {BUDGET}).\n# Do not edit by hand; rerun the script instead.\n")
-    out.write_text(header + fis.format_rulebase(tuned))
+    return header + fis.format_rulebase(tuned)
+
+
+def main() -> int:
+    out = ROOT / "scenarios" / "tuned.rules"
+    out.write_text(tuned_rules_text())
     print(f"wrote {out}")
     return 0
 

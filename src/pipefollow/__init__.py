@@ -1,6 +1,6 @@
 """Vision-guided pipeline following with a fuzzy steering controller."""
 
-from . import cli, features, fis, imgproc, netpbm, sim
+from . import features, fis, imgproc, netpbm, sim
 
-__all__ = ["cli", "features", "fis", "imgproc", "netpbm", "sim"]
+__all__ = ["features", "fis", "imgproc", "netpbm", "sim"]
 __version__ = "0.1.0"

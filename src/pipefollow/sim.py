@@ -315,42 +315,71 @@ def drift_metrics(path, world: World, tolerance: float = DEFAULT_TOLERANCE_CM) -
 
 # --- mission loop -------------------------------------------------------------
 
-def _band_steer(rb, mask, layout) -> float:
-    return fis.infer(rb, band_features(mask, layout).as_dict()).output
+def _capture(scenario: Scenario, auv: AuvState, frame: int, layouts, captures: dict) -> tuple:
+    """The frame's 5 band feature vectors, rendered and segmented once per captures dict.
+
+    The key holds everything the vectors depend on, compared exactly, so only
+    a bit-identical capture is reused.  Only the vectors are kept, and a
+    capture that raises NoObjectError is not stored.
+    """
+    key = (scenario.world, scenario.camera, scenario.thresholds, scenario.min_area, auv, frame)
+    vectors = captures.get(key)
+    if vectors is None:
+        img = render_view(scenario.world, auv, scenario.camera, frame)
+        mask = object_mask(img, scenario.thresholds, scenario.min_area)
+        vectors = captures[key] = tuple(band_features(mask, layout) for layout in layouts)
+    return vectors
+
+
+def _band_steer(rb, vector) -> float:
+    return fis.infer(rb, vector.as_dict()).output
 
 
 def run_mission(scenario: Scenario, rb, mode: str = "sequential",
-                tolerance: float = DEFAULT_TOLERANCE_CM) -> PathRecord:
+                tolerance: float = DEFAULT_TOLERANCE_CM,
+                captures: dict | None = None) -> PathRecord:
     """Fly the pipeline: capture, extract 5 band vectors, infer, step 5 times.
 
     A step is taken only while its nominal landing stays within the pipeline
     span, so every recorded point has a defined centerline reference.  In
-    "overlapped" mode the per-band processing runs on worker threads and each
+    "overlapped" mode the per-band inference runs on worker threads and each
     step blocks only on its own band's result; outputs are identical to
     sequential mode by construction.
+
+    Band features come from `captures`, a dict the caller may share between
+    missions so that identical captures are rendered once; without one the
+    mission uses a fresh dict.  A mission that records no point fails with
+    "no-points".  One that takes more than twice the steps a straight run
+    along the remaining span would need (less than half a step length of
+    along-track progress per step) fails with "no-progress".
     """
     if mode not in ("sequential", "overlapped"):
         raise ValueError(f"unknown mode {mode!r}")
+    captures = {} if captures is None else captures
     world = scenario.world
     auv = scenario.start
     far_y = world.pipeline[-1][1]
+    max_steps = math.ceil(2.0 * (far_y - auv.y) / scenario.step_length)
     layouts = split_bands(scenario.camera.image_width, scenario.camera.image_height)
     pool = ThreadPoolExecutor(max_workers=NUM_BANDS) if mode == "overlapped" else None
     path = []
     frame = 0
     try:
         while auv.y + scenario.step_length <= far_y + 1e-9:
-            img = render_view(world, auv, scenario.camera, frame)
-            mask = object_mask(img, scenario.thresholds, scenario.min_area)
+            vectors = _capture(scenario, auv, frame, layouts, captures)
             if pool is None:
-                steers = [_band_steer(rb, mask, layout) for layout in layouts]
+                steers = [_band_steer(rb, vector) for vector in vectors]
                 steer_at = steers.__getitem__
             else:
-                futures = [pool.submit(_band_steer, rb, mask, layout) for layout in layouts]
+                futures = [pool.submit(_band_steer, rb, vector) for vector in vectors]
                 steer_at = lambda i: futures[i].result()  # noqa: E731
             for i in range(scenario.steps_per_image):
                 if auv.y + scenario.step_length > far_y + 1e-9:
                     break
+                if len(path) == max_steps:
+                    raise MissionFailure("no-progress", len(path) + 1,
+                                         f"after {max_steps} steps y={auv.y:.1f} is still short "
+                                         f"of the pipeline end at y={far_y:g}")
                 auv = step_auv(auv, steer_at(min(i, NUM_BANDS - 1)), scenario)
                 path.append(auv)
             frame += 1
@@ -361,6 +390,9 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
+    if not path:
+        raise MissionFailure("no-points", 1, f"a {scenario.step_length:g} cm step from "
+                             f"y={scenario.start.y:g} passes the pipeline end at y={far_y:g}")
     return drift_metrics(path, world, tolerance)
 
 
@@ -374,12 +406,15 @@ class TuneResult:
     evaluations: int
 
 
-def mission_objective(scenarios, rb) -> tuple:
-    """(max |drift|, mean |drift|) over all scenario points; failure is infinite."""
+def mission_objective(scenarios, rb, captures: dict | None = None) -> tuple:
+    """(max |drift|, mean |drift|) over all scenario points; failure is infinite.
+
+    `captures` is passed on to every run_mission call.
+    """
     drifts = []
     for scenario in scenarios:
         try:
-            record = run_mission(scenario, rb)
+            record = run_mission(scenario, rb, captures=captures)
         except MissionFailure:
             return (math.inf, math.inf)
         drifts.extend(abs(p.drift) for p in record.points)
@@ -395,16 +430,22 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
     while the objective keeps improving; steps halve after a sweep without
     progress.  Only improvements are ever accepted, so the result is never
     worse than init, and the whole search is deterministic.
+
+    Evaluations only change the rule parameters, so they share one captures
+    dict for the duration of the call: a capture identical to one an earlier
+    evaluation flew reuses its band feature vectors instead of being rendered
+    again.  Results are identical to re-flying every evaluation.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rb0 = rulebase if rulebase is not None else fis.default_rulebase()
+    captures = {}
     evals = 0
 
     def evaluate(params):
         nonlocal evals
         evals += 1
-        return mission_objective(scenarios, fis.with_term_parameters(rb0, params))
+        return mission_objective(scenarios, fis.with_term_parameters(rb0, params), captures)
 
     best = dict(init)
     best_obj = evaluate(best)

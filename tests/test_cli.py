@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from pipefollow import netpbm
 from pipefollow.cli import main
-from conftest import SCENARIO_DIR
+from conftest import ROOT, SCENARIO_DIR
 
 SMALL_SCENARIO = """\
 pipe.waypoints = 36.5:0; 47.5:22.5; 58.5:45; 69.6:67.5; 80.8:90; 91.9:112.5
@@ -58,6 +62,16 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--scenario", path)
         assert code == 1
         assert "no-object" in err
+
+    def test_zero_point_mission_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "long-step.scenario"
+        text = (SCENARIO_DIR / "default.scenario").read_text()
+        path.write_text(text.replace("step.length = 22.5", "step.length = 1000"))
+        code, out, err = run_cli(capsys, "run", "--scenario", path,
+                                 "--rules", SCENARIO_DIR / "tuned.rules")
+        assert code == 1
+        assert "no-points" in err
+        assert out == ""
 
     def test_overlapped_matches_sequential(self, capsys, small_scenario_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -219,3 +233,15 @@ class TestPlot:
         _, with_scen, _ = run_cli(capsys, "plot", record, "--scenario", small_scenario_file)
         _, without, _ = run_cli(capsys, "plot", record)
         assert with_scen == without  # same envelope/step defaults in this scenario
+
+
+class TestEntryPoint:
+    def test_module_run_without_runpy_warning(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                               "-m", "pipefollow.cli", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "usage: pipefollow" in done.stdout

@@ -284,6 +284,27 @@ class TestRunMission:
         assert exc.value.reason == "envelope-exit"
         assert exc.value.step == 1
 
+    def test_zero_point_mission_fails(self):
+        sc = small_scenario(step_length=1000.0)
+        with pytest.raises(MissionFailure) as exc:
+            run_mission(sc, fis.default_rulebase())
+        assert exc.value.reason == "no-points"
+        assert exc.value.step == 1
+
+    @pytest.mark.parametrize("mode", ["sequential", "overlapped"])
+    def test_circling_mission_fails_no_progress(self, mode):
+        # every ground pixel is pipe and every rule turns right, so the vehicle
+        # circles inside the envelope and never reaches the pipeline end
+        world = World(pipeline=((75.0, 0.0), (75.0, 200.0)), pipe_width=400.0)
+        sc = Scenario(world=world, start=AuvState(50.0, 60.0, 90.0))
+        rb = fis.parse_rulebase("IF x5 IS Left THEN y1 IS TurnRight\n"
+                                "IF x5 IS Center THEN y1 IS TurnRight\n"
+                                "IF x5 IS Right THEN y1 IS TurnRight\n")
+        with pytest.raises(MissionFailure) as exc:
+            run_mission(sc, rb, mode)
+        assert exc.value.reason == "no-progress"
+        assert exc.value.step == math.ceil(2 * 140.0 / sc.step_length) + 1
+
     def test_seed_changes_noise_but_not_success(self):
         rb = fis.default_rulebase()
         views = []
@@ -295,16 +316,18 @@ class TestRunMission:
         assert len(set(views)) == 3
 
 
-class TestTune:
-    def _detuned(self, shift):
-        rb = fis.default_rulebase()
-        params = dict(fis.term_parameters(rb))
-        for var in fis.INPUT_VARIABLES:
-            for term in rb.variables[var].terms:
-                w, c = params[(var, term)]
-                params[(var, term)] = (w, min(c + shift, 1.0))
-        return params
+def detuned(shift):
+    """Default term parameters with every input center moved up by shift."""
+    rb = fis.default_rulebase()
+    params = dict(fis.term_parameters(rb))
+    for var in fis.INPUT_VARIABLES:
+        for term in rb.variables[var].terms:
+            w, c = params[(var, term)]
+            params[(var, term)] = (w, min(c + shift, 1.0))
+    return params
 
+
+class TestTune:
     def test_budget_one_returns_init(self):
         init = fis.term_parameters(fis.default_rulebase())
         result = tune([small_scenario()], init, budget=1)
@@ -313,18 +336,18 @@ class TestTune:
         assert result.evaluations == 1
 
     def test_detuned_init_strictly_improves(self):
-        init = self._detuned(0.1)
+        init = detuned(0.1)
         result = tune([small_scenario()], init, budget=120)
         assert result.initial_objective[0] > 8.0
         assert result.best_objective < result.initial_objective
 
     def test_never_worse_than_init(self):
-        init = self._detuned(0.2)
+        init = detuned(0.2)
         result = tune([small_scenario()], init, budget=40)
         assert result.best_objective <= result.initial_objective
 
     def test_deterministic(self):
-        init = self._detuned(0.1)
+        init = detuned(0.1)
         a = tune([small_scenario()], init, budget=60)
         b = tune([small_scenario()], init, budget=60)
         assert a.params == b.params
@@ -338,6 +361,58 @@ class TestTune:
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             tune([small_scenario()], fis.term_parameters(fis.default_rulebase()), budget=0)
+
+
+def count_renders(monkeypatch) -> list:
+    """Route sim.render_view through a counter; the list grows by one per call."""
+    calls = []
+    real = sim.render_view
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "render_view", counted)
+    return calls
+
+
+class TestCaptureMemo:
+    def test_tune_renders_a_single_frame_scenario_once(self, monkeypatch):
+        renders = count_renders(monkeypatch)
+        result = tune([small_scenario()], detuned(0.1), budget=20)
+        assert result.evaluations == 20
+        assert len(renders) == 1
+
+    def test_objectives_reproduce_without_memo(self):
+        rb = fis.default_rulebase()
+        init = detuned(0.1)
+        suite = [small_scenario()]
+        result = tune(suite, init, budget=30)
+        assert result.best_objective < result.initial_objective
+        assert mission_objective(suite, fis.with_term_parameters(rb, init)) == \
+            result.initial_objective
+        assert mission_objective(suite, fis.with_term_parameters(rb, result.params)) == \
+            result.best_objective
+
+    def test_filled_memo_gives_identical_records(self, monkeypatch):
+        sc = small_scenario(steps_per_image=1)
+        rb = fis.default_rulebase()
+        captures = {}
+        fresh = run_mission(sc, rb, captures=captures)
+        assert len(captures) == len(fresh.points) == 5
+        renders = count_renders(monkeypatch)
+        reused = run_mission(sc, rb, captures=captures)
+        overlapped = run_mission(sc, rb, mode="overlapped", captures=captures)
+        assert renders == []
+        assert fresh.to_csv() == reused.to_csv() == overlapped.to_csv()
+
+    def test_lost_object_is_not_stored(self):
+        world = World(pipeline=((10.0, 0.0), (10.0, 100.0)), seed=1)
+        sc = Scenario(world=world, start=AuvState(140.0, 0.0, 90.0))
+        captures = {}
+        with pytest.raises(MissionFailure):
+            run_mission(sc, fis.default_rulebase(), captures=captures)
+        assert captures == {}
 
 
 class TestScenarioFiles:
