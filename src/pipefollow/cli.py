@@ -8,6 +8,7 @@ no output path is given; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,14 +31,21 @@ def _write_output(text: str, out_path) -> None:
 
 def _load_rulebase(args, scenario=None):
     if getattr(args, "rules", None):
-        path = Path(args.rules)
-        try:
-            return fis.parse_rulebase(path.read_text())
-        except fis.RuleParseError as exc:
-            raise sim.ScenarioError(f"{path.name}: {exc}") from exc
+        return sim.read_rulebase(args.rules)
     if scenario is not None:
         return sim.load_rulebase(scenario)
     return fis.default_rulebase()
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tolerance: a positive finite number of cm."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, not {text!r}")
+    return value
 
 
 def _load_scenario(args) -> sim.Scenario:
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the scenario's noise seed")
     p.add_argument("--plot", help="also write an SVG path plot here")
     p.add_argument("--mode", choices=("sequential", "overlapped"), default="sequential")
-    p.add_argument("--tolerance", type=float, default=sim.DEFAULT_TOLERANCE_CM,
+    p.add_argument("--tolerance", type=_tolerance, default=sim.DEFAULT_TOLERANCE_CM,
                    help="drift tolerance in cm (default 8.0)")
     p.set_defaults(func=cmd_run)
 
@@ -231,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("record", help="PathRecord CSV file")
     p.add_argument("--scenario", help="scenario file for envelope/step geometry")
     p.add_argument("--out", help="output SVG path (default stdout)")
-    p.add_argument("--tolerance", type=float, default=sim.DEFAULT_TOLERANCE_CM)
+    p.add_argument("--tolerance", type=_tolerance, default=sim.DEFAULT_TOLERANCE_CM)
     p.set_defaults(func=cmd_plot)
 
     return parser

@@ -65,6 +65,10 @@ class World:
         ys = [y for _, y in self.pipeline]
         if any(b <= a for a, b in zip(ys, ys[1:])):
             raise ValueError("waypoint y coordinates must be strictly increasing")
+        # the render divides by each segment's squared length
+        if any((b - a) ** 2 == 0.0 for a, b in zip(ys, ys[1:])):
+            raise ValueError("consecutive waypoints are too close: a squared segment "
+                             "length underflows to 0")
         if self.pipe_width <= 0:
             raise ValueError("pipe width must be positive")
         if self.seed < 0:
@@ -211,16 +215,55 @@ def project_point(point, auv: AuvState, cam: CameraModel):
     return cx + f * float(v @ right) / depth, cy - f * float(v @ up) / depth
 
 
-def _min_dist2_to_polyline(gx, gy, waypoints):
-    best = np.full(gx.shape, np.inf)
-    for (px, py), (qx, qy) in zip(waypoints, waypoints[1:]):
+RENDER_TILE = 16   # side in pixels of the square tiles segments are culled by
+
+
+def _pipe_mask(world: World, auv: AuvState, cam: CameraModel) -> np.ndarray:
+    """Pixels whose ray meets the seabed within half a pipe width of the polyline."""
+    origin, right, up, forward = _camera_basis(auv, cam)
+    h, w = cam.image_height, cam.image_width
+    f = focal_px(cam)
+    cx, cy = image_center(cam)
+    a = (np.arange(w) - cx) / f
+    b = (cy - np.arange(h)) / f
+    # right[2] is 0.0, so a ray's vertical component, the ground test and the
+    # ray length depend on the row alone
+    dz = forward[2] + b * up[2]
+    rows = np.flatnonzero(dz < -1e-12)   # rays above the horizon never hit the seabed
+    # Ground points are laid out tile by tile, shape (tile rows, tile columns,
+    # tile, tile).  The last ground row and last column repeat up to whole
+    # tiles, which leaves every tile's bounding box as it is.
+    tile = RENDER_TILE
+    nty, ntx = -(-rows.size // tile), -(-w // tile)
+    r = rows[np.minimum(np.arange(nty * tile), rows.size - 1)].reshape(nty, 1, tile, 1)
+    c = np.minimum(np.arange(ntx * tile), w - 1).reshape(1, ntx, 1, tile)
+    t = -origin[2] / dz[r]
+    gx = (origin[0] + t * ((forward[0] + a[c] * right[0]) + b[r] * up[0])).reshape(nty * ntx, -1)
+    gy = (origin[1] + t * ((forward[1] + a[c] * right[1]) + b[r] * up[1])).reshape(nty * ntx, -1)
+    x_lo, x_hi = gx.min(axis=1), gx.max(axis=1)
+    y_lo, y_hi = gy.min(axis=1), gy.max(axis=1)
+    half = world.pipe_width / 2.0
+    r2 = half ** 2
+    # Rounding moves a computed distance by a few ulps of the coordinates; a
+    # culled tile lies farther than that beyond the pipe's half width.
+    reach = half + 1e-9 * (half + max(abs(v) for point in world.pipeline for v in point))
+    hit = np.zeros(gx.shape, dtype=bool)
+    for (px, py), (qx, qy) in zip(world.pipeline, world.pipeline[1:]):
+        near = np.flatnonzero((x_lo <= max(px, qx) + reach) & (x_hi >= min(px, qx) - reach)
+                              & (y_lo <= max(py, qy) + reach) & (y_hi >= min(py, qy) - reach))
+        if near.size == 0:
+            continue
+        sx, sy = gx[near], gy[near]
         wx, wy = qx - px, qy - py
         length2 = wx * wx + wy * wy
-        s = np.clip(((gx - px) * wx + (gy - py) * wy) / length2, 0.0, 1.0)
-        dx = gx - (px + s * wx)
-        dy = gy - (py + s * wy)
-        np.minimum(best, dx * dx + dy * dy, out=best)
-    return best
+        s = np.clip(((sx - px) * wx + (sy - py) * wy) / length2, 0.0, 1.0)
+        dx = sx - (px + s * wx)
+        dy = sy - (py + s * wy)
+        hit[near] |= dx * dx + dy * dy <= r2
+    pipe = np.zeros((h, w), dtype=bool)
+    pipe[rows] = hit.reshape(nty, ntx, tile, tile).transpose(0, 2, 1, 3).reshape(
+        nty * tile, ntx * tile)[:rows.size, :w]
+    return pipe
 
 
 def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0) -> GrayImage:
@@ -230,24 +273,21 @@ def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0) -
     within half a pipe width of the polyline render at pipe intensity.
     Uniform intensity noise and pipe-bright speckle are then drawn from a
     generator seeded by (world.seed, frame).
+
+    Each segment's distance is computed only on the RENDER_TILE-square tiles
+    whose ground bounding box comes within reach of the segment's bounding
+    box, yet the pixels equal a full-raster pass (tests/oracles.py) bit for
+    bit, because:
+    - a pixel is pipe when the minimum of its squared segment distances is
+      at most the squared half width, which is the OR of the per-segment
+      tests, since a minimum returns one of its operands (none is NaN:
+      ground points are finite and World keeps segment lengths positive);
+    - IEEE elementwise operations give the same bits on a gathered subset
+      of pixels as on the full raster, in the same operation order;
+    - the noise and speckle draws come from the generator in the same order.
     """
-    origin, right, up, forward = _camera_basis(auv, cam)
     h, w = cam.image_height, cam.image_width
-    f = focal_px(cam)
-    cx, cy = image_center(cam)
-    a = (np.arange(w) - cx) / f
-    b = (cy - np.arange(h)) / f
-    aa, bb = np.meshgrid(a, b)
-    dirs = (forward[None, None, :]
-            + aa[..., None] * right[None, None, :]
-            + bb[..., None] * up[None, None, :])
-    dz = dirs[..., 2]
-    ground = dz < -1e-12   # rays above the horizon never hit the seabed
-    t = np.where(ground, -origin[2] / np.where(ground, dz, -1.0), 0.0)
-    gx = origin[0] + t * dirs[..., 0]
-    gy = origin[1] + t * dirs[..., 1]
-    d2 = _min_dist2_to_polyline(gx, gy, world.pipeline)
-    pipe = ground & (d2 <= (world.pipe_width / 2.0) ** 2)
+    pipe = _pipe_mask(world, auv, cam)
     img = np.where(pipe, cam.pipe_intensity, cam.seabed_intensity).astype(np.int64)
     rng = np.random.default_rng((world.seed, frame))
     if cam.noise_amplitude > 0:
@@ -538,17 +578,31 @@ def _parse_waypoints(source, line_no, value):
         if len(bits) != 2:
             raise ScenarioError(f"{source} line {line_no}: waypoint {part!r} is not x:y")
         try:
-            waypoints.append((float(bits[0]), float(bits[1])))
+            x, y = float(bits[0]), float(bits[1])
         except ValueError:
             raise ScenarioError(f"{source} line {line_no}: non-numeric waypoint "
                                 f"{part!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ScenarioError(f"{source} line {line_no}: non-finite waypoint {part!r}")
+        waypoints.append((x, y))
     return tuple(waypoints)
+
+
+def _parse_number(source, line_no, key, value, kind=float):
+    try:
+        number = kind(value)
+    except ValueError:
+        raise ScenarioError(f"{source} line {line_no}: non-numeric value for {key}") from None
+    if kind is float and not math.isfinite(number):
+        raise ScenarioError(f"{source} line {line_no}: non-finite value for {key}")
+    return number
 
 
 def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scenario:
     values = dict(_SCENARIO_DEFAULTS)
     waypoints = ()
     start_overrides = {}
+    key_lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         hash_pos = raw.find("#")
         line = (raw[:hash_pos] if hash_pos >= 0 else raw).strip()
@@ -558,25 +612,23 @@ def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scena
             raise ScenarioError(f"{source} line {line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in key_lines:
+            raise ScenarioError(f"{source} line {line_no}: duplicate key {key!r} "
+                                f"(first set on line {key_lines[key]})")
+        key_lines[key] = line_no
         if key == "pipe.waypoints":
             waypoints = _parse_waypoints(source, line_no, value)
             continue
         if key in ("start.x", "start.y", "start.heading"):
-            try:
-                start_overrides[key] = float(value)
-            except ValueError:
-                raise ScenarioError(f"{source} line {line_no}: non-numeric value "
-                                    f"for {key}") from None
+            start_overrides[key] = _parse_number(source, line_no, key, value)
             continue
         if key not in values:
             raise ScenarioError(f"{source} line {line_no}: unknown key {key!r}")
         if key == "rulebase":
             values[key] = value
             continue
-        try:
-            values[key] = int(value) if key in _INT_KEYS else float(value)
-        except ValueError:
-            raise ScenarioError(f"{source} line {line_no}: non-numeric value for {key}") from None
+        values[key] = _parse_number(source, line_no, key, value,
+                                    int if key in _INT_KEYS else float)
     if not waypoints:
         raise ScenarioError(f"{source}: missing required key pipe.waypoints")
 
@@ -622,12 +674,17 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(text, base_dir=p.parent, source=p.name)
 
 
-def load_rulebase(scenario: Scenario):
-    """Rule base referenced by the scenario, or the built-in default."""
-    if not scenario.rulebase_file:
-        return fis.default_rulebase()
-    path = Path(scenario.rulebase_file)
+def read_rulebase(path):
+    """Parse a rule base DSL file; a parse error becomes a ScenarioError naming the file."""
+    path = Path(path)
     try:
         return fis.parse_rulebase(path.read_text())
     except fis.RuleParseError as exc:
         raise ScenarioError(f"{path.name}: {exc}") from exc
+
+
+def load_rulebase(scenario: Scenario):
+    """Rule base referenced by the scenario, or the built-in default."""
+    if not scenario.rulebase_file:
+        return fis.default_rulebase()
+    return read_rulebase(scenario.rulebase_file)

@@ -1,9 +1,10 @@
 """Brute-force reference implementations the fast paths are checked against.
 
-Everything here is deliberately naive (double loops, BFS) and shares no code
-with the package.
+Everything here is deliberately naive (double loops, BFS, full-raster passes)
+and shares no code with the package.
 """
 
+import math
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -76,3 +77,56 @@ def quadrant_count(binary: np.ndarray, row0, col0, row1, col1) -> int:
         for j in range(col0, col1 + 1):
             total += int(binary[i, j])
     return total
+
+
+def _min_dist2_to_polyline(gx, gy, waypoints):
+    best = np.full(gx.shape, np.inf)
+    for (px, py), (qx, qy) in zip(waypoints, waypoints[1:]):
+        wx, wy = qx - px, qy - py
+        length2 = wx * wx + wy * wy
+        s = np.clip(((gx - px) * wx + (gy - py) * wy) / length2, 0.0, 1.0)
+        dx = gx - (px + s * wx)
+        dy = gy - (py + s * wy)
+        np.minimum(best, dx * dx + dy * dy, out=best)
+    return best
+
+
+def render_reference(world, auv, cam, frame: int = 0) -> np.ndarray:
+    """Full-raster seabed render: every pixel's ray against every segment.
+
+    Returns the (height, width) uint8 pixels.  The camera basis, ray grid,
+    distance pass and noise draws follow the same float64 operation order as
+    sim.render_view, so the two must agree byte for byte.
+    """
+    rad = math.radians(auv.heading - 90.0)
+    hx, hy = math.sin(rad), math.cos(rad)
+    tilt = math.radians(cam.tilt_deg)
+    right = np.array([hy, -hx, 0.0])
+    forward = np.array([hx * math.cos(tilt), hy * math.cos(tilt), -math.sin(tilt)])
+    up = np.array([hx * math.sin(tilt), hy * math.sin(tilt), math.cos(tilt)])
+    origin = np.array([auv.x, auv.y, cam.height_cm])
+    h, w = cam.image_height, cam.image_width
+    f = (w / 2.0) / math.tan(math.radians(cam.fov_deg) / 2.0)
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    a = (np.arange(w) - cx) / f
+    b = (cy - np.arange(h)) / f
+    aa, bb = np.meshgrid(a, b)
+    dirs = (forward[None, None, :]
+            + aa[..., None] * right[None, None, :]
+            + bb[..., None] * up[None, None, :])
+    dz = dirs[..., 2]
+    ground = dz < -1e-12
+    t = np.where(ground, -origin[2] / np.where(ground, dz, -1.0), 0.0)
+    gx = origin[0] + t * dirs[..., 0]
+    gy = origin[1] + t * dirs[..., 1]
+    d2 = _min_dist2_to_polyline(gx, gy, world.pipeline)
+    pipe = ground & (d2 <= (world.pipe_width / 2.0) ** 2)
+    img = np.where(pipe, cam.pipe_intensity, cam.seabed_intensity).astype(np.int64)
+    rng = np.random.default_rng((world.seed, frame))
+    if cam.noise_amplitude > 0:
+        img += rng.integers(-cam.noise_amplitude, cam.noise_amplitude + 1, size=(h, w))
+        np.clip(img, 0, 255, out=img)
+    if cam.speckle_density > 0:
+        salt = rng.random((h, w)) < cam.speckle_density
+        img[salt] = cam.pipe_intensity
+    return img.astype(np.uint8)

@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from pipefollow import fis, sim
 from pipefollow.sim import (AuvState, CameraModel, EnvelopeExitError,
                             MissionFailure, PathRecord, Scenario,
@@ -38,6 +41,10 @@ class TestWorldValidation:
     def test_y_strictly_increasing(self):
         with pytest.raises(ValueError):
             World(pipeline=((10.0, 50.0), (20.0, 50.0)))
+
+    def test_underflowing_segment_rejected(self):
+        with pytest.raises(ValueError, match="too close"):
+            World(pipeline=((10.0, 0.0), (10.0, 1e-200), (10.0, 50.0)))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -150,6 +157,50 @@ class TestRenderView:
         img = render_view(world, AuvState(140.0, 0.0, 90.0), cam)  # seabed only
         assert img.pixels.min() >= cam.seabed_intensity - 30
         assert img.pixels.max() <= cam.seabed_intensity + 30
+
+
+@st.composite
+def render_cases(draw):
+    """World, pose and camera for one render, small enough for the oracle.
+
+    Image sides run from 1 pixel to a few RENDER_TILEs, mostly not tile
+    multiples.  Poses and headings span the whole envelope, so the pipe is
+    often partly or wholly out of view or behind the camera.
+    """
+    n = draw(st.integers(2, 8))
+    ys = sorted(draw(st.lists(st.floats(0.0, 200.0), min_size=n, max_size=n, unique=True)))
+    xs = draw(st.lists(st.floats(0.0, 150.0), min_size=n, max_size=n))
+    assume(all((b - a) ** 2 > 0.0 for a, b in zip(ys, ys[1:])))  # else World rejects it
+    world = World(pipeline=tuple(zip(xs, ys)), pipe_width=draw(st.floats(0.5, 60.0)),
+                  seed=draw(st.integers(0, 1000)))
+    auv = AuvState(draw(st.floats(0.0, 150.0)), draw(st.floats(0.0, 200.0)),
+                   draw(st.floats(-180.0, 360.0)))
+    cam = CameraModel(height_cm=draw(st.floats(5.0, 150.0)), tilt_deg=draw(st.floats(5.0, 85.0)),
+                      fov_deg=draw(st.floats(20.0, 150.0)),
+                      image_width=draw(st.integers(1, 3 * sim.RENDER_TILE + 5)),
+                      image_height=draw(st.integers(1, 3 * sim.RENDER_TILE + 5)),
+                      noise_amplitude=draw(st.sampled_from([0, 30])),
+                      speckle_density=draw(st.sampled_from([0.0, 0.05])))
+    return world, auv, cam, draw(st.integers(0, 5))
+
+
+class TestRenderOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(render_cases())
+    def test_matches_full_raster_reference(self, case):
+        world, auv, cam, frame = case
+        assert render_view(world, auv, cam, frame).pixels.tobytes() == \
+            oracles.render_reference(world, auv, cam, frame).tobytes()
+
+    @pytest.mark.parametrize("tilt", [5.0, 30.0, 85.0])
+    def test_survey_sized_frames_match(self, tilt):
+        world = World(pipeline=tuple((60.0 + 25.0 * math.sin(1.2 * math.pi * y / 200.0), y)
+                                     for y in range(0, 201, 10)), seed=3)
+        cam = CameraModel(tilt_deg=tilt, image_width=330, image_height=250)
+        for auv in (AuvState(60.0, 0.0, 90.0), AuvState(84.0, 70.0, 75.0),
+                    AuvState(75.0, 190.0, 270.0)):
+            assert np.array_equal(render_view(world, auv, cam, 1).pixels,
+                                  oracles.render_reference(world, auv, cam, 1))
 
 
 class TestDriftMetrics:
@@ -459,6 +510,41 @@ class TestScenarioFiles:
         scen.write_text("pipe.waypoints = 10:0; 10:50\nrulebase = my.rules\n")
         sc = sim.load_scenario(scen)
         assert len(sim.load_rulebase(sc).rules) == 1
+
+    @pytest.mark.parametrize("line", ["camera.height = nan", "pipe.width = inf",
+                                      "camera.tilt = -inf", "step.length = NaN",
+                                      "start.x = nan", "start.heading = inf",
+                                      "pipe.waypoints = 10:0; nan:50",
+                                      "pipe.waypoints = 10:0; 10:inf"])
+    def test_non_finite_number_names_file_and_line(self, line):
+        text = "seed = 3\n" + line + "\n"
+        if not line.startswith("pipe.waypoints"):
+            text += "pipe.waypoints = 10:0; 10:50\n"
+        with pytest.raises(ScenarioError, match=r"^bad\.scenario line 2: non-finite"):
+            parse_scenario(text, source="bad.scenario")
+
+    def test_duplicate_key_names_both_lines(self):
+        text = "seed = 3\npipe.waypoints = 10:0; 10:50\nseed = 4\n"
+        with pytest.raises(ScenarioError,
+                           match=r"^dup\.scenario line 3: duplicate key 'seed'.*line 1"):
+            parse_scenario(text, source="dup.scenario")
+
+    def test_duplicate_start_key_rejected(self):
+        with pytest.raises(ScenarioError, match=r"line 3: duplicate key 'start.y'"):
+            parse_scenario("start.y = 0\npipe.waypoints = 10:0; 10:50\nstart.y = 5\n")
+
+    def test_committed_scenarios_parse(self, scenario_dir):
+        paths = sorted([*scenario_dir.glob("*.scenario"),
+                        *(scenario_dir.parent / "bench" / "data").glob("*.scenario")])
+        assert len(paths) == 5
+        for path in paths:
+            sim.load_scenario(path)
+
+    def test_rule_parse_error_names_file(self, tmp_path):
+        rules = tmp_path / "broken.rules"
+        rules.write_text("IF x5 IS Nowhere THEN y1 IS TurnLeft\n")
+        with pytest.raises(ScenarioError, match=r"^broken\.rules: "):
+            sim.read_rulebase(rules)
 
     def test_empty_rulebase_falls_back_to_default(self):
         sc = parse_scenario("pipe.waypoints = 10:0; 10:50\n")
