@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imgproc import (BinaryImage, GrayImage, NoObjectError, ThresholdBand,
-                      label_regions, largest_region, region_mask,
-                      remove_small_regions, threshold_band)
+                      label_regions, threshold_band)
 
 NUM_BANDS = 5
 UNIVERSE_LO = 0.1
@@ -147,15 +146,26 @@ def band_features(obj: BinaryImage, band: BandLayout) -> FeatureVector:
 
 
 def object_mask(img: GrayImage, band: ThresholdBand, min_area: int) -> BinaryImage:
-    """Threshold, label, denoise and isolate the largest connected region."""
-    lm = remove_small_regions(label_regions(threshold_band(img, band)), min_area)
-    return region_mask(lm, largest_region(lm))
+    """Mask of the largest 8-connected region of the thresholded image.
+
+    Ties go to the smallest label, the first region in raster order.  Raises
+    NoObjectError unless that region holds at least min_area pixels, which is
+    also the outcome of first dropping every region below min_area.
+    """
+    if min_area < 0:
+        raise ValueError("min_area must be >= 0")
+    lm = label_regions(threshold_band(img, band))
+    sizes = np.bincount(lm.labels.ravel())[1:]   # region k holds sizes[k - 1] pixels
+    if sizes.size == 0 or sizes.max() < min_area:
+        raise NoObjectError("label map contains no regions")
+    label = int(np.argmax(sizes)) + 1   # argmax returns the first maximum
+    return BinaryImage(img.width, img.height, (lm.labels == label).astype(np.uint8))
 
 
 def extract_features(img: GrayImage, band: ThresholdBand, min_area: int) -> list:
     """Feature vectors of all 5 bands, bottom to top.
 
-    Raises NoObjectError when no region survives noise removal.
+    Raises NoObjectError when no region holds at least min_area pixels.
     """
     mask = object_mask(img, band, min_area)
     return [band_features(mask, layout) for layout in split_bands(img.width, img.height)]

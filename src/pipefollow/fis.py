@@ -253,7 +253,8 @@ _TERM_LINE = re.compile(r"^term\.([A-Za-z0-9_]+)\.([A-Za-z0-9_]+)\s*=\s*(.+)$")
 _TERM_VALUE = re.compile(r"^(gaussian|pi)\(\s*([^,\s]+)\s*,\s*([^,\s)]+)\s*\)$")
 
 
-def _strip(line: str) -> str:
+def strip_comment(line: str) -> str:
+    """The line without its '#' comment and surrounding whitespace."""
     hash_pos = line.find("#")
     if hash_pos >= 0:
         line = line[:hash_pos]
@@ -333,7 +334,7 @@ def parse_rulebase(text: str) -> RuleBase:
     variables = default_variables()
     rules = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+        line = strip_comment(raw)
         if not line:
             continue
         term_match = _TERM_LINE.match(line)

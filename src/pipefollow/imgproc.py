@@ -107,13 +107,6 @@ class LabelMap:
         return cls(width=a.shape[1], height=a.shape[0], labels=a, region_count=region_count)
 
 
-@dataclass(frozen=True)
-class Region:
-    label: int
-    pixel_count: int
-    bounding_box: tuple  # (min_row, min_col, max_row, max_col)
-
-
 def rgb_to_gray(img: RgbImage) -> GrayImage:
     """Convert to grayscale with BT.601 luma weights.
 
@@ -135,53 +128,12 @@ def threshold_band(img: GrayImage, band: ThresholdBand) -> BinaryImage:
 def label_regions(b: BinaryImage) -> LabelMap:
     """Partition foreground into maximal 8-connected regions.
 
-    Labels are 1..N in raster order of each region's first pixel, so the
-    numbering is deterministic regardless of the underlying labeling pass.
+    Labels are 1..N in raster order of each region's first pixel.  That order
+    is scipy's own: ndimage.label numbers regions as its raster scan first
+    meets them, and tests/oracles.py::flood_fill_labels pins it.
     """
-    raw, count = ndimage.label(b.pixels, structure=EIGHT_CONNECTED)
-    if count == 0:
-        return LabelMap(b.width, b.height, np.zeros_like(raw, dtype=np.int32), 0)
-    flat = raw.ravel()
-    first_seen = np.full(count + 1, flat.size, dtype=np.int64)
-    idx = np.flatnonzero(flat)
-    # reversed so earlier indices win the final write
-    first_seen[flat[idx[::-1]]] = idx[::-1]
-    order = np.argsort(first_seen[1:], kind="stable") + 1
-    remap = np.zeros(count + 1, dtype=np.int32)
-    remap[order] = np.arange(1, count + 1, dtype=np.int32)
-    return LabelMap(b.width, b.height, remap[raw], count)
-
-
-def remove_small_regions(lm: LabelMap, min_area: int) -> LabelMap:
-    """Drop regions smaller than min_area pixels and renumber the survivors."""
-    if min_area < 0:
-        raise ValueError("min_area must be >= 0")
-    if lm.region_count == 0 or min_area == 0:
-        return lm
-    sizes = np.bincount(lm.labels.ravel(), minlength=lm.region_count + 1)
-    keep = np.flatnonzero(sizes[1:] >= min_area) + 1
-    remap = np.zeros(lm.region_count + 1, dtype=np.int32)
-    remap[keep] = np.arange(1, keep.size + 1, dtype=np.int32)
-    return LabelMap(lm.width, lm.height, remap[lm.labels], int(keep.size))
-
-
-def largest_region(lm: LabelMap) -> Region:
-    """Select the largest region (ties go to the smallest label).
-
-    Raises NoObjectError on an empty label map.
-    """
-    if lm.region_count == 0:
-        raise NoObjectError("label map contains no regions")
-    sizes = np.bincount(lm.labels.ravel(), minlength=lm.region_count + 1)
-    label = int(np.argmax(sizes[1:])) + 1  # argmax returns the first (smallest) label on ties
-    rows, cols = np.nonzero(lm.labels == label)
-    bbox = (int(rows.min()), int(cols.min()), int(rows.max()), int(cols.max()))
-    return Region(label=label, pixel_count=int(sizes[label]), bounding_box=bbox)
-
-
-def region_mask(lm: LabelMap, region: Region) -> BinaryImage:
-    """Binary mask holding only the given region's pixels."""
-    return BinaryImage(lm.width, lm.height, (lm.labels == region.label).astype(np.uint8))
+    labels, count = ndimage.label(b.pixels, structure=EIGHT_CONNECTED)
+    return LabelMap(b.width, b.height, labels, count)
 
 
 def area(b: BinaryImage) -> int:

@@ -55,8 +55,8 @@ class World:
 
     def __post_init__(self):
         ex, ey = self.envelope
-        if ex <= 0 or ey <= 0:
-            raise ValueError("envelope dimensions must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (ex, ey)):
+            raise ValueError("envelope dimensions must be positive and finite")
         if len(self.pipeline) < 2:
             raise ValueError("pipeline needs at least 2 waypoints")
         for x, y in self.pipeline:
@@ -69,8 +69,8 @@ class World:
         if any((b - a) ** 2 == 0.0 for a, b in zip(ys, ys[1:])):
             raise ValueError("consecutive waypoints are too close: a squared segment "
                              "length underflows to 0")
-        if self.pipe_width <= 0:
-            raise ValueError("pipe width must be positive")
+        if not (math.isfinite(self.pipe_width) and self.pipe_width > 0):
+            raise ValueError("pipe width must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -96,8 +96,8 @@ class CameraModel:
             v = getattr(self, name)
             if not 0 <= v <= 255:
                 raise ValueError(f"{name} must be in 0-255")
-        if self.height_cm <= 0:
-            raise ValueError("camera height must be positive")
+        if not (math.isfinite(self.height_cm) and self.height_cm > 0):
+            raise ValueError("camera height must be positive and finite")
         if not 0 <= self.speckle_density < 1:
             raise ValueError("speckle density must be in [0, 1)")
 
@@ -169,13 +169,23 @@ class Scenario:
     start: AuvState = AuvState(0.0, 0.0, 90.0)
 
     def __post_init__(self):
-        if self.step_length <= 0:
-            raise ValueError("step length must be positive")
+        if not (math.isfinite(self.step_length) and self.step_length > 0):
+            raise ValueError("step length must be positive and finite")
+        if not math.isfinite(self.steering_gain):
+            raise ValueError("steering gain must be finite")
         if self.steps_per_image < 1:
             raise ValueError("steps per image must be >= 1")
+        if self.min_area < 0:
+            raise ValueError("minimum region area must be >= 0")
         ex, ey = self.world.envelope
         if not (0 <= self.start.x <= ex and 0 <= self.start.y <= ey):
             raise ValueError("start position outside envelope")
+        # drift is measured against the pipeline, which begins at the first waypoint
+        if self.start.y < self.world.pipeline[0][1]:
+            raise ValueError(f"start y={self.start.y} lies below the first waypoint's "
+                             f"y={self.world.pipeline[0][1]}")
+        if not math.isfinite(self.start.heading):
+            raise ValueError("start heading must be finite")
 
 
 # --- geometry ----------------------------------------------------------------
@@ -604,8 +614,7 @@ def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scena
     start_overrides = {}
     key_lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        hash_pos = raw.find("#")
-        line = (raw[:hash_pos] if hash_pos >= 0 else raw).strip()
+        line = fis.strip_comment(raw)
         if not line:
             continue
         if "=" not in line:

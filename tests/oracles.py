@@ -57,6 +57,23 @@ def flood_fill_labels(binary: np.ndarray):
     return labels, count
 
 
+def largest_region_mask(binary: np.ndarray, min_area: int):
+    """Mask of the largest flood-filled region of at least min_area pixels, or None.
+
+    Regions below min_area are dropped first; among the rest the largest wins,
+    ties going to the region met first in raster order.
+    """
+    labels, count = flood_fill_labels(binary)
+    best, best_size = 0, 0
+    for k in range(1, count + 1):
+        size = int((labels == k).sum())
+        if size >= min_area and size > best_size:
+            best, best_size = k, size
+    if best == 0:
+        return None
+    return (labels == best).astype(np.uint8)
+
+
 def column_centroid(binary: np.ndarray, row0, col0, row1, col1):
     """Mean column index of set pixels in an inclusive rectangle, or None."""
     total = 0

@@ -31,3 +31,15 @@ def test_duplicate_scenario_key_exits_two(capsys, tmp_path):
     assert main(["run", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert "twice.scenario line 3: duplicate key 'seed' (first set on line 1)" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("minArea = -1", "min"),
+    ("start.y = 10", "below the first waypoint"),
+])
+def test_scenario_invariant_exits_two(capsys, tmp_path, line, message):
+    path = tmp_path / "bad.scenario"
+    path.write_text(f"pipe.waypoints = 36.5:20; 47.5:42.5; 58.5:65\n{line}\n")
+    assert main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.scenario: " in err and message in err and "Traceback" not in err

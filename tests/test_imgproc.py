@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,11 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from pipefollow import sim
+from pipefollow.features import object_mask
 from pipefollow.imgproc import (BinaryImage, GrayImage, NoObjectError,
                                 RgbImage, ThresholdBand, area, label_regions,
-                                largest_region, region_mask,
-                                remove_small_regions, rgb_to_gray,
-                                threshold_band)
+                                rgb_to_gray, threshold_band)
 
 binary_8x8 = arrays(np.uint8, (8, 8), elements=st.integers(0, 1))
 gray_8x8 = arrays(np.uint8, (8, 8), elements=st.integers(0, 255))
@@ -17,6 +19,11 @@ gray_8x8 = arrays(np.uint8, (8, 8), elements=st.integers(0, 255))
 
 def binary(arr):
     return BinaryImage.from_array(np.asarray(arr, dtype=np.uint8))
+
+
+def mask_of(arr, min_area):
+    """object_mask of a 0/1 raster: the band (0, 1] keeps exactly its 1 pixels."""
+    return object_mask(GrayImage.from_array(arr), ThresholdBand(0, 1), min_area).pixels
 
 
 class TestRgbToGray:
@@ -119,34 +126,50 @@ class TestLabelRegions:
             assert lm.region_count == n
             assert np.array_equal(lm.labels, want)
 
+    def test_survey_frame_matches_flood_fill_oracle(self):
+        sc = sim.load_scenario(Path(__file__).resolve().parent.parent
+                               / "bench" / "data" / "survey.scenario")
+        img = sim.render_view(sc.world, sc.start, sc.camera)
+        pixels = threshold_band(img, sc.thresholds).pixels
+        lm = label_regions(binary(pixels))
+        want, n = oracles.flood_fill_labels(pixels)
+        assert n > 100  # speckle leaves hundreds of small regions
+        assert lm.region_count == n
+        assert np.array_equal(lm.labels, want)
 
+
+# features.object_mask fuses the min_area filter and the largest-region choice
+# into one labelling pass; these classes check both behaviours through it.
 class TestRemoveSmallRegions:
     def test_zero_min_area_is_identity(self):
-        lm = label_regions(binary([[1, 0, 1], [0, 0, 0], [1, 0, 0]]))
-        out = remove_small_regions(lm, 0)
-        assert np.array_equal(out.labels, lm.labels)
-        assert out.region_count == lm.region_count
+        pixels = [[1, 1, 0], [0, 0, 0], [1, 0, 0]]
+        want = [[1, 1, 0], [0, 0, 0], [0, 0, 0]]
+        assert np.array_equal(mask_of(pixels, 0), want)
+        assert np.array_equal(mask_of(pixels, 1), want)
 
     def test_filters_by_size(self):
         pixels = np.zeros((10, 10), dtype=np.uint8)
         pixels[0, 0:3] = 1                 # 3-pixel region
         pixels[5:10, 0:10] = 1             # 50-pixel region
-        out = remove_small_regions(label_regions(binary(pixels)), 10)
-        assert out.region_count == 1
-        assert int((out.labels > 0).sum()) == 50
+        big_only = pixels.copy()
+        big_only[0] = 0
+        assert np.array_equal(mask_of(pixels, 10), big_only)
+        assert int(mask_of(pixels, 50).sum()) == 50
+        with pytest.raises(NoObjectError, match="label map contains no regions"):
+            mask_of(pixels, 51)
 
-    @given(binary_8x8)
-    def test_matches_oracle_filter(self, pixels):
-        min_area = 3
-        out = remove_small_regions(label_regions(binary(pixels)), min_area)
-        ref, n = oracles.flood_fill_labels(pixels)
-        sizes = [int((ref == k).sum()) for k in range(1, n + 1)]
-        survivors = [k for k, s in zip(range(1, n + 1), sizes) if s >= min_area]
-        assert out.region_count == len(survivors)
-        want = np.zeros_like(ref)
-        for new, old in enumerate(survivors, start=1):
-            want[ref == old] = new
-        assert np.array_equal(out.labels, want)
+    @given(binary_8x8, st.integers(0, 6))
+    def test_matches_oracle_filter(self, pixels, min_area):
+        want = oracles.largest_region_mask(pixels, min_area)
+        if want is None:
+            with pytest.raises(NoObjectError):
+                mask_of(pixels, min_area)
+        else:
+            assert np.array_equal(mask_of(pixels, min_area), want)
+
+    def test_negative_min_area_rejected(self):
+        with pytest.raises(ValueError, match="min_area must be >= 0"):
+            mask_of(np.ones((3, 3)), -1)
 
 
 class TestLargestRegion:
@@ -154,34 +177,27 @@ class TestLargestRegion:
         pixels = np.zeros((8, 8), dtype=np.uint8)
         pixels[0, 0:5] = 1
         pixels[4:7, 0:3] = 1
-        region = largest_region(label_regions(binary(pixels)))
-        assert region.pixel_count == 9
-        assert region.bounding_box == (4, 0, 6, 2)
+        want = np.zeros((8, 8), dtype=np.uint8)
+        want[4:7, 0:3] = 1
+        assert np.array_equal(mask_of(pixels, 0), want)
 
     def test_tie_goes_to_smallest_label(self):
         pixels = np.zeros((5, 8), dtype=np.uint8)
-        pixels[0, 0:3] = 1   # label 1, size 3
         pixels[3, 0:3] = 1   # label 2, size 3
-        region = largest_region(label_regions(binary(pixels)))
-        assert region.label == 1
+        pixels[0, 5:8] = 1   # label 1, size 3: first in raster order
+        assert np.array_equal(np.nonzero(mask_of(pixels, 3)), ([0, 0, 0], [5, 6, 7]))
 
     def test_empty_map_raises(self):
-        with pytest.raises(NoObjectError):
-            largest_region(label_regions(binary(np.zeros((3, 3)))))
+        with pytest.raises(NoObjectError, match="label map contains no regions"):
+            mask_of(np.zeros((3, 3)), 0)
 
     @given(binary_8x8)
     def test_row_reversal_preserves_pixel_set(self, pixels):
-        lm = label_regions(binary(pixels))
-        if lm.region_count == 0:
-            return
-        sizes = np.bincount(lm.labels.ravel())[1:]
-        if len(set(sizes.tolist())) != len(sizes):
+        sizes = np.bincount(label_regions(binary(pixels)).labels.ravel())[1:]
+        if sizes.size == 0 or len(set(sizes.tolist())) != len(sizes):
             return  # tie-break depends on raster order; only unique sizes compare
-        mask = region_mask(lm, largest_region(lm)).pixels
         flipped = pixels[::-1].copy()
-        lm2 = label_regions(binary(flipped))
-        mask2 = region_mask(lm2, largest_region(lm2)).pixels[::-1]
-        assert np.array_equal(mask, mask2)
+        assert np.array_equal(mask_of(pixels, 0), mask_of(flipped, 0)[::-1])
 
 
 class TestArea:

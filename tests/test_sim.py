@@ -64,6 +64,30 @@ class TestWorldValidation:
             Scenario(world=world, steps_per_image=0)
         with pytest.raises(ValueError):
             Scenario(world=world, start=AuvState(-5.0, 0.0, 90.0))
+        with pytest.raises(ValueError, match="min"):
+            Scenario(world=world, min_area=-1)
+
+    def test_start_below_first_waypoint_rejected(self):
+        world = World(pipeline=((10.0, 40.0), (10.0, 90.0)))
+        Scenario(world=world, start=AuvState(10.0, 40.0, 90.0))
+        with pytest.raises(ValueError, match="below the first waypoint"):
+            Scenario(world=world, start=AuvState(10.0, 39.9, 90.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [
+        lambda v: CameraModel(height_cm=v),
+        lambda v: World(pipeline=((10.0, 0.0), (10.0, 50.0)), pipe_width=v),
+        lambda v: World(envelope=(v, 200.0), pipeline=((10.0, 0.0), (10.0, 50.0))),
+        lambda v: World(envelope=(150.0, v), pipeline=((10.0, 0.0), (10.0, 50.0))),
+        lambda v: small_scenario(step_length=v),
+        lambda v: small_scenario(steering_gain=v),
+        lambda v: small_scenario(start=AuvState(36.5, 0.0, v)),
+    ], ids=["camera.height_cm", "world.pipe_width", "world.envelope.x",
+            "world.envelope.y", "scenario.step_length", "scenario.steering_gain",
+            "scenario.start.heading"])
+    def test_non_finite_field_rejected(self, build, bad):
+        with pytest.raises(ValueError):
+            build(bad)
 
 
 class TestStepAuv:
