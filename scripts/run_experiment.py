@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from pipefollow import sim  # noqa: E402
-from pipefollow.cli import plot_svg  # noqa: E402
 
 
 def fly(scenario_path: Path, out_dir: Path, label: str) -> sim.PathRecord:
@@ -20,7 +19,7 @@ def fly(scenario_path: Path, out_dir: Path, label: str) -> sim.PathRecord:
     record = sim.run_mission(scenario, sim.load_rulebase(scenario))
     (out_dir / f"{label}.csv").write_text(record.to_csv())
     (out_dir / f"{label}.svg").write_text(
-        plot_svg(record, scenario.world.envelope, scenario.step_length, scenario.start.y))
+        sim.plot_svg(record, scenario.world.envelope, scenario.step_length, scenario.start.y))
     print(f"--- {label} ---")
     print(record.to_csv(), end="")
     verdict = "inside" if record.within_tolerance() else "OUTSIDE"

@@ -55,44 +55,6 @@ def _load_scenario(args) -> sim.Scenario:
     return scenario
 
 
-def plot_svg(record: sim.PathRecord, envelope=(150.0, 200.0),
-             step_length: float = 22.5, start_y: float = 0.0) -> str:
-    """Deterministic top-down SVG: envelope, tolerance band, centerline, path.
-
-    Path point k is drawn at the nominal along-track station
-    start_y + k * step_length.
-    """
-    scale, margin = 3.0, 20.0
-    width = envelope[0] * scale + 2 * margin
-    height = envelope[1] * scale + 2 * margin
-
-    def px(x):
-        return margin + x * scale
-
-    def py(y):
-        return height - margin - y * scale
-
-    ys = [start_y + p.step * step_length for p in record.points]
-    tol = record.tolerance
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect x="{px(0):.2f}" y="{py(envelope[1]):.2f}" '
-        f'width="{envelope[0] * scale:.2f}" height="{envelope[1] * scale:.2f}" '
-        f'fill="white" stroke="black"/>',
-    ]
-    band = [(p.actual_x - tol, y) for p, y in zip(record.points, ys)]
-    band += [(p.actual_x + tol, y) for p, y in reversed(list(zip(record.points, ys)))]
-    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in band)
-    parts.append(f'<polygon points="{pts}" fill="#cfe3f5" stroke="none"/>')
-    pipe = " ".join(f"{px(p.actual_x):.2f},{py(y):.2f}" for p, y in zip(record.points, ys))
-    parts.append(f'<polyline points="{pipe}" fill="none" stroke="#004080" stroke-width="2"/>')
-    for p, y in zip(record.points, ys):
-        parts.append(f'<circle cx="{px(p.sim_x):.2f}" cy="{py(y):.2f}" r="4" fill="#c22"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
 def cmd_run(args) -> int:
     scenario = _load_scenario(args)
     rb = _load_rulebase(args, scenario)
@@ -103,8 +65,8 @@ def cmd_run(args) -> int:
         return 1
     _write_output(record.to_csv(), args.out)
     if args.plot:
-        Path(args.plot).write_text(plot_svg(record, scenario.world.envelope,
-                                            scenario.step_length, scenario.start.y))
+        Path(args.plot).write_text(sim.plot_svg(record, scenario.world.envelope,
+                                                scenario.step_length, scenario.start.y))
     if not record.within_tolerance():
         _diag(f"drift exceeds +/-{args.tolerance:.1f} cm tolerance "
               f"(max {record.max_abs_drift():.1f} cm)")
@@ -129,6 +91,9 @@ def cmd_features(args) -> int:
     except NoObjectError as exc:
         _diag(f"no-object: {exc}")
         return 1
+    except ValueError as exc:   # an image too small to band
+        _diag(f"{args.image}: {exc}")
+        return 2
     lines = ["band,x1,x2,x3,x4,x5,x6"]
     for v in vectors:
         lines.append(f"{v.band_index}," + ",".join(f"{c:.6f}" for c in v.as_tuple()))
@@ -186,7 +151,7 @@ def cmd_plot(args) -> int:
         scenario = sim.load_scenario(args.scenario)
         envelope = scenario.world.envelope
         step_length, start_y = scenario.step_length, scenario.start.y
-    _write_output(plot_svg(record, envelope, step_length, start_y), args.out)
+    _write_output(sim.plot_svg(record, envelope, step_length, start_y), args.out)
     return 0
 
 

@@ -79,10 +79,12 @@ class FeatureVector:
 def split_bands(width: int, height: int) -> list:
     """Lay out 5 equal-height bands, bottom first; remainder rows go to the top band.
 
-    Quadrant boundaries sit at floor(size/2) within each band.
+    Quadrant boundaries sit at floor(size/2) within each band, so every
+    quadrant holds at least one pixel only when a band has 2 rows or more.
     """
-    if height < NUM_BANDS or width < 2:
-        raise ValueError(f"image too small to band: {width}x{height}")
+    if height < 2 * NUM_BANDS or width < 2:
+        raise ValueError(f"image too small to band: {width}x{height} (needs at least "
+                         f"2 columns and {2 * NUM_BANDS} rows)")
     base = height // NUM_BANDS
     layouts = []
     for k in range(1, NUM_BANDS + 1):
@@ -165,10 +167,12 @@ def object_mask(img: GrayImage, band: ThresholdBand, min_area: int) -> BinaryIma
 def extract_features(img: GrayImage, band: ThresholdBand, min_area: int) -> list:
     """Feature vectors of all 5 bands, bottom to top.
 
-    Raises NoObjectError when no region holds at least min_area pixels.
+    Raises ValueError for an image too small to band and NoObjectError when
+    no region holds at least min_area pixels.
     """
+    layouts = split_bands(img.width, img.height)
     mask = object_mask(img, band, min_area)
-    return [band_features(mask, layout) for layout in split_bands(img.width, img.height)]
+    return [band_features(mask, layout) for layout in layouts]
 
 
 __all__ = [

@@ -58,7 +58,11 @@ class GrayImage:
 
 @dataclass(frozen=True)
 class BinaryImage:
-    """Raster whose pixels are exactly 0 or 1."""
+    """Raster whose pixels are exactly 0 or 1.
+
+    Internal constructions build the pixels from a boolean comparison, so only
+    from_array, the entry point for outside data, checks the values.
+    """
 
     width: int
     height: int
@@ -68,13 +72,12 @@ class BinaryImage:
         if self.pixels.shape != (self.height, self.width):
             raise ValueError(f"pixel buffer shape {self.pixels.shape} does not match "
                              f"{self.height}x{self.width}")
-        bad = (self.pixels != 0) & (self.pixels != 1)
-        if bad.any():
-            raise ValueError("binary image may contain only 0 and 1")
 
     @classmethod
     def from_array(cls, arr) -> "BinaryImage":
         a = np.asarray(arr, dtype=np.uint8)
+        if (a > 1).any():
+            raise ValueError("binary image may contain only 0 and 1")
         return cls(width=a.shape[1], height=a.shape[0], pixels=a)
 
 

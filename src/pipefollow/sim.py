@@ -100,6 +100,10 @@ class CameraModel:
             raise ValueError("camera height must be positive and finite")
         if not 0 <= self.speckle_density < 1:
             raise ValueError("speckle density must be in [0, 1)")
+        if self.noise_amplitude < 0:
+            raise ValueError("noise amplitude must be >= 0")
+        if self.image_width < 1 or self.image_height < 1:
+            raise ValueError("image dimensions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -156,6 +160,44 @@ class PathRecord:
         return cls(tuple(points), tolerance)
 
 
+def plot_svg(record: PathRecord, envelope=(150.0, 200.0),
+             step_length: float = 22.5, start_y: float = 0.0) -> str:
+    """Deterministic top-down SVG: envelope, tolerance band, centerline, path.
+
+    Path point k is drawn at the nominal along-track station
+    start_y + k * step_length.
+    """
+    scale, margin = 3.0, 20.0
+    width = envelope[0] * scale + 2 * margin
+    height = envelope[1] * scale + 2 * margin
+
+    def px(x):
+        return margin + x * scale
+
+    def py(y):
+        return height - margin - y * scale
+
+    ys = [start_y + p.step * step_length for p in record.points]
+    tol = record.tolerance
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect x="{px(0):.2f}" y="{py(envelope[1]):.2f}" '
+        f'width="{envelope[0] * scale:.2f}" height="{envelope[1] * scale:.2f}" '
+        f'fill="white" stroke="black"/>',
+    ]
+    band = [(p.actual_x - tol, y) for p, y in zip(record.points, ys)]
+    band += [(p.actual_x + tol, y) for p, y in reversed(list(zip(record.points, ys)))]
+    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in band)
+    parts.append(f'<polygon points="{pts}" fill="#cfe3f5" stroke="none"/>')
+    pipe = " ".join(f"{px(p.actual_x):.2f},{py(y):.2f}" for p, y in zip(record.points, ys))
+    parts.append(f'<polyline points="{pipe}" fill="none" stroke="#004080" stroke-width="2"/>')
+    for p, y in zip(record.points, ys):
+        parts.append(f'<circle cx="{px(p.sim_x):.2f}" cy="{py(y):.2f}" r="4" fill="#c22"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 @dataclass(frozen=True)
 class Scenario:
     world: World
@@ -177,6 +219,7 @@ class Scenario:
             raise ValueError("steps per image must be >= 1")
         if self.min_area < 0:
             raise ValueError("minimum region area must be >= 0")
+        split_bands(self.camera.image_width, self.camera.image_height)   # rejects too small
         ex, ey = self.world.envelope
         if not (0 <= self.start.x <= ex and 0 <= self.start.y <= ey):
             raise ValueError("start position outside envelope")
@@ -229,7 +272,28 @@ RENDER_TILE = 16   # side in pixels of the square tiles segments are culled by
 
 
 def _pipe_mask(world: World, auv: AuvState, cam: CameraModel) -> np.ndarray:
-    """Pixels whose ray meets the seabed within half a pipe width of the polyline."""
+    """Pixels whose ray meets the seabed within half a pipe width of the polyline.
+
+    Tiles are culled by the ground points of their 4 corner pixels.  The ray
+    terms a and b are monotone in the column and the row, so a tile's rays
+    lie in the rectangle of its corner rays.  Below the horizon the map from
+    (a, b) to the seabed is projective with a denominator that keeps its
+    sign, so in exact arithmetic every ground point of a tile lies in the
+    convex quad of its corners' ground points.
+
+    The computed points differ from exact ones by rounding.  With unit
+    roundoff u and per tile the largest ray length T, |a|, |b| at most amax,
+    bmax and M = 1 + amax + bmax (every basis component is at most 1):
+    - the ray's vertical component cancels near the horizon, so the computed
+      T carries a relative error of at most (k + 2)u, where
+      k = bmax * T / height is the cancellation factor;
+    - (forward + a*right) + b*up is off by at most 3uM, the product with t
+      and the addition of the origin add u(T*M + |origin|).
+    A computed ground point is thus within u(|origin| + T*M*(k + 7)) of the
+    exact one.  A tile's pixels lie within twice that of the corners' box,
+    which the widening 32u(|origin| + T*M*(1 + k)), 32u = 2**-48, exceeds
+    with room for second-order terms, so a culled tile holds no pixel the full raster would mark.
+    """
     origin, right, up, forward = _camera_basis(auv, cam)
     h, w = cam.image_height, cam.image_width
     f = focal_px(cam)
@@ -240,30 +304,41 @@ def _pipe_mask(world: World, auv: AuvState, cam: CameraModel) -> np.ndarray:
     # ray length depend on the row alone
     dz = forward[2] + b * up[2]
     rows = np.flatnonzero(dz < -1e-12)   # rays above the horizon never hit the seabed
-    # Ground points are laid out tile by tile, shape (tile rows, tile columns,
-    # tile, tile).  The last ground row and last column repeat up to whole
-    # tiles, which leaves every tile's bounding box as it is.
+    # Ray terms tile by tile, shape (tile rows or tile columns, tile).  The
+    # last ground row and last column repeat up to whole tiles, which leaves
+    # every tile's ground points as they are.
     tile = RENDER_TILE
     nty, ntx = -(-rows.size // tile), -(-w // tile)
-    r = rows[np.minimum(np.arange(nty * tile), rows.size - 1)].reshape(nty, 1, tile, 1)
-    c = np.minimum(np.arange(ntx * tile), w - 1).reshape(1, ntx, 1, tile)
+    r = rows[np.minimum(np.arange(nty * tile), rows.size - 1)].reshape(nty, tile)
+    c = np.minimum(np.arange(ntx * tile), w - 1).reshape(ntx, tile)
     t = -origin[2] / dz[r]
-    gx = (origin[0] + t * ((forward[0] + a[c] * right[0]) + b[r] * up[0])).reshape(nty * ntx, -1)
-    gy = (origin[1] + t * ((forward[1] + a[c] * right[1]) + b[r] * up[1])).reshape(nty * ntx, -1)
-    x_lo, x_hi = gx.min(axis=1), gx.max(axis=1)
-    y_lo, y_hi = gy.min(axis=1), gy.max(axis=1)
+    col_x, col_y = forward[0] + a[c] * right[0], forward[1] + a[c] * right[1]
+    row_x, row_y = b[r] * up[0], b[r] * up[1]
+    ends = [0, -1]
+    t_end = t[:, ends, None, None]
+    gx = origin[0] + t_end * (col_x[None, None, :, ends] + row_x[:, ends, None, None])
+    gy = origin[1] + t_end * (col_y[None, None, :, ends] + row_y[:, ends, None, None])
+    big_t = t.max(axis=1)[:, None]
+    amax, bmax = float(np.abs(a).max()), float(np.abs(b).max())
+    slack = 2.0 ** -48 * (abs(origin[0]) + abs(origin[1])
+                          + big_t * (1.0 + amax + bmax) * (1.0 + bmax * big_t / origin[2]))
+    x_lo, x_hi = (gx.min(axis=(1, 3)) - slack).ravel(), (gx.max(axis=(1, 3)) + slack).ravel()
+    y_lo, y_hi = (gy.min(axis=(1, 3)) - slack).ravel(), (gy.max(axis=(1, 3)) + slack).ravel()
     half = world.pipe_width / 2.0
     r2 = half ** 2
     # Rounding moves a computed distance by a few ulps of the coordinates; a
     # culled tile lies farther than that beyond the pipe's half width.
     reach = half + 1e-9 * (half + max(abs(v) for point in world.pipeline for v in point))
-    hit = np.zeros(gx.shape, dtype=bool)
+    hit = np.zeros((nty * ntx, tile, tile), dtype=bool)
     for (px, py), (qx, qy) in zip(world.pipeline, world.pipeline[1:]):
         near = np.flatnonzero((x_lo <= max(px, qx) + reach) & (x_hi >= min(px, qx) - reach)
                               & (y_lo <= max(py, qy) + reach) & (y_hi >= min(py, qy) - reach))
         if near.size == 0:
             continue
-        sx, sy = gx[near], gy[near]
+        ty, tx = np.divmod(near, ntx)
+        tn = t[ty, :, None]
+        sx = origin[0] + tn * (col_x[tx, None, :] + row_x[ty, :, None])
+        sy = origin[1] + tn * (col_y[tx, None, :] + row_y[ty, :, None])
         wx, wy = qx - px, qy - py
         length2 = wx * wx + wy * wy
         s = np.clip(((sx - px) * wx + (sy - py) * wy) / length2, 0.0, 1.0)
@@ -284,29 +359,33 @@ def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0) -
     Uniform intensity noise and pipe-bright speckle are then drawn from a
     generator seeded by (world.seed, frame).
 
-    Each segment's distance is computed only on the RENDER_TILE-square tiles
-    whose ground bounding box comes within reach of the segment's bounding
-    box, yet the pixels equal a full-raster pass (tests/oracles.py) bit for
-    bit, because:
+    Each segment's ground points and distances are computed only on the
+    RENDER_TILE-square tiles whose ground bounding box, bounded from the
+    tile's corner pixels (see _pipe_mask), comes within reach of the
+    segment's bounding box, yet the pixels equal a full-raster pass
+    (tests/oracles.py) bit for bit, because:
     - a pixel is pipe when the minimum of its squared segment distances is
       at most the squared half width, which is the OR of the per-segment
       tests, since a minimum returns one of its operands (none is NaN:
       ground points are finite and World keeps segment lengths positive);
     - IEEE elementwise operations give the same bits on a gathered subset
       of pixels as on the full raster, in the same operation order;
-    - the noise and speckle draws come from the generator in the same order.
+    - the noise and speckle draws come from the generator in the same order;
+      an int32 noise draw returns the same values as an int64 one and leaves
+      the generator in the same state, and intensities stay within int32.
     """
     h, w = cam.image_height, cam.image_width
     pipe = _pipe_mask(world, auv, cam)
-    img = np.where(pipe, cam.pipe_intensity, cam.seabed_intensity).astype(np.int64)
+    img = np.where(pipe, np.int32(cam.pipe_intensity), np.int32(cam.seabed_intensity))
     rng = np.random.default_rng((world.seed, frame))
     if cam.noise_amplitude > 0:
-        img += rng.integers(-cam.noise_amplitude, cam.noise_amplitude + 1, size=(h, w))
+        img += rng.integers(-cam.noise_amplitude, cam.noise_amplitude + 1, size=(h, w),
+                            dtype=np.int32)
         np.clip(img, 0, 255, out=img)
+    img = img.astype(np.uint8)
     if cam.speckle_density > 0:
-        salt = rng.random((h, w)) < cam.speckle_density
-        img[salt] = cam.pipe_intensity
-    return GrayImage(w, h, img.astype(np.uint8))
+        img[rng.random((h, w)) < cam.speckle_density] = cam.pipe_intensity
+    return GrayImage(w, h, img)
 
 
 # --- vehicle kinematics -------------------------------------------------------

@@ -1,8 +1,11 @@
 """Outside input the CLI rejects with exit 2 before any mission runs."""
 
+import numpy as np
 import pytest
 
+from pipefollow import netpbm
 from pipefollow.cli import main
+from pipefollow.imgproc import GrayImage
 from conftest import SCENARIO_DIR
 
 
@@ -43,3 +46,30 @@ def test_scenario_invariant_exits_two(capsys, tmp_path, line, message):
     assert main(["run", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert "bad.scenario: " in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, command, message", [
+    ("camera.noise = -5", "run", "noise amplitude"),
+    ("camera.image.width = 0", "render", "image dimensions"),
+    ("camera.image.height = 3", "run", "too small to band"),
+    ("camera.image.height = 7", "run", "too small to band"),
+    ("camera.image.width = 1", "run", "too small to band"),
+])
+def test_camera_rejected_when_scenario_is_built(capsys, tmp_path, line, command, message):
+    path = tmp_path / "cam.scenario"
+    path.write_text(f"pipe.waypoints = 36.5:0; 47.5:22.5; 58.5:45\n{line}\n")
+    out = ["--out", str(tmp_path / "view.pgm")] if command == "render" else []
+    assert main([command, "--scenario", str(path), *out]) == 2
+    err = capsys.readouterr().err
+    assert "cam.scenario: " in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("height", [7, 9])
+def test_image_too_small_to_band_exits_two(capsys, tmp_path, height):
+    pixels = np.full((height, 40), 60, dtype=np.uint8)
+    pixels[:, 16:24] = 230
+    path = tmp_path / "short.pgm"
+    netpbm.write_pgm(path, GrayImage.from_array(pixels))
+    assert main(["features", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "short.pgm: image too small to band: 40x" in err

@@ -54,6 +54,8 @@ class TestSplitBands:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             split_bands(10, 4)
+        with pytest.raises(ValueError):   # bands 1 row high leave quadrants empty
+            split_bands(10, 9)
         with pytest.raises(ValueError):
             split_bands(1, 100)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,8 @@ TABLE_WORLD = World(pipeline=((36.5, 0.0), (47.5, 22.5), (58.5, 45.0),
                               (69.6, 67.5), (80.8, 90.0), (91.9, 112.5)), seed=7)
 ALIGNED_START = AuvState(36.5, 0.0, 116.0)
 SMALL_CAMERA = CameraModel(image_width=96, image_height=72)
+SURVEY_BEND = World(pipeline=tuple((60.0 + 25.0 * math.sin(1.2 * math.pi * y / 200.0), y)
+                                   for y in range(0, 201, 10)), seed=3)
 
 
 def small_scenario(**kwargs):
@@ -55,6 +58,12 @@ class TestWorldValidation:
             CameraModel(tilt_deg=0.0)
         with pytest.raises(ValueError):
             CameraModel(fov_deg=200.0)
+        with pytest.raises(ValueError, match="noise"):
+            CameraModel(noise_amplitude=-5)
+        for side in ({"image_width": 0}, {"image_height": 0}):
+            with pytest.raises(ValueError, match="dimensions"):
+                CameraModel(**side)
+        CameraModel(image_width=1, image_height=1)   # renders, though too small to band
 
     def test_scenario_bounds(self):
         world = World(pipeline=((10.0, 0.0), (10.0, 50.0)))
@@ -66,6 +75,10 @@ class TestWorldValidation:
             Scenario(world=world, start=AuvState(-5.0, 0.0, 90.0))
         with pytest.raises(ValueError, match="min"):
             Scenario(world=world, min_area=-1)
+        for width, height in ((320, 9), (320, 3), (1, 240)):
+            with pytest.raises(ValueError, match="too small to band"):
+                Scenario(world=world, camera=CameraModel(image_width=width, image_height=height))
+        Scenario(world=world, camera=CameraModel(image_width=2, image_height=10))
 
     def test_start_below_first_waypoint_rejected(self):
         world = World(pipeline=((10.0, 40.0), (10.0, 90.0)))
@@ -216,15 +229,35 @@ class TestRenderOracle:
         assert render_view(world, auv, cam, frame).pixels.tobytes() == \
             oracles.render_reference(world, auv, cam, frame).tobytes()
 
-    @pytest.mark.parametrize("tilt", [5.0, 30.0, 85.0])
-    def test_survey_sized_frames_match(self, tilt):
-        world = World(pipeline=tuple((60.0 + 25.0 * math.sin(1.2 * math.pi * y / 200.0), y)
-                                     for y in range(0, 201, 10)), seed=3)
-        cam = CameraModel(tilt_deg=tilt, image_width=330, image_height=250)
+    # tilt 5 with fov 150 grazes the horizon: the longest rays, the widest
+    # rounding slack on a tile's corner bound
+    @pytest.mark.parametrize("tilt, fov", [(5.0, 60.0), (30.0, 60.0), (85.0, 60.0),
+                                           (5.0, 150.0)],
+                             ids=["5.0", "30.0", "85.0", "5.0-fov150"])
+    def test_survey_sized_frames_match(self, tilt, fov):
+        world = SURVEY_BEND
+        cam = CameraModel(tilt_deg=tilt, fov_deg=fov, image_width=330, image_height=250)
         for auv in (AuvState(60.0, 0.0, 90.0), AuvState(84.0, 70.0, 75.0),
                     AuvState(75.0, 190.0, 270.0)):
             assert np.array_equal(render_view(world, auv, cam, 1).pixels,
                                   oracles.render_reference(world, auv, cam, 1))
+
+    def test_render_allocates_no_full_raster_float_temporaries(self):
+        """Peak traced memory of one 320x240 survey-bend render.
+
+        The float64 speckle draw alone is 600 KiB; float64 ground grids or an
+        int64 image would each add a further 600 KiB.
+        """
+        world = SURVEY_BEND
+        auv, cam = AuvState(60.0, 0.0, 90.0), CameraModel()
+        render_view(world, auv, cam, 1)   # warm up lazy imports
+        tracemalloc.start()
+        try:
+            render_view(world, auv, cam, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024 * 1024
 
 
 class TestDriftMetrics:
