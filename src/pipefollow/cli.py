@@ -48,6 +48,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _budget(text: str) -> int:
+    """argparse type of --budget: a whole number of evaluations, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, not {text!r}")
+    return value
+
+
 def _load_scenario(args) -> sim.Scenario:
     scenario = sim.load_scenario(args.scenario)
     if args.seed is not None:
@@ -190,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", action="append", required=True,
                    help="scenario file (repeatable)")
     p.add_argument("--rules", help="initial rule base DSL file")
-    p.add_argument("--budget", type=int, default=200, help="objective evaluations")
+    p.add_argument("--budget", type=_budget, default=200, help="objective evaluations")
     p.add_argument("--out", help="output path for the tuned rule base DSL")
     p.set_defaults(func=cmd_tune)
 

@@ -1,9 +1,11 @@
-"""Band/sub-segment decomposition and fuzzy input vector assembly.
+"""Object mask and the 5 band feature vectors the fuzzy controller reads.
 
 An image is cut into 5 equal horizontal bands, ordered bottom to top so that
 band 1 covers the terrain acted on first.  Each band carries 6 sub-segments:
 quadrants 1-4 (upper-left, upper-right, lower-left, lower-right), 5 the upper
-half and 6 the lower half.  Per band the features are
+half and 6 the lower half; the upper half holds a band's first rows // 2
+rows and the left quadrants the first width // 2 columns.  Per band the
+features are
 
   x1..x4  normalized object coverage of the quadrants,
   x5      normalized horizontal location of object pixels in the upper half
@@ -11,6 +13,11 @@ half and 6 the lower half.  Per band the features are
   x6      the same for the lower half (the near end),
 
 all affinely mapped onto [0.1, 1.0] with 0.55 the neutral center.
+
+band_vectors takes no sub-segment apart: one pass over the mask gives, per
+row, the object pixels left of the middle column, the object pixels and the
+sum of their column indices, and one np.add.reduceat adds those up over the
+10 half-bands.  All 30 features follow from these integer sums.
 """
 
 from __future__ import annotations
@@ -30,27 +37,9 @@ _SPAN = UNIVERSE_HI - UNIVERSE_LO
 
 
 @dataclass(frozen=True)
-class Rect:
-    """Inclusive pixel rectangle."""
-
-    row0: int
-    col0: int
-    row1: int
-    col1: int
-
-    @property
-    def pixel_count(self) -> int:
-        return (self.row1 - self.row0 + 1) * (self.col1 - self.col0 + 1)
-
-    def slice(self) -> tuple:
-        return (slice(self.row0, self.row1 + 1), slice(self.col0, self.col1 + 1))
-
-
-@dataclass(frozen=True)
 class BandLayout:
     band_index: int          # 1..5, 1 = bottom of the image
     row_range: tuple         # (first_row, last_row) inclusive
-    sub_segments: dict       # 1..6 -> Rect
 
 
 @dataclass(frozen=True)
@@ -70,81 +59,56 @@ class FeatureVector:
     def as_tuple(self) -> tuple:
         return (self.x1, self.x2, self.x3, self.x4, self.x5, self.x6)
 
-    @property
-    def delta_x(self) -> float:
-        """Signed offset of the far end from the view center (positive = right)."""
-        return self.x5 - UNIVERSE_MID
-
 
 def split_bands(width: int, height: int) -> list:
     """Lay out 5 equal-height bands, bottom first; remainder rows go to the top band.
 
-    Quadrant boundaries sit at floor(size/2) within each band, so every
-    quadrant holds at least one pixel only when a band has 2 rows or more.
+    Sub-segments split a band at floor(size/2), so every one holds at least
+    one pixel only when a band has 2 rows or more.
     """
     if height < 2 * NUM_BANDS or width < 2:
         raise ValueError(f"image too small to band: {width}x{height} (needs at least "
                          f"2 columns and {2 * NUM_BANDS} rows)")
     base = height // NUM_BANDS
-    layouts = []
-    for k in range(1, NUM_BANDS + 1):
-        # band k occupies the k-th block of rows counted from the bottom
-        last = height - (k - 1) * base - 1
-        first = 0 if k == NUM_BANDS else height - k * base
-        mid_row = first + (last - first + 1) // 2
-        mid_col = width // 2
-        subs = {
-            1: Rect(first, 0, mid_row - 1, mid_col - 1),
-            2: Rect(first, mid_col, mid_row - 1, width - 1),
-            3: Rect(mid_row, 0, last, mid_col - 1),
-            4: Rect(mid_row, mid_col, last, width - 1),
-            5: Rect(first, 0, mid_row - 1, width - 1),
-            6: Rect(mid_row, 0, last, width - 1),
-        }
-        layouts.append(BandLayout(band_index=k, row_range=(first, last), sub_segments=subs))
-    return layouts
+    # band k occupies the k-th block of rows counted from the bottom
+    return [BandLayout(k, (0 if k == NUM_BANDS else height - k * base,
+                           height - (k - 1) * base - 1))
+            for k in range(1, NUM_BANDS + 1)]
 
 
 def _to_universe(fraction: float) -> float:
     return UNIVERSE_LO + _SPAN * fraction
 
 
-def coverage_fractions(obj: BinaryImage, band: BandLayout) -> tuple:
-    """Normalized object coverage of the band's four quadrants."""
-    out = []
-    for q in (1, 2, 3, 4):
-        rect = band.sub_segments[q]
-        covered = int(obj.pixels[rect.slice()].sum())
-        out.append(_to_universe(covered / rect.pixel_count))
-    return tuple(out)
+def band_vectors(pixels) -> list:
+    """Feature vectors of the 5 bands of a 2-D 0/1 (or bool) object mask, bottom first.
 
-
-def line_locations(obj: BinaryImage, band: BandLayout) -> tuple:
-    """Normalized column centroids of object pixels in sub-segments 5 and 6.
-
-    The centroid is normalized by width-1 so columns 0 and width-1 map to
-    exactly 0.1 and 1.0; this keeps a horizontally mirrored mask mapping to
-    exactly 1.1-x.  An empty sub-segment yields the neutral center 0.55 so a
-    partially visible object still produces usable inputs.
+    A quadrant's coverage is covered / pixel count.  A half's line location
+    is its mean object column over width-1, so columns 0 and width-1 map to
+    exactly 0.1 and 1.0 and a mirrored mask maps to exactly 1.1-x; an empty
+    half yields the neutral 0.55, so a partially visible object still
+    produces usable inputs.  Every value is a Python float.
     """
-    out = []
-    for s in (5, 6):
-        rect = band.sub_segments[s]
-        patch = obj.pixels[rect.slice()]
-        count = int(patch.sum())
-        if count == 0:
-            out.append(UNIVERSE_MID)
-            continue
-        cols = np.nonzero(patch)[1] + rect.col0
-        centroid = float(cols.sum()) / count
-        out.append(_to_universe(centroid / (obj.width - 1)))
-    return tuple(out)
-
-
-def band_features(obj: BinaryImage, band: BandLayout) -> FeatureVector:
-    u1, u2, u3, u4 = coverage_fractions(obj, band)
-    x5, x6 = line_locations(obj, band)
-    return FeatureVector(u1, u2, u3, u4, x5, x6, band.band_index)
+    height, width = pixels.shape
+    layouts = split_bands(width, height)[::-1]    # top band first: half-band rows ascend
+    mid_col = width // 2
+    starts = []
+    for layout in layouts:
+        first, last = layout.row_range
+        starts += [first, first + (last - first + 1) // 2]
+    per_row = np.stack([np.count_nonzero(pixels[:, :mid_col], axis=1),
+                        np.count_nonzero(pixels, axis=1),
+                        pixels @ np.arange(width)], axis=1)
+    sums = np.add.reduceat(per_row, starts, axis=0).tolist()
+    halves = []                                   # (left cover, right cover, location)
+    for (left, count, colsum), rows in zip(sums, np.diff(starts + [height]).tolist()):
+        location = (UNIVERSE_MID if count == 0
+                    else _to_universe(float(colsum) / count / (width - 1)))
+        halves.append((_to_universe(left / (rows * mid_col)),
+                       _to_universe((count - left) / (rows * (width - mid_col))), location))
+    pairs = zip(halves[0::2], halves[1::2])       # (upper, lower) half of each band
+    return [FeatureVector(u1, u2, u3, u4, x5, x6, layout.band_index)
+            for layout, ((u1, u2, x5), (u3, u4, x6)) in zip(layouts, pairs)][::-1]
 
 
 def object_mask(img: GrayImage, band: ThresholdBand, min_area: int) -> BinaryImage:
@@ -170,14 +134,12 @@ def extract_features(img: GrayImage, band: ThresholdBand, min_area: int) -> list
     Raises ValueError for an image too small to band and NoObjectError when
     no region holds at least min_area pixels.
     """
-    layouts = split_bands(img.width, img.height)
-    mask = object_mask(img, band, min_area)
-    return [band_features(mask, layout) for layout in layouts]
+    split_bands(img.width, img.height)            # rejects a too-small image before labelling
+    return band_vectors(object_mask(img, band, min_area).pixels)
 
 
 __all__ = [
-    "BandLayout", "FeatureVector", "NoObjectError", "Rect",
-    "band_features", "coverage_fractions", "extract_features",
-    "line_locations", "object_mask", "split_bands",
+    "BandLayout", "FeatureVector", "NoObjectError", "band_vectors",
+    "extract_features", "object_mask", "split_bands",
     "NUM_BANDS", "UNIVERSE_LO", "UNIVERSE_HI", "UNIVERSE_MID",
 ]

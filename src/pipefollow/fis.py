@@ -90,8 +90,10 @@ class MembershipFunction:
     def __post_init__(self):
         if self.kind not in ("gaussian", "pi"):
             raise ValueError(f"unknown membership kind {self.kind!r}")
-        if self.width <= 0:
-            raise ValueError(f"membership width must be > 0, got {self.width}")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"membership width must be finite and > 0, got {self.width}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"membership center must be finite, got {self.center}")
 
     def __call__(self, x: float) -> float:
         if self.kind == "gaussian":
@@ -197,7 +199,7 @@ def infer(rb: RuleBase, values) -> InferenceResult:
         if var in rb.variables and var in values:
             lo, hi = rb.variables[var].universe
             v = values[var]
-            if v < lo - 1e-9 or v > hi + 1e-9:
+            if not (lo - 1e-9 <= v <= hi + 1e-9):   # false for nan too
                 raise ValueError(f"{var}={v} outside universe [{lo}, {hi}]")
     alphas = fire_rules(rb, values)
     no_fire = sum(alphas) == 0.0

@@ -104,11 +104,6 @@ class LabelMap:
     labels: np.ndarray  # (height, width) int32
     region_count: int
 
-    @classmethod
-    def from_array(cls, arr, region_count: int) -> "LabelMap":
-        a = np.asarray(arr, dtype=np.int32)
-        return cls(width=a.shape[1], height=a.shape[0], labels=a, region_count=region_count)
-
 
 def rgb_to_gray(img: RgbImage) -> GrayImage:
     """Convert to grayscale with BT.601 luma weights.

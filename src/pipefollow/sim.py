@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fis
-from .features import NUM_BANDS, band_features, object_mask, split_bands
+from . import features, fis
+from .features import NUM_BANDS, split_bands
 from .imgproc import GrayImage, NoObjectError, ThresholdBand
 
 DEFAULT_TOLERANCE_CM = 8.0
@@ -444,7 +444,7 @@ def drift_metrics(path, world: World, tolerance: float = DEFAULT_TOLERANCE_CM) -
 
 # --- mission loop -------------------------------------------------------------
 
-def _capture(scenario: Scenario, auv: AuvState, frame: int, layouts, captures: dict) -> tuple:
+def _capture(scenario: Scenario, auv: AuvState, frame: int, captures: dict) -> tuple:
     """The frame's 5 band feature vectors, rendered and segmented once per captures dict.
 
     The key holds everything the vectors depend on, compared exactly, so only
@@ -455,8 +455,8 @@ def _capture(scenario: Scenario, auv: AuvState, frame: int, layouts, captures: d
     vectors = captures.get(key)
     if vectors is None:
         img = render_view(scenario.world, auv, scenario.camera, frame)
-        mask = object_mask(img, scenario.thresholds, scenario.min_area)
-        vectors = captures[key] = tuple(band_features(mask, layout) for layout in layouts)
+        vectors = captures[key] = tuple(features.extract_features(img, scenario.thresholds,
+                                                                   scenario.min_area))
     return vectors
 
 
@@ -489,13 +489,12 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
     auv = scenario.start
     far_y = world.pipeline[-1][1]
     max_steps = math.ceil(2.0 * (far_y - auv.y) / scenario.step_length)
-    layouts = split_bands(scenario.camera.image_width, scenario.camera.image_height)
     pool = ThreadPoolExecutor(max_workers=NUM_BANDS) if mode == "overlapped" else None
     path = []
     frame = 0
     try:
         while auv.y + scenario.step_length <= far_y + 1e-9:
-            vectors = _capture(scenario, auv, frame, layouts, captures)
+            vectors = _capture(scenario, auv, frame, captures)
             if pool is None:
                 steers = [_band_steer(rb, vector) for vector in vectors]
                 steer_at = steers.__getitem__

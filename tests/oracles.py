@@ -96,6 +96,36 @@ def quadrant_count(binary: np.ndarray, row0, col0, row1, col1) -> int:
     return total
 
 
+def band_feature_rows(binary: np.ndarray):
+    """The 5 bands' (x1..x6) of a 0/1 mask, bottom band first, from loops alone.
+
+    Bands are height // 5 rows counted from the bottom, the top band taking
+    the remainder; a band's upper half is its first rows // 2 rows and its
+    left quadrants the first width // 2 columns.  Coverage is the quadrant's
+    set fraction and a half's location its column centroid over width - 1
+    (0.55 when empty), both mapped onto [0.1, 1.0].
+    """
+    h, w = binary.shape
+    base = h // 5
+    mid_col = w // 2
+    rows = []
+    for k in range(1, 6):
+        bottom = h - 1 - (k - 1) * base
+        top = 0 if k == 5 else bottom - base + 1
+        split = top + (bottom - top + 1) // 2
+        quadrants = [(top, 0, split - 1, mid_col - 1), (top, mid_col, split - 1, w - 1),
+                     (split, 0, bottom, mid_col - 1), (split, mid_col, bottom, w - 1)]
+        vector = []
+        for r0, c0, r1, c1 in quadrants:
+            pixels = (r1 - r0 + 1) * (c1 - c0 + 1)
+            vector.append(0.1 + 0.9 * (quadrant_count(binary, r0, c0, r1, c1) / pixels))
+        for r0, r1 in ((top, split - 1), (split, bottom)):
+            c = column_centroid(binary, r0, 0, r1, w - 1)
+            vector.append(0.55 if c is None else 0.1 + 0.9 * (c / (w - 1)))
+        rows.append(tuple(vector))
+    return rows
+
+
 def _min_dist2_to_polyline(gx, gy, waypoints):
     best = np.full(gx.shape, np.inf)
     for (px, py), (qx, qy) in zip(waypoints, waypoints[1:]):

@@ -21,6 +21,30 @@ def test_tolerance_must_be_positive_and_finite(capsys, command, value):
     assert "--tolerance" in err and "positive finite" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "1.5", "ten"])
+def test_budget_must_be_a_positive_whole_number(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--scenario", str(SCENARIO_DIR / "default.scenario"), "--budget", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--budget" in err and ">= 1" in err
+
+
+def test_nan_feature_value_exits_two(capsys):
+    assert main(["infer", "nan", "0.4", "0.4", "0.4", "0.4", "0.4"]) == 2
+    assert "x1=nan outside universe [0.1, 1.0]" in capsys.readouterr().err
+
+
+def test_non_finite_term_parameter_exits_two(capsys, tmp_path):
+    lines = (SCENARIO_DIR / "default.rules").read_text().splitlines()
+    number = next(i for i, line in enumerate(lines, 1) if line.startswith("term.x5.Left"))
+    lines[number - 1] = "term.x5.Left = gaussian(nan, 0.19)"
+    path = tmp_path / "nan.rules"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["infer", *["0.4"] * 6, "--rules", str(path)]) == 2
+    assert f"nan.rules: line {number}: membership width" in capsys.readouterr().err
+
+
 def test_non_finite_scenario_value_exits_two(capsys, tmp_path):
     path = tmp_path / "sick.scenario"
     path.write_text("pipe.waypoints = 36.5:0; 47.5:22.5; 58.5:45\ncamera.height = nan\n")

@@ -1,21 +1,31 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from pipefollow.features import (UNIVERSE_HI, UNIVERSE_LO, band_features,
-                                 coverage_fractions, extract_features,
-                                 line_locations, split_bands)
-from pipefollow.imgproc import (BinaryImage, GrayImage, NoObjectError,
-                                ThresholdBand)
+from pipefollow.features import (UNIVERSE_HI, UNIVERSE_LO, band_vectors,
+                                 extract_features, split_bands)
+from pipefollow.imgproc import GrayImage, NoObjectError, ThresholdBand
 
 mask_16x20 = arrays(np.uint8, (20, 16), elements=st.integers(0, 1))
 
 
-def binary(arr):
-    return BinaryImage.from_array(np.asarray(arr, dtype=np.uint8))
+def halves(layout):
+    """(upper, lower) inclusive row ranges of a band; the upper half has rows // 2 rows."""
+    first, last = layout.row_range
+    split = first + (last - first + 1) // 2
+    return (first, split - 1), (split, last)
+
+
+@st.composite
+def masks(draw):
+    """0/1 masks 10-60 rows by 2-40 columns, as uint8 or bool."""
+    h = draw(st.integers(10, 60))
+    w = draw(st.integers(2, 40))
+    dtype = draw(st.sampled_from([np.uint8, np.bool_]))
+    return draw(arrays(dtype, (h, w), elements=st.integers(0, 1).map(dtype)))
 
 
 class TestSplitBands:
@@ -40,16 +50,24 @@ class TestSplitBands:
         assert rows == list(range(97))
 
     def test_sub_segment_unions(self):
-        for b in split_bands(21, 50):
-            subs = b.sub_segments
-            # quadrants tile the band and compose the halves
-            assert subs[5].pixel_count == subs[1].pixel_count + subs[2].pixel_count
-            assert subs[6].pixel_count == subs[3].pixel_count + subs[4].pixel_count
-            total = (b.row_range[1] - b.row_range[0] + 1) * 21
-            assert subs[5].pixel_count + subs[6].pixel_count == total
-            assert subs[1].row0 == subs[5].row0 == b.row_range[0]
-            assert subs[4].row1 == subs[6].row1 == b.row_range[1]
-            assert subs[1].col1 + 1 == subs[2].col0
+        # a full mask covers all four quadrants of every band
+        for v in band_vectors(np.ones((50, 21), dtype=np.uint8)):
+            assert (v.x1, v.x2, v.x3, v.x4) == (1.0, 1.0, 1.0, 1.0)
+            assert v.x5 == v.x6 == pytest.approx(0.55, abs=1e-12)
+        # the quadrants split at column 21 // 2 = 10 and at each band's upper half
+        for col, left in ((9, True), (10, False)):
+            obj = np.zeros((50, 21), dtype=np.uint8)
+            obj[:, col] = 1
+            for v in band_vectors(obj):
+                assert (v.x1 > 0.1, v.x3 > 0.1) == (left, left)
+                assert (v.x2 > 0.1, v.x4 > 0.1) == (not left, not left)
+        for layout in split_bands(21, 50):
+            (r0, r1), _ = halves(layout)
+            obj = np.zeros((50, 21), dtype=np.uint8)
+            obj[r0:r1 + 1] = 1
+            fv = band_vectors(obj)[layout.band_index - 1]
+            assert (fv.x1, fv.x2, fv.x3, fv.x4) == (1.0, 1.0, 0.1, 0.1)
+            assert fv.x6 == 0.55
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -58,60 +76,55 @@ class TestSplitBands:
             split_bands(10, 9)
         with pytest.raises(ValueError):
             split_bands(1, 100)
+        with pytest.raises(ValueError):
+            band_vectors(np.ones((9, 10), dtype=np.uint8))
 
 
 class TestCoverageFractions:
     def test_full_quadrant(self):
-        band = split_bands(8, 10)[0]
+        (r0, r1), _ = halves(split_bands(8, 10)[0])
         obj = np.zeros((10, 8), dtype=np.uint8)
-        obj[band.sub_segments[1].slice()] = 1
-        u = coverage_fractions(binary(obj), band)
-        assert u[0] == pytest.approx(1.0)
-        assert u[1] == u[2] == u[3] == pytest.approx(0.1)
+        obj[r0:r1 + 1, :4] = 1   # the upper-left quadrant
+        v = band_vectors(obj)[0]
+        assert v.x1 == pytest.approx(1.0)
+        assert v.x2 == v.x3 == v.x4 == pytest.approx(0.1)
 
     def test_empty_quadrant_is_floor(self):
-        band = split_bands(8, 10)[2]
-        u = coverage_fractions(binary(np.zeros((10, 8))), band)
-        assert u == (0.1, 0.1, 0.1, 0.1)
+        v = band_vectors(np.zeros((10, 8)))[2]
+        assert (v.x1, v.x2, v.x3, v.x4) == (0.1, 0.1, 0.1, 0.1)
 
     def test_half_covered_is_midpoint(self):
-        band = split_bands(8, 10)[0]
-        rect = band.sub_segments[3]
+        _, (r0, r1) = halves(split_bands(8, 10)[0])
         obj = np.zeros((10, 8), dtype=np.uint8)
-        obj[rect.row0:rect.row1 + 1, rect.col0:rect.col0 + 2] = 1  # 2 of 4 columns
-        u = coverage_fractions(binary(obj), band)
-        assert u[2] == pytest.approx(0.55)
+        obj[r0:r1 + 1, 0:2] = 1  # 2 of the lower-left quadrant's 4 columns
+        assert band_vectors(obj)[0].x3 == pytest.approx(0.55)
 
 
 class TestLineLocations:
     def test_centered_stripe(self):
-        band = split_bands(20, 20)[1]
         obj = np.zeros((20, 20), dtype=np.uint8)
         obj[:, 9:11] = 1   # columns 9, 10 -> centroid 9.5 = (w-1)/2
-        x5, x6 = line_locations(binary(obj), band)
-        assert x5 == pytest.approx(0.55, abs=1e-12)
-        assert x6 == pytest.approx(0.55, abs=1e-12)
+        v = band_vectors(obj)[1]
+        assert v.x5 == pytest.approx(0.55, abs=1e-12)
+        assert v.x6 == pytest.approx(0.55, abs=1e-12)
 
     def test_left_edge_stripe(self):
-        band = split_bands(20, 20)[0]
         obj = np.zeros((20, 20), dtype=np.uint8)
         obj[:, 0] = 1
-        x5, x6 = line_locations(binary(obj), band)
-        assert x5 == pytest.approx(0.1) and x6 == pytest.approx(0.1)
+        v = band_vectors(obj)[0]
+        assert v.x5 == pytest.approx(0.1) and v.x6 == pytest.approx(0.1)
 
     def test_empty_sub_segment_is_neutral(self):
-        band = split_bands(20, 20)[0]
-        assert line_locations(binary(np.zeros((20, 20))), band) == (0.55, 0.55)
+        v = band_vectors(np.zeros((20, 20)))[0]
+        assert (v.x5, v.x6) == (0.55, 0.55)
 
     def test_delta_x_sign(self):
-        band = split_bands(20, 20)[0]
         obj = np.zeros((20, 20), dtype=np.uint8)
         obj[:, 15:18] = 1
-        fv = band_features(binary(obj), band)
-        assert fv.delta_x > 0  # far end right of center
+        assert band_vectors(obj)[0].x5 > 0.55  # far end right of center
         obj2 = np.zeros((20, 20), dtype=np.uint8)
         obj2[:, 2:5] = 1
-        assert band_features(binary(obj2), band).delta_x < 0
+        assert band_vectors(obj2)[0].x5 < 0.55
 
     def test_diagonal_matches_centroid_oracle(self):
         w, h = 30, 30
@@ -119,29 +132,24 @@ class TestLineLocations:
         for r in range(h):
             c = int(round(25 - r * 20 / (h - 1)))  # top end right, bottom end left
             obj[r, max(c - 1, 0):c + 2] = 1
-        band = split_bands(w, h)[0]
-        x5, x6 = line_locations(binary(obj), band)
-        assert x5 > x6
-        for sub, got in ((5, x5), (6, x6)):
-            rect = band.sub_segments[sub]
-            c = oracles.column_centroid(obj, rect.row0, rect.col0, rect.row1, rect.col1)
+        v = band_vectors(obj)[0]
+        assert v.x5 > v.x6
+        for (r0, r1), got in zip(halves(split_bands(w, h)[0]), (v.x5, v.x6)):
+            c = oracles.column_centroid(obj, r0, 0, r1, w - 1)
             assert got == pytest.approx(0.1 + 0.9 * c / (w - 1), abs=1e-12)
 
 
 class TestProperties:
     @given(mask_16x20)
     def test_components_within_universe(self, mask):
-        for band in split_bands(16, 20):
-            fv = band_features(binary(mask), band)
+        for fv in band_vectors(mask):
             for value in fv.as_tuple():
                 assert UNIVERSE_LO <= value <= UNIVERSE_HI
 
     @given(mask_16x20)
     def test_mirror_symmetry_even_width(self, mask):
         flipped = mask[:, ::-1].copy()
-        for band in split_bands(16, 20):
-            a = band_features(binary(mask), band)
-            b = band_features(binary(flipped), band)
+        for a, b in zip(band_vectors(mask), band_vectors(flipped)):
             assert b.x1 == pytest.approx(a.x2, abs=1e-9)
             assert b.x2 == pytest.approx(a.x1, abs=1e-9)
             assert b.x3 == pytest.approx(a.x4, abs=1e-9)
@@ -155,25 +163,30 @@ class TestProperties:
         # odd width: quadrants are 7 vs 8 columns wide, so coverage can move
         # by up to one column of the narrower quadrant
         quantum = 0.9 / 7
-        for band in split_bands(15, 21):
-            a = band_features(binary(mask), band)
-            b = band_features(binary(flipped), band)
+        for a, b in zip(band_vectors(mask), band_vectors(flipped)):
             assert b.x1 == pytest.approx(a.x2, abs=quantum)
             assert b.x5 == pytest.approx(1.1 - a.x5, abs=1e-9)
 
     @given(mask_16x20)
     def test_area_conserved_across_quadrants(self, mask):
-        obj = binary(mask)
-        for band in split_bands(16, 20):
-            u = coverage_fractions(obj, band)
+        for layout, fv in zip(split_bands(16, 20), band_vectors(mask)):
             total = 0
-            for q, uq in zip((1, 2, 3, 4), u):
-                rect = band.sub_segments[q]
-                count = (uq - 0.1) / 0.9 * rect.pixel_count
+            (u0, u1), (l0, l1) = halves(layout)
+            for rows, uq in zip((u1 - u0 + 1, u1 - u0 + 1, l1 - l0 + 1, l1 - l0 + 1),
+                                (fv.x1, fv.x2, fv.x3, fv.x4)):
+                count = (uq - 0.1) / 0.9 * rows * 8
                 assert count == pytest.approx(round(count), abs=1e-6)
                 total += round(count)
-            r0, r1 = band.row_range
+            r0, r1 = layout.row_range
             assert total == int(mask[r0:r1 + 1].sum())
+
+    @settings(deadline=None)
+    @given(masks())
+    def test_band_vectors_match_oracle(self, mask):
+        got = band_vectors(mask)
+        assert [v.band_index for v in got] == [1, 2, 3, 4, 5]
+        assert [v.as_tuple() for v in got] == oracles.band_feature_rows(mask.astype(np.uint8))
+        assert all(type(x) is float for v in got for x in v.as_tuple())
 
 
 class TestExtractFeatures:

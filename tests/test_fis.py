@@ -225,6 +225,8 @@ class TestInfer:
             infer(default_rulebase(), feature_values(x1=1.5))
         with pytest.raises(ValueError, match="x6"):
             infer(default_rulebase(), feature_values(x6=0.0))
+        with pytest.raises(ValueError, match="x3=nan outside universe"):
+            infer(default_rulebase(), feature_values(x3=float("nan")))
 
     def test_records_all_firing_strengths(self):
         result = infer(default_rulebase(), feature_values())
@@ -313,6 +315,17 @@ class TestRuleDsl:
     def test_term_override_outside_universe_rejected(self):
         with pytest.raises(RuleParseError, match="universe"):
             parse_rulebase("term.x1.Small = gaussian(0.19, 1.4)")
+
+    @pytest.mark.parametrize("term, value, message", [
+        ("x5.Left", "gaussian(nan, 0.19)", "width must be finite"),
+        ("x5.Left", "gaussian(inf, 0.19)", "width must be finite"),
+        ("y1.TurnLeft", "pi(nan, 30.0)", "width must be finite"),
+        ("x5.Left", "gaussian(0.19, nan)", "center must be finite"),
+        ("x5.Left", "gaussian(0.19, inf)", "center must be finite"),
+    ])
+    def test_term_override_non_finite_rejected(self, term, value, message):
+        with pytest.raises(RuleParseError, match=f"line 2: membership {message}"):
+            parse_rulebase(f"# header\nterm.{term} = {value}\n")
 
     def test_malformed_term_value(self):
         with pytest.raises(RuleParseError, match="line 1"):
