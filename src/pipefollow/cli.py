@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import fis, netpbm, sim
 from .features import extract_features
-from .imgproc import NoObjectError, ThresholdBand, rgb_to_gray
+from .imgproc import NoObjectError, rgb_to_gray
 
 
 def _diag(message: str) -> None:
@@ -29,14 +29,6 @@ def _write_output(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _load_rulebase(args, scenario=None):
-    if getattr(args, "rules", None):
-        return sim.read_rulebase(args.rules)
-    if scenario is not None:
-        return sim.load_rulebase(scenario)
-    return fis.default_rulebase()
-
-
 def _tolerance(text: str) -> float:
     """argparse type of --tolerance: a positive finite number of cm."""
     try:
@@ -48,15 +40,18 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _budget(text: str) -> int:
-    """argparse type of --budget: a whole number of evaluations, at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, not {text!r}")
-    return value
+def _whole_number(minimum: int):
+    """argparse type of --budget and --seed: a whole number, at least minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a whole number >= {minimum}, "
+                                             f"not {text!r}")
+        return value
+    return parse
 
 
 def _load_scenario(args) -> sim.Scenario:
@@ -68,7 +63,7 @@ def _load_scenario(args) -> sim.Scenario:
 
 def cmd_run(args) -> int:
     scenario = _load_scenario(args)
-    rb = _load_rulebase(args, scenario)
+    rb = sim.read_rulebase(args.rules or scenario.rulebase_file)
     try:
         record = sim.run_mission(scenario, rb, mode=args.mode, tolerance=args.tolerance)
     except sim.MissionFailure as exc:
@@ -92,13 +87,10 @@ def cmd_features(args) -> int:
         gray = rgb_to_gray(netpbm.read_ppm(args.image))
     else:
         gray = netpbm.read_pgm(args.image)
-    if args.scenario:
-        scenario = sim.load_scenario(args.scenario)
-        thresholds, min_area = scenario.thresholds, scenario.min_area
-    else:
-        thresholds, min_area = ThresholdBand(180, 255), 25
+    # without a scenario file, the class attributes are the field defaults
+    scenario = sim.load_scenario(args.scenario) if args.scenario else sim.Scenario
     try:
-        vectors = extract_features(gray, thresholds, min_area)
+        vectors = extract_features(gray, scenario.thresholds, scenario.min_area)
     except NoObjectError as exc:
         _diag(f"no-object: {exc}")
         return 1
@@ -113,7 +105,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    rb = _load_rulebase(args)
+    rb = sim.read_rulebase(args.rules)
     values = dict(zip(fis.INPUT_VARIABLES, args.values))
     try:
         result = fis.infer(rb, values)
@@ -134,7 +126,7 @@ def cmd_infer(args) -> int:
 
 def cmd_tune(args) -> int:
     scenarios = [sim.load_scenario(p) for p in args.scenario]
-    rb = _load_rulebase(args)
+    rb = sim.read_rulebase(args.rules)
     result = sim.tune(scenarios, fis.term_parameters(rb), args.budget, rulebase=rb)
     _diag(f"objective: max|drift| {result.initial_objective[0]:.2f} -> "
           f"{result.best_objective[0]:.2f} cm in {result.evaluations} evaluations")
@@ -157,12 +149,11 @@ def cmd_plot(args) -> int:
     except ValueError as exc:
         _diag(str(exc))
         return 2
-    envelope, step_length, start_y = (150.0, 200.0), 22.5, 0.0
+    geometry = ()   # plot_svg's defaults
     if args.scenario:
         scenario = sim.load_scenario(args.scenario)
-        envelope = scenario.world.envelope
-        step_length, start_y = scenario.step_length, scenario.start.y
-    _write_output(sim.plot_svg(record, envelope, step_length, start_y), args.out)
+        geometry = (scenario.world.envelope, scenario.step_length, scenario.start.y)
+    _write_output(sim.plot_svg(record, *geometry), args.out)
     return 0
 
 
@@ -177,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario file")
     p.add_argument("--rules", help="rule base DSL file (overrides the scenario's)")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--seed", type=int, help="override the scenario's noise seed")
+    p.add_argument("--seed", type=_whole_number(0), help="override the scenario's noise seed")
     p.add_argument("--plot", help="also write an SVG path plot here")
     p.add_argument("--mode", choices=("sequential", "overlapped"), default="sequential")
     p.add_argument("--tolerance", type=_tolerance, default=sim.DEFAULT_TOLERANCE_CM,
@@ -201,14 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", action="append", required=True,
                    help="scenario file (repeatable)")
     p.add_argument("--rules", help="initial rule base DSL file")
-    p.add_argument("--budget", type=_budget, default=200, help="objective evaluations")
+    p.add_argument("--budget", type=_whole_number(1), default=200, help="objective evaluations")
     p.add_argument("--out", help="output path for the tuned rule base DSL")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("render", help="render the camera view from the start pose")
     p.add_argument("--scenario", required=True, help="scenario file")
     p.add_argument("--out", required=True, help="output PGM path")
-    p.add_argument("--seed", type=int, help="override the scenario's noise seed")
+    p.add_argument("--seed", type=_whole_number(0), help="override the scenario's noise seed")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("plot", help="plot a drift record CSV as SVG")
@@ -225,16 +216,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except sim.ScenarioError as exc:
-        _diag(str(exc))
-        return 2
-    except fis.RuleParseError as exc:
-        _diag(str(exc))
-        return 2
-    except netpbm.NetpbmError as exc:
-        _diag(str(exc))
-        return 2
-    except OSError as exc:
+    except (sim.ScenarioError, netpbm.NetpbmError, OSError) as exc:
         _diag(str(exc))
         return 2
 

@@ -128,40 +128,48 @@ class InferenceResult:
     no_fire: bool
 
 
+def _check_rule(variables: dict, rule: Rule) -> None:
+    """Raise ValueError unless the rule fits the variables.
+
+    The antecedent must be non-empty and name distinct input variables, the
+    consequent the output variable, and every term must be one of its
+    variable's terms.
+    """
+    if not rule.antecedents:
+        raise ValueError("empty antecedent")
+    seen = set()
+    for var, term in rule.antecedents:
+        if var not in variables:
+            raise ValueError(f"unknown variable {var}")
+        if var == OUTPUT_VARIABLE:
+            raise ValueError(f"{var} cannot appear in an antecedent")
+        if term not in variables[var].terms:
+            raise ValueError(f"unknown term {term} for variable {var}")
+        if var in seen:
+            raise ValueError(f"variable {var} used twice in one rule")
+        seen.add(var)
+    var, term = rule.consequent
+    if var not in variables:
+        raise ValueError(f"unknown variable {var}")
+    if var != OUTPUT_VARIABLE:
+        raise ValueError(f"{var} cannot appear in a consequent")
+    if term not in variables[var].terms:
+        raise ValueError(f"unknown term {term} for variable {var}")
+
+
+@dataclass(frozen=True)
 class RuleBase:
-    """Immutable bundle of linguistic variables and an ordered rule list."""
+    """Linguistic variables and an ordered tuple of rules that fit them."""
 
-    def __init__(self, variables: dict, rules):
-        self.variables = dict(variables)
-        self.rules = tuple(rules)
+    variables: dict       # variable name -> LinguisticVariable
+    rules: tuple          # (Rule, ...)
+
+    def __post_init__(self):
         for i, rule in enumerate(self.rules, start=1):
-            if not rule.antecedents:
-                raise ValueError(f"rule {i} has no antecedents")
-            seen = set()
-            for var, term in rule.antecedents:
-                self._check_ref(i, var, term, expect_output=False)
-                if var in seen:
-                    raise ValueError(f"rule {i} references variable {var} twice")
-                seen.add(var)
-            cvar, cterm = rule.consequent
-            self._check_ref(i, cvar, cterm, expect_output=True)
-
-    def _check_ref(self, rule_no, var, term, expect_output):
-        if var not in self.variables:
-            raise ValueError(f"rule {rule_no}: unknown variable {var}")
-        if expect_output != (var == OUTPUT_VARIABLE):
-            side = "consequent" if expect_output else "antecedent"
-            raise ValueError(f"rule {rule_no}: {var} not valid in {side}")
-        if term not in self.variables[var].terms:
-            raise ValueError(f"rule {rule_no}: unknown term {term} for {var}")
-
-    def __eq__(self, other):
-        return (isinstance(other, RuleBase)
-                and self.variables == other.variables
-                and self.rules == other.rules)
-
-    def __repr__(self):
-        return f"RuleBase({len(self.rules)} rules)"
+            try:
+                _check_rule(self.variables, rule)
+            except ValueError as exc:
+                raise ValueError(f"rule {i}: {exc}") from None
 
 
 def fire_rules(rb: RuleBase, values) -> list:
@@ -272,9 +280,7 @@ def _parse_rule_line(line_no: int, tokens, variables) -> Rule:
         raise RuleParseError(line_no, "missing THEN") from None
     ante_tokens = tokens[1:then_pos]
     cons_tokens = tokens[then_pos + 1:]
-    if not ante_tokens:
-        raise RuleParseError(line_no, "rule has an empty antecedent")
-    if len(ante_tokens) % 4 != 3:
+    if ante_tokens and len(ante_tokens) % 4 != 3:   # _check_rule rejects an empty one
         raise RuleParseError(line_no, "malformed antecedent list")
     antecedents = []
     for i in range(0, len(ante_tokens), 4):
@@ -283,25 +289,15 @@ def _parse_rule_line(line_no: int, tokens, variables) -> Rule:
             raise RuleParseError(line_no, f"expected IS after {var!r}")
         if i + 3 < len(ante_tokens) and ante_tokens[i + 3] != "AND":
             raise RuleParseError(line_no, f"expected AND, got {ante_tokens[i + 3]!r}")
-        _check_named(line_no, variables, var, term, expect_output=False)
-        if any(v == var for v, _ in antecedents):
-            raise RuleParseError(line_no, f"variable {var} used twice in one rule")
         antecedents.append((var, term))
     if len(cons_tokens) != 3 or cons_tokens[1] != "IS":
         raise RuleParseError(line_no, "consequent must be '<var> IS <Term>'")
-    cvar, _, cterm = cons_tokens
-    _check_named(line_no, variables, cvar, cterm, expect_output=True)
-    return Rule(tuple(antecedents), (cvar, cterm))
-
-
-def _check_named(line_no, variables, var, term, expect_output):
-    if var not in variables:
-        raise RuleParseError(line_no, f"unknown variable {var}")
-    if expect_output != (var == OUTPUT_VARIABLE):
-        side = "a consequent" if expect_output else "an antecedent"
-        raise RuleParseError(line_no, f"{var} cannot appear in {side}")
-    if term not in variables[var].terms:
-        raise RuleParseError(line_no, f"unknown term {term} for variable {var}")
+    rule = Rule(tuple(antecedents), (cons_tokens[0], cons_tokens[2]))
+    try:
+        _check_rule(variables, rule)
+    except ValueError as exc:
+        raise RuleParseError(line_no, str(exc)) from None
+    return rule
 
 
 def _parse_term_line(line_no: int, match, variables) -> None:
@@ -344,7 +340,7 @@ def parse_rulebase(text: str) -> RuleBase:
             _parse_term_line(line_no, term_match, variables)
             continue
         rules.append(_parse_rule_line(line_no, line.split(), variables))
-    return RuleBase(variables, rules)
+    return RuleBase(variables, tuple(rules))
 
 
 def format_rule(rule: Rule) -> str:

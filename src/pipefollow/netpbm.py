@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .imgproc import BinaryImage, GrayImage, RgbImage
@@ -55,7 +57,7 @@ def _parse_header(data: bytes, magic: bytes):
 
 
 def read_pgm(path) -> GrayImage:
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     width, height, offset = _parse_header(data, b"P5")
     raster = data[offset:offset + width * height]
     if len(raster) != width * height:
@@ -82,7 +84,7 @@ def read_binary_pgm(path) -> BinaryImage:
 
 
 def read_ppm(path) -> RgbImage:
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     width, height, offset = _parse_header(data, b"P6")
     raster = data[offset:offset + width * height * 3]
     if len(raster) != width * height * 3:

@@ -66,7 +66,7 @@ class World:
         if any(b <= a for a, b in zip(ys, ys[1:])):
             raise ValueError("waypoint y coordinates must be strictly increasing")
         # the render divides by each segment's squared length
-        if any((b - a) ** 2 == 0.0 for a, b in zip(ys, ys[1:])):
+        if any((b - a) * (b - a) == 0.0 for a, b in zip(ys, ys[1:])):
             raise ValueError("consecutive waypoints are too close: a squared segment "
                              "length underflows to 0")
         if not (math.isfinite(self.pipe_width) and self.pipe_width > 0):
@@ -153,10 +153,12 @@ class PathRecord:
             if len(parts) != 5:
                 raise ValueError(f"malformed CSV row: {ln!r}")
             try:
-                points.append(PathPoint(int(parts[0]), float(parts[1]), float(parts[2]),
-                                        float(parts[3]), float(parts[4])))
+                numbers = [float(part) for part in parts[1:]]
+                points.append(PathPoint(int(parts[0]), *numbers))
             except ValueError:
                 raise ValueError(f"non-numeric CSV row: {ln!r}") from None
+            if not all(math.isfinite(v) for v in numbers):
+                raise ValueError(f"non-finite CSV row: {ln!r}")
         return cls(tuple(points), tolerance)
 
 
@@ -634,6 +636,9 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
 
 # --- scenario files -----------------------------------------------------------
 
+# A key's value is parsed as an int when its default is one, else as a float
+# (rulebase, a path, stays text).  A start.x or start.y of None means the
+# first waypoint's.
 _SCENARIO_DEFAULTS = {
     "envelope.x": 150.0, "envelope.y": 200.0,
     "pipe.width": 10.0,
@@ -645,15 +650,9 @@ _SCENARIO_DEFAULTS = {
     "minArea": 25,
     "step.length": 22.5, "steps.per.image": 5, "steering.gain": 0.5,
     "seed": 0,
+    "start.x": None, "start.y": None, "start.heading": 90.0,
     "rulebase": "",
 }
-
-_INT_KEYS = {"camera.image.width", "camera.image.height", "camera.intensity.pipe",
-             "camera.intensity.seabed", "camera.noise", "threshold.t1", "threshold.t2",
-             "minArea", "steps.per.image", "seed"}
-_FLOAT_KEYS = {"envelope.x", "envelope.y", "pipe.width", "camera.height", "camera.tilt",
-               "camera.fov", "camera.speckle", "step.length", "steering.gain",
-               "start.x", "start.y", "start.heading"}
 
 
 def _parse_waypoints(source, line_no, value):
@@ -689,7 +688,6 @@ def _parse_number(source, line_no, key, value, kind=float):
 def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scenario:
     values = dict(_SCENARIO_DEFAULTS)
     waypoints = ()
-    start_overrides = {}
     key_lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = fis.strip_comment(raw)
@@ -706,27 +704,23 @@ def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scena
         if key == "pipe.waypoints":
             waypoints = _parse_waypoints(source, line_no, value)
             continue
-        if key in ("start.x", "start.y", "start.heading"):
-            start_overrides[key] = _parse_number(source, line_no, key, value)
-            continue
         if key not in values:
             raise ScenarioError(f"{source} line {line_no}: unknown key {key!r}")
         if key == "rulebase":
-            values[key] = value
+            try:
+                values[key] = str((Path(base_dir) / value).resolve()) if value else ""
+            except ValueError as exc:   # a NUL byte
+                raise ScenarioError(f"{source} line {line_no}: rulebase path: {exc}") from None
             continue
-        values[key] = _parse_number(source, line_no, key, value,
-                                    int if key in _INT_KEYS else float)
+        kind = int if isinstance(_SCENARIO_DEFAULTS[key], int) else float
+        values[key] = _parse_number(source, line_no, key, value, kind)
     if not waypoints:
         raise ScenarioError(f"{source}: missing required key pipe.waypoints")
 
-    rulebase_file = values["rulebase"]
-    if rulebase_file:
-        rulebase_file = str((Path(base_dir) / rulebase_file).resolve())
-    start = AuvState(
-        x=start_overrides.get("start.x", waypoints[0][0]),
-        y=start_overrides.get("start.y", waypoints[0][1]),
-        heading=start_overrides.get("start.heading", 90.0),
-    )
+    first_x, first_y = waypoints[0]
+    start = AuvState(first_x if values["start.x"] is None else values["start.x"],
+                     first_y if values["start.y"] is None else values["start.y"],
+                     values["start.heading"])
     try:
         return Scenario(
             world=World(envelope=(values["envelope.x"], values["envelope.y"]),
@@ -742,7 +736,7 @@ def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scena
                                speckle_density=values["camera.speckle"]),
             thresholds=ThresholdBand(values["threshold.t1"], values["threshold.t2"]),
             min_area=values["minArea"],
-            rulebase_file=rulebase_file,
+            rulebase_file=values["rulebase"],
             steering_gain=values["steering.gain"],
             step_length=values["step.length"],
             steps_per_image=values["steps.per.image"],
@@ -756,22 +750,25 @@ def load_scenario(path) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {p}: {exc}") from exc
     return parse_scenario(text, base_dir=p.parent, source=p.name)
 
 
 def read_rulebase(path):
-    """Parse a rule base DSL file; a parse error becomes a ScenarioError naming the file."""
+    """Parse a rule base DSL file, or the built-in default for an empty or None path.
+
+    A parse error becomes a ScenarioError naming the file.
+    """
+    if not path:
+        return fis.default_rulebase()
     path = Path(path)
     try:
         return fis.parse_rulebase(path.read_text())
-    except fis.RuleParseError as exc:
+    except (fis.RuleParseError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path.name}: {exc}") from exc
 
 
 def load_rulebase(scenario: Scenario):
     """Rule base referenced by the scenario, or the built-in default."""
-    if not scenario.rulebase_file:
-        return fis.default_rulebase()
     return read_rulebase(scenario.rulebase_file)

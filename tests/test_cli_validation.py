@@ -30,6 +30,17 @@ def test_budget_must_be_a_positive_whole_number(capsys, value):
     assert "--budget" in err and ">= 1" in err
 
 
+@pytest.mark.parametrize("command", ["run", "render"])
+@pytest.mark.parametrize("value", ["-1", "1.5", "many"])
+def test_seed_must_be_a_non_negative_whole_number(capsys, tmp_path, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", str(SCENARIO_DIR / "default.scenario"),
+              "--out", str(tmp_path / "out"), f"--seed={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and ">= 0" in err
+
+
 def test_nan_feature_value_exits_two(capsys):
     assert main(["infer", "nan", "0.4", "0.4", "0.4", "0.4", "0.4"]) == 2
     assert "x1=nan outside universe [0.1, 1.0]" in capsys.readouterr().err
@@ -50,6 +61,32 @@ def test_non_finite_scenario_value_exits_two(capsys, tmp_path):
     path.write_text("pipe.waypoints = 36.5:0; 47.5:22.5; 58.5:45\ncamera.height = nan\n")
     assert main(["run", "--scenario", str(path)]) == 2
     assert "sick.scenario line 2: non-finite value for camera.height" in capsys.readouterr().err
+
+
+def test_nul_in_rulebase_path_exits_two(capsys, tmp_path):
+    path = tmp_path / "nul.scenario"
+    path.write_text("pipe.waypoints = 36.5:0; 47.5:22.5; 58.5:45\nrulebase = a\0b\n")
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "nul.scenario line 2: rulebase path: embedded null byte" in capsys.readouterr().err
+
+
+def test_non_finite_record_value_exits_two(capsys, tmp_path):
+    path = tmp_path / "sick.csv"
+    path.write_text("step,actual_x_cm,sim_x_cm,drift_cm,pct_drift\n1,nan,inf,+0.0,0.0\n")
+    assert main(["plot", str(path)]) == 2
+    assert "non-finite CSV row: '1,nan,inf,+0.0,0.0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["scenario", "rules"])
+def test_file_not_in_utf8_exits_two(capsys, tmp_path, bad):
+    files = {"scenario": tmp_path / "ok.scenario", "rules": tmp_path / "ok.rules"}
+    files["scenario"].write_text("pipe.waypoints = 36.5:0; 47.5:22.5; 58.5:45\n")
+    files["rules"].write_text("IF x5 IS Left THEN y1 IS TurnLeft\n")
+    files[bad] = tmp_path / f"latin.{bad}"
+    files[bad].write_bytes(b"# caf\xe9\n")
+    assert main(["run", "--scenario", str(files["scenario"]), "--rules", str(files["rules"])]) == 2
+    err = capsys.readouterr().err
+    assert f"latin.{bad}" in err and "can't decode byte 0xe9" in err
 
 
 def test_duplicate_scenario_key_exits_two(capsys, tmp_path):

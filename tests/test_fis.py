@@ -357,6 +357,51 @@ class TestRuleDsl:
         assert len(rb.rules) == 13
 
 
+class TestRuleChecks:
+    GOOD = Rule((("x5", "Left"),), ("y1", "TurnLeft"))
+
+    @pytest.mark.parametrize("rule, message", [
+        (Rule((), ("y1", "TurnLeft")), "empty antecedent"),
+        (Rule((("x9", "Left"),), ("y1", "TurnLeft")), "unknown variable x9"),
+        (Rule((("y1", "TurnLeft"),), ("y1", "TurnLeft")), "y1 cannot appear in an antecedent"),
+        (Rule((("x5", "Left"),), ("z1", "Up")), "unknown variable z1"),
+        (Rule((("x5", "Left"),), ("x6", "Left")), "x6 cannot appear in a consequent"),
+        (Rule((("x5", "Huge"),), ("y1", "TurnLeft")), "unknown term Huge for variable x5"),
+        (Rule((("x5", "Left"),), ("y1", "Sharp")), "unknown term Sharp for variable y1"),
+        (Rule((("x5", "Left"), ("x5", "Right")), ("y1", "TurnLeft")),
+         "variable x5 used twice in one rule"),
+    ])
+    def test_rule_base_names_the_bad_rule(self, rule, message):
+        with pytest.raises(ValueError, match=f"^rule 2: {message}$"):
+            RuleBase(fis.default_variables(), (self.GOOD, rule))
+
+
+ALL_VARIABLES = (*fis.INPUT_VARIABLES, fis.OUTPUT_VARIABLE)
+ALL_TERMS = (*fis.COVERAGE_TERMS, *fis.LOCATION_TERMS, *fis.OUTPUT_TERMS)
+DSL_TOKENS = ("IF", "THEN", "IS", "AND", "#", "=", *ALL_VARIABLES, *ALL_TERMS,
+              "term.x5.Left", "term.y1.Bogus", "gaussian(0.19,", "0.1)", "pi(60.0, 150.0)")
+reference = st.tuples(st.sampled_from(ALL_VARIABLES), st.sampled_from(ALL_TERMS))
+rule_line = st.builds(
+    lambda ante, cons: "IF " + " AND ".join(f"{v} IS {t}" for v, t in ante)
+    + f" THEN {cons[0]} IS {cons[1]}",
+    st.lists(reference, max_size=3), reference)
+term_line = st.builds("term.{0[0]}.{0[1]} = {1}({2!r}, {3!r})".format, reference,
+                      st.sampled_from(["gaussian", "pi", "bump"]), st.floats(), st.floats())
+token_line = st.lists(st.sampled_from(DSL_TOKENS), max_size=12).map(" ".join)
+dsl_text = st.one_of(st.text(),
+                     st.lists(st.one_of(rule_line, term_line, token_line)).map("\n".join))
+
+
+@given(dsl_text)
+def test_parse_raises_only_rule_parse_error(text):
+    try:
+        rb = parse_rulebase(text)
+    except RuleParseError as exc:
+        assert 1 <= exc.line_no <= len(text.splitlines())
+    else:
+        assert parse_rulebase(format_rulebase(rb)) == rb
+
+
 class TestTermParameterViews:
     def test_round_trip_views(self):
         rb = default_rulebase()

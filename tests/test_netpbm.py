@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipefollow.imgproc import BinaryImage, GrayImage, RgbImage
 from pipefollow.netpbm import (NetpbmError, read_binary_pgm, read_pgm,
@@ -62,3 +64,21 @@ def test_truncated_raster_rejected(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
     with pytest.raises(NetpbmError):
         read_pgm(path)
+
+
+netpbm_bytes = st.one_of(
+    st.binary(),
+    st.builds(bytes.__add__, st.sampled_from([b"P5", b"P6", b"P5\n2 2\n255\n",
+                                              b"P6 1 1 255 ", b"P5\n#c\n3"]), st.binary()))
+
+
+@settings(deadline=None)
+@given(netpbm_bytes)
+def test_readers_raise_only_netpbm_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pnm"
+    path.write_bytes(data)
+    for reader in (read_pgm, read_ppm, read_binary_pgm):
+        try:
+            reader(path)
+        except NetpbmError:
+            pass

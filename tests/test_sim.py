@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -606,3 +606,31 @@ class TestScenarioFiles:
     def test_empty_rulebase_falls_back_to_default(self):
         sc = parse_scenario("pipe.waypoints = 10:0; 10:50\n")
         assert sim.load_rulebase(sc) == fis.default_rulebase()
+
+
+def typed_value(default):
+    """Text of the type a scenario key parses as: any int, any float including
+    nan and inf, or for the rulebase path any string of path-like characters."""
+    if isinstance(default, int):
+        return st.integers().map(str)
+    if isinstance(default, str):
+        return st.text(st.sampled_from("ab./~# \té\0"))
+    return st.floats().map(repr)
+
+
+waypoint_text = st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=4).map(
+    lambda points: "; ".join(f"{x!r}:{y!r}" for x, y in points))
+scenario_lines = st.fixed_dictionaries(
+    {"pipe.waypoints": waypoint_text},
+    optional={key: typed_value(default) for key, default in sim._SCENARIO_DEFAULTS.items()})
+
+
+@example("envelope.x = 1e300\nenvelope.y = 1e300\npipe.waypoints = 0:0; 0:1e300\n")
+@example("pipe.waypoints = 10:0; 10:50\nrulebase = a\0b\n")
+@given(st.one_of(st.text(), scenario_lines.map(
+    lambda lines: "\n".join(f"{key} = {value}" for key, value in lines.items()))))
+def test_parse_scenario_raises_only_scenario_error(text):
+    try:
+        parse_scenario(text)
+    except ScenarioError:
+        pass
