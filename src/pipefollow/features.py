@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgproc import (BinaryImage, GrayImage, NoObjectError, ThresholdBand,
-                      label_regions, threshold_band)
+from .imgproc import GrayImage, NoObjectError, ThresholdBand, label_regions, threshold_band
 
 NUM_BANDS = 5
 UNIVERSE_LO = 0.1
@@ -111,8 +110,8 @@ def band_vectors(pixels) -> list:
             for layout, ((u1, u2, x5), (u3, u4, x6)) in zip(layouts, pairs)][::-1]
 
 
-def object_mask(img: GrayImage, band: ThresholdBand, min_area: int) -> BinaryImage:
-    """Mask of the largest 8-connected region of the thresholded image.
+def object_mask(img: GrayImage, band: ThresholdBand, min_area: int) -> np.ndarray:
+    """Bool mask of the largest 8-connected region of the thresholded image.
 
     Ties go to the smallest label, the first region in raster order.  Raises
     NoObjectError unless that region holds at least min_area pixels, which is
@@ -120,12 +119,16 @@ def object_mask(img: GrayImage, band: ThresholdBand, min_area: int) -> BinaryIma
     """
     if min_area < 0:
         raise ValueError("min_area must be >= 0")
-    lm = label_regions(threshold_band(img, band))
-    sizes = np.bincount(lm.labels.ravel())[1:]   # region k holds sizes[k - 1] pixels
-    if sizes.size == 0 or sizes.max() < min_area:
-        raise NoObjectError("label map contains no regions")
-    label = int(np.argmax(sizes)) + 1   # argmax returns the first maximum
-    return BinaryImage(img.width, img.height, (lm.labels == label).astype(np.uint8))
+    fg = threshold_band(img, band)
+    labels, count = label_regions(fg)
+    # background pixels are left out of the count: each label 1..count has a
+    # foreground pixel, so the sizes are the same
+    sizes = np.bincount(labels[fg])[1:]           # region k holds sizes[k - 1] pixels
+    largest = int(sizes.max(initial=0))
+    if count == 0 or largest < min_area:
+        raise NoObjectError(f"label map contains no regions of at least {min_area} pixels "
+                            f"({count} regions, largest {largest})")
+    return labels == int(np.argmax(sizes)) + 1    # argmax returns the first maximum
 
 
 def extract_features(img: GrayImage, band: ThresholdBand, min_area: int) -> list:
@@ -135,7 +138,7 @@ def extract_features(img: GrayImage, band: ThresholdBand, min_area: int) -> list
     no region holds at least min_area pixels.
     """
     split_bands(img.width, img.height)            # rejects a too-small image before labelling
-    return band_vectors(object_mask(img, band, min_area).pixels)
+    return band_vectors(object_mask(img, band, min_area))
 
 
 __all__ = [

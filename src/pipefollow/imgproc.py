@@ -1,8 +1,9 @@
-"""Binary image chain: gray conversion, band thresholding, region labeling."""
+"""Image chain: gray conversion, band thresholding to a bool mask, region labeling."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -57,31 +58,6 @@ class GrayImage:
 
 
 @dataclass(frozen=True)
-class BinaryImage:
-    """Raster whose pixels are exactly 0 or 1.
-
-    Internal constructions build the pixels from a boolean comparison, so only
-    from_array, the entry point for outside data, checks the values.
-    """
-
-    width: int
-    height: int
-    pixels: np.ndarray  # (height, width) uint8, values in {0, 1}
-
-    def __post_init__(self):
-        if self.pixels.shape != (self.height, self.width):
-            raise ValueError(f"pixel buffer shape {self.pixels.shape} does not match "
-                             f"{self.height}x{self.width}")
-
-    @classmethod
-    def from_array(cls, arr) -> "BinaryImage":
-        a = np.asarray(arr, dtype=np.uint8)
-        if (a > 1).any():
-            raise ValueError("binary image may contain only 0 and 1")
-        return cls(width=a.shape[1], height=a.shape[0], pixels=a)
-
-
-@dataclass(frozen=True)
 class ThresholdBand:
     """Open-closed intensity window (t1, t2]; pixels inside become foreground."""
 
@@ -95,12 +71,9 @@ class ThresholdBand:
             raise ValueError(f"invalid threshold band: t1={self.t1} must be < t2={self.t2}")
 
 
-@dataclass(frozen=True)
-class LabelMap:
+class LabelMap(NamedTuple):
     """Per-pixel region labels; 0 is background, regions are 1..region_count."""
 
-    width: int
-    height: int
     labels: np.ndarray  # (height, width) int32
     region_count: int
 
@@ -117,23 +90,21 @@ def rgb_to_gray(img: RgbImage) -> GrayImage:
     return GrayImage(img.width, img.height, gray.astype(np.uint8))
 
 
-def threshold_band(img: GrayImage, band: ThresholdBand) -> BinaryImage:
-    """Mark pixels with band.t1 < intensity <= band.t2 as foreground."""
-    fg = (img.pixels > band.t1) & (img.pixels <= band.t2)
-    return BinaryImage(img.width, img.height, fg.astype(np.uint8))
+def threshold_band(img: GrayImage, band: ThresholdBand) -> np.ndarray:
+    """Bool mask of the pixels with band.t1 < intensity <= band.t2."""
+    return (img.pixels > band.t1) & (img.pixels <= band.t2)
 
 
-def label_regions(b: BinaryImage) -> LabelMap:
-    """Partition foreground into maximal 8-connected regions.
+def label_regions(mask: np.ndarray) -> LabelMap:
+    """Partition the nonzero pixels of a 2-D mask into maximal 8-connected regions.
 
     Labels are 1..N in raster order of each region's first pixel.  That order
     is scipy's own: ndimage.label numbers regions as its raster scan first
     meets them, and tests/oracles.py::flood_fill_labels pins it.
     """
-    labels, count = ndimage.label(b.pixels, structure=EIGHT_CONNECTED)
-    return LabelMap(b.width, b.height, labels, count)
+    return LabelMap(*ndimage.label(mask, structure=EIGHT_CONNECTED))
 
 
-def area(b: BinaryImage) -> int:
-    """Total foreground pixel count."""
-    return int(b.pixels.sum())
+def area(mask: np.ndarray) -> int:
+    """Foreground pixel count of a 0/1 or bool mask."""
+    return int(np.count_nonzero(mask))

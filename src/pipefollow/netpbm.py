@@ -1,4 +1,4 @@
-"""Binary netpbm I/O: P5 (PGM) for gray/binary rasters, P6 (PPM) for RGB."""
+"""Binary netpbm I/O: P5 (PGM) for gray rasters, P6 (PPM) for RGB."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgproc import BinaryImage, GrayImage, RgbImage
+from .imgproc import GrayImage, RgbImage
 
 
 class NetpbmError(Exception):
@@ -70,17 +70,6 @@ def write_pgm(path, img: GrayImage) -> None:
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (img.width, img.height))
         fh.write(np.ascontiguousarray(img.pixels, dtype=np.uint8).tobytes())
-
-
-def write_binary_pgm(path, img: BinaryImage) -> None:
-    """Write a binary image as P5 with foreground 255 and background 0."""
-    write_pgm(path, GrayImage(img.width, img.height, img.pixels * np.uint8(255)))
-
-
-def read_binary_pgm(path) -> BinaryImage:
-    """Read a P5 file written by write_binary_pgm; nonzero pixels are foreground."""
-    g = read_pgm(path)
-    return BinaryImage(g.width, g.height, (g.pixels > 0).astype(np.uint8))
 
 
 def read_ppm(path) -> RgbImage:

@@ -482,14 +482,16 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
     mission uses a fresh dict.  A mission that records no point fails with
     "no-points".  One that takes more than twice the steps a straight run
     along the remaining span would need (less than half a step length of
-    along-track progress per step) fails with "no-progress".
+    along-track progress per step) fails with "no-progress".  A step that
+    lands below the first waypoint, where drift has no reference, fails with
+    "behind-start".
     """
     if mode not in ("sequential", "overlapped"):
         raise ValueError(f"unknown mode {mode!r}")
     captures = {} if captures is None else captures
     world = scenario.world
     auv = scenario.start
-    far_y = world.pipeline[-1][1]
+    first_y, far_y = world.pipeline[0][1], world.pipeline[-1][1]
     max_steps = math.ceil(2.0 * (far_y - auv.y) / scenario.step_length)
     pool = ThreadPoolExecutor(max_workers=NUM_BANDS) if mode == "overlapped" else None
     path = []
@@ -511,6 +513,10 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
                                          f"after {max_steps} steps y={auv.y:.1f} is still short "
                                          f"of the pipeline end at y={far_y:g}")
                 auv = step_auv(auv, steer_at(min(i, NUM_BANDS - 1)), scenario)
+                if auv.y < first_y - 1e-9:   # the slack pipeline_x_at allows
+                    raise MissionFailure("behind-start", len(path) + 1,
+                                         f"y={auv.y:.1f} lies below the pipeline start "
+                                         f"at y={first_y:g}")
                 path.append(auv)
             frame += 1
     except NoObjectError as exc:

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 import oracles
 from pipefollow import sim
 from pipefollow.features import object_mask
-from pipefollow.imgproc import (BinaryImage, GrayImage, NoObjectError,
-                                RgbImage, ThresholdBand, area, label_regions,
+from pipefollow.imgproc import (GrayImage, NoObjectError, RgbImage,
+                                ThresholdBand, area, label_regions,
                                 rgb_to_gray, threshold_band)
 
 binary_8x8 = arrays(np.uint8, (8, 8), elements=st.integers(0, 1))
@@ -18,12 +20,19 @@ gray_8x8 = arrays(np.uint8, (8, 8), elements=st.integers(0, 255))
 
 
 def binary(arr):
-    return BinaryImage.from_array(np.asarray(arr, dtype=np.uint8))
+    return np.asarray(arr, dtype=np.uint8)
+
+
+def survey_start():
+    """The survey benchmark scenario and its 320x240 start frame."""
+    sc = sim.load_scenario(Path(__file__).resolve().parent.parent
+                           / "bench" / "data" / "survey.scenario")
+    return sc, sim.render_view(sc.world, sc.start, sc.camera)
 
 
 def mask_of(arr, min_area):
     """object_mask of a 0/1 raster: the band (0, 1] keeps exactly its 1 pixels."""
-    return object_mask(GrayImage.from_array(arr), ThresholdBand(0, 1), min_area).pixels
+    return object_mask(GrayImage.from_array(arr), ThresholdBand(0, 1), min_area)
 
 
 class TestRgbToGray:
@@ -57,11 +66,11 @@ class TestRgbToGray:
 class TestThresholdBand:
     def test_lower_bound_strict(self):
         img = GrayImage.from_array(np.full((2, 2), 100, dtype=np.uint8))
-        assert threshold_band(img, ThresholdBand(100, 200)).pixels.max() == 0
+        assert threshold_band(img, ThresholdBand(100, 200)).max() == 0
 
     def test_upper_bound_inclusive(self):
         img = GrayImage.from_array(np.full((2, 2), 200, dtype=np.uint8))
-        assert threshold_band(img, ThresholdBand(100, 200)).pixels.min() == 1
+        assert threshold_band(img, ThresholdBand(100, 200)).min() == 1
 
     def test_invalid_band_rejected(self):
         with pytest.raises(ValueError):
@@ -69,17 +78,22 @@ class TestThresholdBand:
         with pytest.raises(ValueError):
             ThresholdBand(150, 150)
 
+    def test_threshold_and_object_mask_are_bool(self):
+        img = GrayImage.from_array(np.array([[0, 150], [150, 250]], dtype=np.uint8))
+        assert threshold_band(img, ThresholdBand(100, 200)).dtype == bool
+        assert object_mask(img, ThresholdBand(100, 200), 1).dtype == bool
+
     @given(gray_8x8)
     def test_matches_per_pixel_oracle(self, pixels):
         got = threshold_band(GrayImage.from_array(pixels), ThresholdBand(100, 200))
-        assert np.array_equal(got.pixels, oracles.threshold_pixels(pixels, 100, 200))
+        assert np.array_equal(got, oracles.threshold_pixels(pixels, 100, 200))
 
     @given(gray_8x8)
     def test_output_is_binary_and_idempotent(self, pixels):
         b = threshold_band(GrayImage.from_array(pixels), ThresholdBand(180, 255))
-        assert set(np.unique(b.pixels)) <= {0, 1}
-        again = threshold_band(GrayImage.from_array(b.pixels), ThresholdBand(0, 1))
-        assert np.array_equal(again.pixels, b.pixels)
+        assert set(np.unique(b)) <= {0, 1}
+        again = threshold_band(GrayImage.from_array(b), ThresholdBand(0, 1))
+        assert np.array_equal(again, b)
 
     @given(gray_8x8, st.integers(0, 253), st.integers(0, 253))
     def test_area_monotone_in_band(self, pixels, t1, t2):
@@ -127,10 +141,8 @@ class TestLabelRegions:
             assert np.array_equal(lm.labels, want)
 
     def test_survey_frame_matches_flood_fill_oracle(self):
-        sc = sim.load_scenario(Path(__file__).resolve().parent.parent
-                               / "bench" / "data" / "survey.scenario")
-        img = sim.render_view(sc.world, sc.start, sc.camera)
-        pixels = threshold_band(img, sc.thresholds).pixels
+        sc, img = survey_start()
+        pixels = threshold_band(img, sc.thresholds)
         lm = label_regions(binary(pixels))
         want, n = oracles.flood_fill_labels(pixels)
         assert n > 100  # speckle leaves hundreds of small regions
@@ -157,6 +169,15 @@ class TestRemoveSmallRegions:
         assert int(mask_of(pixels, 50).sum()) == 50
         with pytest.raises(NoObjectError, match="label map contains no regions"):
             mask_of(pixels, 51)
+
+    def test_all_regions_too_small_named_in_error(self):
+        pixels = np.zeros((6, 6), dtype=np.uint8)
+        pixels[0, 0:3] = 1                 # 3 pixels
+        pixels[3, 0:2] = 1                 # 2 pixels
+        pixels[5, 5] = 1                   # 1 pixel
+        want = "label map contains no regions of at least 4 pixels (3 regions, largest 3)"
+        with pytest.raises(NoObjectError, match=f"^{re.escape(want)}$"):
+            mask_of(pixels, 4)
 
     @given(binary_8x8, st.integers(0, 6))
     def test_matches_oracle_filter(self, pixels, min_area):
@@ -199,6 +220,23 @@ class TestLargestRegion:
         flipped = pixels[::-1].copy()
         assert np.array_equal(mask_of(pixels, 0), mask_of(flipped, 0)[::-1])
 
+    def test_survey_frame_allocates_no_full_raster_int64(self):
+        """Peak traced memory of the object mask of one 320x240 survey frame.
+
+        ndimage.label's int32 labels take 300 KiB.  np.bincount copies its
+        input to int64, so counting every pixel rather than the foreground
+        ones would add a further 600 KiB.
+        """
+        sc, img = survey_start()
+        object_mask(img, sc.thresholds, sc.min_area)   # warm up lazy imports
+        tracemalloc.start()
+        try:
+            object_mask(img, sc.thresholds, sc.min_area)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 640 * 1024
+
 
 class TestArea:
     def test_full_coverage(self):
@@ -213,10 +251,6 @@ class TestArea:
 
 
 class TestValidation:
-    def test_binary_rejects_other_values(self):
-        with pytest.raises(ValueError):
-            BinaryImage.from_array(np.full((2, 2), 3, dtype=np.uint8))
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GrayImage(4, 4, np.zeros((2, 2), dtype=np.uint8))

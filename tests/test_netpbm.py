@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipefollow.imgproc import BinaryImage, GrayImage, RgbImage
-from pipefollow.netpbm import (NetpbmError, read_binary_pgm, read_pgm,
-                               read_ppm, write_binary_pgm, write_pgm,
+from pipefollow.imgproc import GrayImage, RgbImage
+from pipefollow.netpbm import (NetpbmError, read_pgm, read_ppm, write_pgm,
                                write_ppm)
 
 
@@ -25,16 +24,6 @@ def test_ppm_round_trip(tmp_path):
     path = tmp_path / "img.ppm"
     write_ppm(path, img)
     back = read_ppm(path)
-    assert np.array_equal(back.pixels, img.pixels)
-
-
-def test_binary_written_as_0_and_255(tmp_path):
-    img = BinaryImage.from_array(np.array([[0, 1], [1, 0]], dtype=np.uint8))
-    path = tmp_path / "mask.pgm"
-    write_binary_pgm(path, img)
-    raw = read_pgm(path)
-    assert set(np.unique(raw.pixels)) == {0, 255}
-    back = read_binary_pgm(path)
     assert np.array_equal(back.pixels, img.pixels)
 
 
@@ -77,7 +66,7 @@ netpbm_bytes = st.one_of(
 def test_readers_raise_only_netpbm_error(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.pnm"
     path.write_bytes(data)
-    for reader in (read_pgm, read_ppm, read_binary_pgm):
+    for reader in (read_pgm, read_ppm):
         try:
             reader(path)
         except NetpbmError:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from pipefollow import fis, sim
+from pipefollow.imgproc import ThresholdBand
 from pipefollow.sim import (AuvState, CameraModel, EnvelopeExitError,
                             MissionFailure, PathRecord, Scenario,
                             ScenarioError, World, drift_metrics,
@@ -413,6 +414,22 @@ class TestRunMission:
         assert exc.value.reason == "no-progress"
         assert exc.value.step == math.ceil(2 * 140.0 / sc.step_length) + 1
 
+    @pytest.mark.parametrize("mode", ["sequential", "overlapped"])
+    def test_step_below_pipeline_start_fails_behind_start(self, mode):
+        # a constant hard left turn: step 1 lands below the first waypoint,
+        # and steps 2 and 3 would reach the pipeline end from there
+        world = World(pipeline=((50.0, 1.0), (50.0, 11.0)))
+        sc = Scenario(world=world, camera=CameraModel(image_width=16, image_height=10),
+                      thresholds=ThresholdBand(0, 80), min_area=0, steering_gain=1.5,
+                      step_length=5.0, steps_per_image=1, start=AuvState(50.0, 5.0, 0.0))
+        rb = fis.parse_rulebase("term.x5.Center = gaussian(1.0, 0.55)\n"
+                                "term.y1.TurnLeft = pi(2, 20)\n"
+                                "IF x5 IS Center THEN y1 IS TurnLeft\n")
+        with pytest.raises(MissionFailure) as exc:
+            run_mission(sc, rb, mode)
+        assert exc.value.reason == "behind-start"
+        assert exc.value.step == 1
+
     def test_seed_changes_noise_but_not_success(self):
         rb = fis.default_rulebase()
         views = []
@@ -422,6 +439,63 @@ class TestRunMission:
             record = run_mission(small_scenario(world=world), rb)
             assert record.within_tolerance()  # denoising absorbs the speckle
         assert len(set(views)) == 3
+
+
+MISSION_FAILURES = {"no-object", "envelope-exit", "no-points", "no-progress", "behind-start"}
+
+
+@st.composite
+def small_missions(draw):
+    """A valid scenario with a camera of at most 32x24 pixels, and a rule base
+    whose term widths and centers lie anywhere in tune's search space."""
+    n = draw(st.integers(2, 5))
+    ys = sorted(draw(st.lists(st.floats(0.0, 200.0), min_size=n, max_size=n, unique=True)))
+    assume(all(b - a > 1e-6 for a, b in zip(ys, ys[1:])))
+    xs = draw(st.lists(st.floats(0.0, 150.0), min_size=n, max_size=n))
+    world = World(pipeline=tuple(zip(xs, ys)), pipe_width=draw(st.floats(1.0, 60.0)),
+                  seed=draw(st.integers(0, 1000)))
+    cam = CameraModel(height_cm=draw(st.floats(5.0, 150.0)), tilt_deg=draw(st.floats(5.0, 85.0)),
+                      fov_deg=draw(st.floats(20.0, 150.0)),
+                      image_width=draw(st.integers(2, 32)), image_height=draw(st.integers(10, 24)),
+                      noise_amplitude=draw(st.sampled_from([0, 30])),
+                      speckle_density=draw(st.sampled_from([0.0, 0.005, 0.05])))
+    t1 = draw(st.integers(0, 254))
+    scenario = Scenario(world=world, camera=cam,
+                        thresholds=ThresholdBand(t1, draw(st.integers(t1 + 1, 255))),
+                        min_area=draw(st.integers(0, 30)),
+                        steering_gain=draw(st.floats(-3.0, 3.0)),
+                        step_length=draw(st.floats(5.0, 60.0)),
+                        steps_per_image=draw(st.integers(1, 5)),
+                        start=AuvState(draw(st.floats(0.0, 150.0)), draw(st.floats(ys[0], ys[-1])),
+                                       draw(st.floats(-180.0, 360.0))))
+    rb0 = fis.default_rulebase()
+    params = {}
+    for var, term in fis.term_parameters(rb0):
+        lo, hi = rb0.variables[var].universe
+        params[(var, term)] = (draw(st.floats(0.01 * (hi - lo), 2.0 * (hi - lo))),
+                               draw(st.floats(lo, hi)))
+    return scenario, fis.with_term_parameters(rb0, params)
+
+
+class TestMissionTermination:
+    @settings(max_examples=60, deadline=None)
+    @given(small_missions())
+    def test_mission_ends_within_its_step_bound_in_both_modes(self, case):
+        scenario, rb = case
+        max_steps = math.ceil(2.0 * (scenario.world.pipeline[-1][1] - scenario.start.y)
+                              / scenario.step_length)
+        outcomes = []
+        for mode in ("sequential", "overlapped"):
+            try:
+                record = run_mission(scenario, rb, mode)
+            except MissionFailure as exc:
+                assert exc.reason in MISSION_FAILURES
+                assert 1 <= exc.step <= max_steps + 1
+                outcomes.append(str(exc))
+            else:
+                assert 1 <= len(record.points) <= max_steps
+                outcomes.append(record.to_csv())
+        assert outcomes[0] == outcomes[1]
 
 
 def detuned(shift):
