@@ -16,6 +16,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +34,15 @@ class EnvelopeExitError(Exception):
 
 
 class MissionFailure(Exception):
-    def __init__(self, reason: str, step: int, detail: str = ""):
-        msg = f"mission failed at step {step}: {reason}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+    """A mission that ended without a record, with the frame and pose it ended at."""
+
+    def __init__(self, reason: str, step: int, detail: str, frame: int, pose: AuvState):
+        super().__init__(f"mission failed at step {step}: {reason} ({detail}); frame {frame}, "
+                         f"pose x={pose.x:.1f} y={pose.y:.1f} heading={pose.heading:.1f}")
         self.reason = reason
         self.step = step
+        self.frame = frame
+        self.pose = pose
 
 
 class ScenarioError(Exception):
@@ -402,9 +405,9 @@ def step_auv(state: AuvState, steer: float, scenario: Scenario) -> AuvState:
     if not 0.0 <= steer <= 180.0:
         raise ValueError(f"steering set point {steer} outside [0, 180]")
     heading = state.heading + scenario.steering_gain * (steer - 90.0)
-    rad = math.radians(heading - 90.0)
-    x = state.x + scenario.step_length * math.sin(rad)
-    y = state.y + scenario.step_length * math.cos(rad)
+    dx, dy = heading_vector(heading)
+    x = state.x + scenario.step_length * dx
+    y = state.y + scenario.step_length * dy
     ex, ey = scenario.world.envelope
     if not (0.0 <= x <= ex and 0.0 <= y <= ey):
         raise EnvelopeExitError(f"({x:.1f}, {y:.1f}) outside {ex:.0f} x {ey:.0f} envelope")
@@ -469,13 +472,13 @@ def _band_steer(rb, vector) -> float:
 def run_mission(scenario: Scenario, rb, mode: str = "sequential",
                 tolerance: float = DEFAULT_TOLERANCE_CM,
                 captures: dict | None = None) -> PathRecord:
-    """Fly the pipeline: capture, extract 5 band vectors, infer, step 5 times.
+    """Fly the pipeline: capture, infer a steer per band, step steps_per_image times.
 
-    A step is taken only while its nominal landing stays within the pipeline
-    span, so every recorded point has a defined centerline reference.  In
-    "overlapped" mode the per-band inference runs on worker threads and each
-    step blocks only on its own band's result; outputs are identical to
-    sequential mode by construction.
+    Steps past the 5th reuse band 5's steer, and only the bands a capture
+    steers are inferred.  A step is taken only while its nominal landing stays
+    within the pipeline span, so every recorded point has a defined centerline
+    reference.  In "overlapped" mode a capture's steers are inferred on worker
+    threads; outputs are identical to sequential mode by construction.
 
     Band features come from `captures`, a dict the caller may share between
     missions so that identical captures are rendered once; without one the
@@ -484,52 +487,45 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
     along the remaining span would need (less than half a step length of
     along-track progress per step) fails with "no-progress".  A step that
     lands below the first waypoint, where drift has no reference, fails with
-    "behind-start".
+    "behind-start".  A failure carries the last capture's frame and the pose.
     """
     if mode not in ("sequential", "overlapped"):
         raise ValueError(f"unknown mode {mode!r}")
     captures = {} if captures is None else captures
-    world = scenario.world
     auv = scenario.start
-    first_y, far_y = world.pipeline[0][1], world.pipeline[-1][1]
+    first_y, far_y = scenario.world.pipeline[0][1], scenario.world.pipeline[-1][1]
     max_steps = math.ceil(2.0 * (far_y - auv.y) / scenario.step_length)
+    steer = partial(_band_steer, rb)
     pool = ThreadPoolExecutor(max_workers=NUM_BANDS) if mode == "overlapped" else None
+    steer_all = map if pool is None else pool.map
     path = []
-    frame = 0
     try:
         while auv.y + scenario.step_length <= far_y + 1e-9:
-            vectors = _capture(scenario, auv, frame, captures)
-            if pool is None:
-                steers = [_band_steer(rb, vector) for vector in vectors]
-                steer_at = steers.__getitem__
-            else:
-                futures = [pool.submit(_band_steer, rb, vector) for vector in vectors]
-                steer_at = lambda i: futures[i].result()  # noqa: E731
-            for i in range(scenario.steps_per_image):
-                if auv.y + scenario.step_length > far_y + 1e-9:
-                    break
-                if len(path) == max_steps:
-                    raise MissionFailure("no-progress", len(path) + 1,
-                                         f"after {max_steps} steps y={auv.y:.1f} is still short "
-                                         f"of the pipeline end at y={far_y:g}")
-                auv = step_auv(auv, steer_at(min(i, NUM_BANDS - 1)), scenario)
-                if auv.y < first_y - 1e-9:   # the slack pipeline_x_at allows
-                    raise MissionFailure("behind-start", len(path) + 1,
-                                         f"y={auv.y:.1f} lies below the pipeline start "
-                                         f"at y={first_y:g}")
-                path.append(auv)
-            frame += 1
+            frame, i = divmod(len(path), scenario.steps_per_image)
+            if i == 0:
+                vectors = _capture(scenario, auv, frame, captures)
+                steers = list(steer_all(steer, vectors[:scenario.steps_per_image]))
+            if len(path) == max_steps:
+                raise MissionFailure("no-progress", len(path) + 1,
+                                     f"after {max_steps} steps y={auv.y:.1f} is still short "
+                                     f"of the pipeline end at y={far_y:g}", frame, auv)
+            auv = step_auv(auv, steers[min(i, NUM_BANDS - 1)], scenario)
+            if auv.y < first_y - 1e-9:   # the slack pipeline_x_at allows
+                raise MissionFailure("behind-start", len(path) + 1,
+                                     f"y={auv.y:.1f} lies below the pipeline start "
+                                     f"at y={first_y:g}", frame, auv)
+            path.append(auv)
     except NoObjectError as exc:
-        raise MissionFailure("no-object", len(path) + 1, str(exc)) from exc
+        raise MissionFailure("no-object", len(path) + 1, str(exc), frame, auv) from exc
     except EnvelopeExitError as exc:
-        raise MissionFailure("envelope-exit", len(path) + 1, str(exc)) from exc
+        raise MissionFailure("envelope-exit", len(path) + 1, str(exc), frame, auv) from exc
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
     if not path:
         raise MissionFailure("no-points", 1, f"a {scenario.step_length:g} cm step from "
-                             f"y={scenario.start.y:g} passes the pipeline end at y={far_y:g}")
-    return drift_metrics(path, world, tolerance)
+                             f"y={auv.y:g} passes the pipeline end at y={far_y:g}", 0, auv)
+    return drift_metrics(path, scenario.world, tolerance)
 
 
 # --- tuning harness -----------------------------------------------------------
@@ -563,9 +559,10 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
     """Coordinate-descent search over term centers and widths.
 
     Each coordinate is probed one step up and down and then walked greedily
-    while the objective keeps improving; steps halve after a sweep without
-    progress.  Only improvements are ever accepted, so the result is never
-    worse than init, and the whole search is deterministic.
+    while the objective keeps improving; a step is 5% of its variable's span
+    times one scale, which halves after a sweep without progress.  Only
+    improvements are ever accepted, so the result is never worse than init,
+    and the whole search is deterministic.
 
     Evaluations only change the rule parameters, so they share one captures
     dict for the duration of the call: a capture identical to one an earlier
@@ -587,32 +584,25 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
     best_obj = evaluate(best)
     initial_obj = best_obj
 
-    coords = []
-    steps = {}
-    for var in (*fis.INPUT_VARIABLES, fis.OUTPUT_VARIABLE):
-        lo, hi = rb0.variables[var].universe
-        span = hi - lo
-        for term in rb0.variables[var].terms:
-            for fld in ("center", "width"):
-                coords.append((var, term, fld))
-                steps[(var, term, fld)] = 0.05 * span
+    spans = {var: v.universe[1] - v.universe[0] for var, v in rb0.variables.items()}
+    coords = [(var, term, fld) for var in (*fis.INPUT_VARIABLES, fis.OUTPUT_VARIABLE)
+              for term in rb0.variables[var].terms for fld in ("center", "width")]
 
     def propose(params, var, term, fld, delta):
         width, center = params[(var, term)]
-        lo, hi = rb0.variables[var].universe
-        span = hi - lo
         if fld == "center":
+            lo, hi = rb0.variables[var].universe
             center = min(max(center + delta, lo), hi)
         else:
-            width = min(max(width + delta, 0.01 * span), 2.0 * span)
+            width = min(max(width + delta, 0.01 * spans[var]), 2.0 * spans[var])
         if (width, center) == params[(var, term)]:
             return None
         cand = dict(params)
         cand[(var, term)] = (width, center)
         return cand
 
-    min_step = min(rb0.variables[v].universe[1] - rb0.variables[v].universe[0]
-                   for v in rb0.variables) * 0.05 / 8.0
+    min_step = min(spans.values()) * 0.05 / 8.0
+    scale = 1.0
     while evals < budget:
         improved = False
         for coord in coords:
@@ -622,7 +612,7 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
                 moved = False
                 # walk this direction while it keeps paying off
                 while evals < budget:
-                    cand = propose(best, *coord, sign * steps[coord])
+                    cand = propose(best, *coord, sign * (0.05 * spans[coord[0]]) * scale)
                     if cand is None:
                         break
                     obj = evaluate(cand)
@@ -633,10 +623,9 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
                 if moved:
                     break
         if not improved:
-            if max(steps.values()) <= min_step:
+            if 0.05 * max(spans.values()) * scale <= min_step:
                 break
-            for coord in steps:
-                steps[coord] /= 2.0
+            scale /= 2.0
     return TuneResult(best, initial_obj, best_obj, evals)
 
 

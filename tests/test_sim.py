@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pipefollow import fis, sim
+from pipefollow import features, fis, sim
 from pipefollow.imgproc import ThresholdBand
 from pipefollow.sim import (AuvState, CameraModel, EnvelopeExitError,
                             MissionFailure, PathRecord, Scenario,
@@ -384,6 +384,9 @@ class TestRunMission:
         with pytest.raises(MissionFailure) as exc:
             run_mission(sc, fis.default_rulebase())
         assert exc.value.reason == "no-object"
+        assert exc.value.frame == 0
+        assert exc.value.pose == sc.start
+        assert str(exc.value).endswith("; frame 0, pose x=140.0 y=0.0 heading=90.0")
 
     def test_envelope_exit_failure(self):
         world = World(pipeline=((130.0, 0.0), (130.0, 200.0)), seed=1)
@@ -413,6 +416,8 @@ class TestRunMission:
             run_mission(sc, rb, mode)
         assert exc.value.reason == "no-progress"
         assert exc.value.step == math.ceil(2 * 140.0 / sc.step_length) + 1
+        # steps 1-5, 6-10 and 11-13 were steered by frames 0, 1 and 2
+        assert exc.value.frame == 2
 
     @pytest.mark.parametrize("mode", ["sequential", "overlapped"])
     def test_step_below_pipeline_start_fails_behind_start(self, mode):
@@ -429,6 +434,41 @@ class TestRunMission:
             run_mission(sc, rb, mode)
         assert exc.value.reason == "behind-start"
         assert exc.value.step == 1
+
+    @pytest.mark.parametrize("mode", ["sequential", "overlapped"])
+    def test_steps_beyond_the_fifth_reuse_band_5s_steer(self, mode, monkeypatch):
+        sc = small_scenario(step_length=16.0, steps_per_image=7)   # one capture, 7 steps
+        rb = fis.default_rulebase()
+        vectors = features.extract_features(render_view(sc.world, sc.start, sc.camera, 0),
+                                            sc.thresholds, sc.min_area)
+        bands = [fis.infer(rb, vector.as_dict()).output for vector in vectors]
+        steers = []
+        real = sim.step_auv
+
+        def recorded(state, steer, scenario):
+            steers.append(steer)
+            return real(state, steer, scenario)
+
+        monkeypatch.setattr(sim, "step_auv", recorded)
+        assert len(run_mission(sc, rb, mode).points) == 7
+        assert steers == bands + [bands[4], bands[4]]
+
+    @pytest.mark.parametrize("mode", ["sequential", "overlapped"])
+    @pytest.mark.parametrize("steps_per_image, per_capture", [(1, 1), (5, 5), (7, 5)])
+    def test_a_capture_infers_only_the_bands_it_steers(self, mode, steps_per_image,
+                                                       per_capture, monkeypatch):
+        infers = []
+        real = fis.infer
+
+        def counted(*args):
+            infers.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fis, "infer", counted)
+        renders = count_renders(monkeypatch)
+        sc = small_scenario(step_length=16.0, steps_per_image=steps_per_image)
+        assert len(run_mission(sc, fis.default_rulebase(), mode).points) == 7
+        assert len(infers) == per_capture * len(renders)
 
     def test_seed_changes_noise_but_not_success(self):
         rb = fis.default_rulebase()
@@ -465,7 +505,7 @@ def small_missions(draw):
                         min_area=draw(st.integers(0, 30)),
                         steering_gain=draw(st.floats(-3.0, 3.0)),
                         step_length=draw(st.floats(5.0, 60.0)),
-                        steps_per_image=draw(st.integers(1, 5)),
+                        steps_per_image=draw(st.integers(1, 7)),
                         start=AuvState(draw(st.floats(0.0, 150.0)), draw(st.floats(ys[0], ys[-1])),
                                        draw(st.floats(-180.0, 360.0))))
     rb0 = fis.default_rulebase()
