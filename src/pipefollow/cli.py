@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import fis, netpbm, sim
 from .features import extract_features
-from .imgproc import NoObjectError, rgb_to_gray
+from .imgproc import NoObjectError
 
 
 def _diag(message: str) -> None:
@@ -81,12 +81,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_features(args) -> int:
-    with open(args.image, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"P6":
-        gray = rgb_to_gray(netpbm.read_ppm(args.image))
-    else:
-        gray = netpbm.read_pgm(args.image)
+    gray = netpbm.read_gray(args.image)
     # without a scenario file, the class attributes are the field defaults
     scenario = sim.load_scenario(args.scenario) if args.scenario else sim.Scenario
     try:

@@ -94,6 +94,11 @@ class MembershipFunction:
             raise ValueError(f"membership width must be finite and > 0, got {self.width}")
         if not math.isfinite(self.center):
             raise ValueError(f"membership center must be finite, got {self.center}")
+        w, c = self.width, self.center   # too narrow a width divides by 0 or collapses the pi
+        if self.kind == "gaussian" and not 2.0 * w * w > 0:
+            raise ValueError(f"membership width {w} too small: 2*width*width underflows to 0")
+        if self.kind == "pi" and not c - w < c - w / 2 < c < c + w / 2 < c + w:
+            raise ValueError(f"membership width {w} too small: pi feet collapse onto center {c}")
 
     def __call__(self, x: float) -> float:
         if self.kind == "gaussian":

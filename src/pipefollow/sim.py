@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
 from pathlib import Path
@@ -631,22 +631,25 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
 
 # --- scenario files -----------------------------------------------------------
 
-# A key's value is parsed as an int when its default is one, else as a float
-# (rulebase, a path, stays text).  A start.x or start.y of None means the
-# first waypoint's.
-_SCENARIO_DEFAULTS = {
-    "envelope.x": 150.0, "envelope.y": 200.0,
-    "pipe.width": 10.0,
-    "camera.height": 40.0, "camera.tilt": 30.0, "camera.fov": 60.0,
-    "camera.image.width": 320, "camera.image.height": 240,
-    "camera.intensity.pipe": 220, "camera.intensity.seabed": 80,
-    "camera.noise": 30, "camera.speckle": 0.005,
-    "threshold.t1": 180, "threshold.t2": 255,
-    "minArea": 25,
-    "step.length": 22.5, "steps.per.image": 5, "steering.gain": 0.5,
-    "seed": 0,
-    "start.x": None, "start.y": None, "start.heading": 90.0,
-    "rulebase": "",
+# Each scenario key and the (part, field) it sets.  The part holds the default, and a value
+# parses as an int when that default is one, else as a float (rulebase, a path, stays text).
+# envelope.x/.y are the items of World.envelope; start.x/.y default to the first waypoint.
+_SCENARIO_PARTS = {"world": World, "camera": Scenario.camera, "thresholds": Scenario.thresholds,
+                   "scenario": Scenario, "start": Scenario.start}
+_SCENARIO_KEYS = {
+    "envelope.x": ("world", "envelope"), "envelope.y": ("world", "envelope"),
+    "pipe.width": ("world", "pipe_width"), "seed": ("world", "seed"),
+    "camera.height": ("camera", "height_cm"), "camera.tilt": ("camera", "tilt_deg"),
+    "camera.fov": ("camera", "fov_deg"), "camera.image.width": ("camera", "image_width"),
+    "camera.image.height": ("camera", "image_height"),
+    "camera.intensity.pipe": ("camera", "pipe_intensity"),
+    "camera.intensity.seabed": ("camera", "seabed_intensity"),
+    "camera.noise": ("camera", "noise_amplitude"), "camera.speckle": ("camera", "speckle_density"),
+    "threshold.t1": ("thresholds", "t1"), "threshold.t2": ("thresholds", "t2"),
+    "minArea": ("scenario", "min_area"), "rulebase": ("scenario", "rulebase_file"),
+    "step.length": ("scenario", "step_length"), "steps.per.image": ("scenario", "steps_per_image"),
+    "steering.gain": ("scenario", "steering_gain"),
+    "start.x": ("start", "x"), "start.y": ("start", "y"), "start.heading": ("start", "heading"),
 }
 
 
@@ -670,18 +673,8 @@ def _parse_waypoints(source, line_no, value):
     return tuple(waypoints)
 
 
-def _parse_number(source, line_no, key, value, kind=float):
-    try:
-        number = kind(value)
-    except ValueError:
-        raise ScenarioError(f"{source} line {line_no}: non-numeric value for {key}") from None
-    if kind is float and not math.isfinite(number):
-        raise ScenarioError(f"{source} line {line_no}: non-finite value for {key}")
-    return number
-
-
 def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scenario:
-    values = dict(_SCENARIO_DEFAULTS)
+    values = {}
     waypoints = ()
     key_lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -699,7 +692,7 @@ def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scena
         if key == "pipe.waypoints":
             waypoints = _parse_waypoints(source, line_no, value)
             continue
-        if key not in values:
+        if key not in _SCENARIO_KEYS:
             raise ScenarioError(f"{source} line {line_no}: unknown key {key!r}")
         if key == "rulebase":
             try:
@@ -707,36 +700,29 @@ def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scena
             except ValueError as exc:   # a NUL byte
                 raise ScenarioError(f"{source} line {line_no}: rulebase path: {exc}") from None
             continue
-        kind = int if isinstance(_SCENARIO_DEFAULTS[key], int) else float
-        values[key] = _parse_number(source, line_no, key, value, kind)
+        part, field = _SCENARIO_KEYS[key]
+        kind = int if isinstance(getattr(_SCENARIO_PARTS[part], field), int) else float
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise ScenarioError(f"{source} line {line_no}: non-numeric value for {key}") from None
+        if kind is float and not math.isfinite(values[key]):
+            raise ScenarioError(f"{source} line {line_no}: non-finite value for {key}")
     if not waypoints:
         raise ScenarioError(f"{source}: missing required key pipe.waypoints")
 
     first_x, first_y = waypoints[0]
-    start = AuvState(first_x if values["start.x"] is None else values["start.x"],
-                     first_y if values["start.y"] is None else values["start.y"],
-                     values["start.heading"])
+    fields = {part: {} for part in _SCENARIO_PARTS}
+    for key, value in {"start.x": first_x, "start.y": first_y, **values}.items():
+        part, field = _SCENARIO_KEYS[key]
+        fields[part][field] = value
+    fields["world"]["envelope"] = (values.get("envelope.x", World.envelope[0]),
+                                   values.get("envelope.y", World.envelope[1]))
     try:
-        return Scenario(
-            world=World(envelope=(values["envelope.x"], values["envelope.y"]),
-                        pipeline=waypoints, pipe_width=values["pipe.width"],
-                        seed=values["seed"]),
-            camera=CameraModel(height_cm=values["camera.height"],
-                               tilt_deg=values["camera.tilt"], fov_deg=values["camera.fov"],
-                               image_width=values["camera.image.width"],
-                               image_height=values["camera.image.height"],
-                               pipe_intensity=values["camera.intensity.pipe"],
-                               seabed_intensity=values["camera.intensity.seabed"],
-                               noise_amplitude=values["camera.noise"],
-                               speckle_density=values["camera.speckle"]),
-            thresholds=ThresholdBand(values["threshold.t1"], values["threshold.t2"]),
-            min_area=values["minArea"],
-            rulebase_file=values["rulebase"],
-            steering_gain=values["steering.gain"],
-            step_length=values["step.length"],
-            steps_per_image=values["steps.per.image"],
-            start=start,
-        )
+        return Scenario(World(pipeline=waypoints, **fields["world"]),
+                        camera=replace(Scenario.camera, **fields["camera"]),
+                        thresholds=replace(Scenario.thresholds, **fields["thresholds"]),
+                        start=replace(Scenario.start, **fields["start"]), **fields["scenario"])
     except ValueError as exc:
         raise ScenarioError(f"{source}: {exc}") from exc
 

@@ -177,3 +177,32 @@ def render_reference(world, auv, cam, frame: int = 0) -> np.ndarray:
         salt = rng.random((h, w)) < cam.speckle_density
         img[salt] = cam.pipe_intensity
     return img.astype(np.uint8)
+
+
+def pnm_header_tokens(data: bytes, count: int = 4):
+    """The first count netpbm header tokens and the offset of the raster, byte by byte.
+
+    Whitespace separates tokens and a '#' comment runs to the end of its line;
+    one whitespace byte must follow the last token.  Raises ValueError with
+    "truncated header" or "missing whitespace before raster data".
+    """
+    tokens = []
+    i = 0
+    while len(tokens) < count:
+        if i >= len(data):
+            raise ValueError("truncated header")
+        c = data[i:i + 1]
+        if c == b"#":
+            while i < len(data) and data[i:i + 1] != b"\n":
+                i += 1
+        elif c.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
+                j += 1
+            tokens.append(data[i:j])
+            i = j
+    if i >= len(data) or not data[i:i + 1].isspace():
+        raise ValueError("missing whitespace before raster data")
+    return tokens, i + 1

@@ -56,6 +56,18 @@ def test_non_finite_term_parameter_exits_two(capsys, tmp_path):
     assert f"nan.rules: line {number}: membership width" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "infer"])
+@pytest.mark.parametrize("value", ["gaussian(1e-200, 0.5)", "pi(1e-20, 0.5)"],
+                         ids=["gaussian", "pi"])
+def test_term_too_narrow_to_evaluate_exits_two(capsys, tmp_path, command, value):
+    path = tmp_path / "narrow.rules"
+    path.write_text(f"IF x5 IS Left THEN y1 IS TurnLeft\nterm.x5.Left = {value}\n")
+    target = ["--scenario", str(SCENARIO_DIR / "default.scenario")] if command == "run" \
+        else ["0.4"] * 6
+    assert main([command, *target, "--rules", str(path)]) == 2
+    assert "narrow.rules: line 2: membership width" in capsys.readouterr().err
+
+
 def test_non_finite_scenario_value_exits_two(capsys, tmp_path):
     path = tmp_path / "sick.scenario"
     path.write_text("pipe.waypoints = 36.5:0; 47.5:22.5; 58.5:45\ncamera.height = nan\n")
@@ -134,3 +146,14 @@ def test_image_too_small_to_band_exits_two(capsys, tmp_path, height):
     assert main(["features", str(path)]) == 2
     err = capsys.readouterr().err
     assert "short.pgm: image too small to band: 40x" in err
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("trunc.pgm", b"P5\n4 4\n255\n" + bytes(7), "trunc.pgm: truncated raster data"),
+    ("text.pgm", b"not an image at all\n", "text.pgm: expected P5 or P6 file, got b'no'"),
+], ids=["truncated-raster", "wrong-magic"])
+def test_bad_image_exits_two_naming_the_file(capsys, tmp_path, name, data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main(["features", str(path)]) == 2
+    assert capsys.readouterr().err == f"pipefollow: {message}\n"

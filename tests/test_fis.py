@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pipefollow import fis
@@ -322,6 +324,8 @@ class TestRuleDsl:
         ("y1.TurnLeft", "pi(nan, 30.0)", "width must be finite"),
         ("x5.Left", "gaussian(0.19, nan)", "center must be finite"),
         ("x5.Left", "gaussian(0.19, inf)", "center must be finite"),
+        ("x5.Left", "gaussian(1e-200, 0.5)", r"width 1e-200 too small: 2\*width\*width underflows"),
+        ("x5.Left", "pi(1e-20, 0.5)", "width 1e-20 too small: pi feet collapse onto center 0.5"),
     ])
     def test_term_override_non_finite_rejected(self, term, value, message):
         with pytest.raises(RuleParseError, match=f"line 2: membership {message}"):
@@ -400,6 +404,34 @@ def test_parse_raises_only_rule_parse_error(text):
         assert 1 <= exc.line_no <= len(text.splitlines())
     else:
         assert parse_rulebase(format_rulebase(rb)) == rb
+
+
+def override_line(reference):
+    """term. lines for one term: any kind, any positive finite width (subnormals
+    too) and any center in the variable's universe."""
+    var, term = reference
+    lo, hi = fis.default_variables()[var].universe
+    return st.builds(f"term.{var}.{term} = {{}}({{!r}}, {{!r}})".format,
+                     st.sampled_from(["gaussian", "pi"]),
+                     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                     st.floats(lo, hi))
+
+
+term_override = st.sampled_from(
+    [(var, term) for var, v in fis.default_variables().items() for term in v.terms]
+).flatmap(override_line)
+
+
+@example("term.x5.Left = gaussian(1e-200, 0.5)", [0.5] * 6)
+@example("term.x5.Left = pi(1e-20, 0.5)", [0.5] * 6)
+@given(term_override, st.lists(unit, min_size=6, max_size=6))
+def test_a_parsed_override_infers_a_steer_in_the_output_universe(line, values):
+    try:
+        rb = parse_rulebase(f"{line}\n{fis.DEFAULT_RULES_TEXT}")
+    except RuleParseError:
+        return
+    output = infer(rb, dict(zip(fis.INPUT_VARIABLES, values))).output
+    assert math.isfinite(output) and 0.0 <= output <= 180.0
 
 
 class TestTermParameterViews:

@@ -646,6 +646,10 @@ class TestScenarioFiles:
         assert default_scenario.thresholds.t1 == 180
         assert default_scenario.rulebase_file.endswith("tuned.rules")
 
+    def test_unset_keys_take_the_dataclass_defaults(self):
+        assert parse_scenario("pipe.waypoints = 30:10; 40:60\n") == Scenario(
+            World(pipeline=((30.0, 10.0), (40.0, 60.0))), start=AuvState(30.0, 10.0, 90.0))
+
     def test_unknown_key_names_line(self):
         with pytest.raises(ScenarioError, match=r"line 2.*bogus"):
             parse_scenario("pipe.waypoints = 10:0; 10:50\nbogus.key = 1\n")
@@ -736,7 +740,8 @@ waypoint_text = st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_si
     lambda points: "; ".join(f"{x!r}:{y!r}" for x, y in points))
 scenario_lines = st.fixed_dictionaries(
     {"pipe.waypoints": waypoint_text},
-    optional={key: typed_value(default) for key, default in sim._SCENARIO_DEFAULTS.items()})
+    optional={key: typed_value(getattr(sim._SCENARIO_PARTS[part], field))
+              for key, (part, field) in sim._SCENARIO_KEYS.items()})
 
 
 @example("envelope.x = 1e300\nenvelope.y = 1e300\npipe.waypoints = 0:0; 0:1e300\n")
