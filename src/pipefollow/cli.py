@@ -142,7 +142,7 @@ def cmd_plot(args) -> int:
         record = sim.PathRecord.from_csv(Path(args.record).read_text(),
                                          tolerance=args.tolerance)
     except ValueError as exc:
-        _diag(str(exc))
+        _diag(f"{Path(args.record).name}: {exc}")
         return 2
     geometry = ()   # plot_svg's defaults
     if args.scenario:

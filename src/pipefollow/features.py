@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fis
 from .imgproc import GrayImage, NoObjectError, ThresholdBand, label_regions, threshold_band
 
 NUM_BANDS = 5
-UNIVERSE_LO = 0.1
-UNIVERSE_HI = 1.0
+UNIVERSE_LO, UNIVERSE_HI = fis.INPUT_UNIVERSE
 UNIVERSE_MID = 0.55
 _SPAN = UNIVERSE_HI - UNIVERSE_LO
 
@@ -137,7 +137,8 @@ def extract_features(img: GrayImage, band: ThresholdBand, min_area: int) -> list
     Raises ValueError for an image too small to band and NoObjectError when
     no region holds at least min_area pixels.
     """
-    split_bands(img.width, img.height)            # rejects a too-small image before labelling
+    height, width = img.pixels.shape
+    split_bands(width, height)                    # rejects a too-small image before labelling
     return band_vectors(object_mask(img, band, min_area))
 
 

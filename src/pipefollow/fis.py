@@ -193,7 +193,9 @@ def fire_rules(rb: RuleBase, values) -> list:
 def defuzzify(alphas, rb: RuleBase) -> float:
     """Weighted mean of consequent term centers by firing strength.
 
-    Returns the neutral set point 90 when nothing fires.
+    Returns the neutral set point 90 when nothing fires.  The exact mean lies
+    in OUTPUT_UNIVERSE, so clamping to it removes only rounding, such as
+    a * 180.0 / a > 180.
     """
     num = 0.0
     den = 0.0
@@ -203,7 +205,8 @@ def defuzzify(alphas, rb: RuleBase) -> float:
         den += alpha
     if den == 0.0:
         return NEUTRAL_STEER
-    return num / den
+    lo, hi = OUTPUT_UNIVERSE
+    return min(max(num / den, lo), hi)
 
 
 def infer(rb: RuleBase, values) -> InferenceResult:

@@ -16,45 +16,18 @@ class NoObjectError(Exception):
 
 
 @dataclass(frozen=True)
-class RgbImage:
-    """Row-major RGB raster, channel values 0-255."""
-
-    width: int
-    height: int
-    pixels: np.ndarray  # (height, width, 3) uint8
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be >= 1")
-        if self.pixels.shape != (self.height, self.width, 3):
-            raise ValueError(f"pixel buffer shape {self.pixels.shape} does not match "
-                             f"{self.height}x{self.width}x3")
-
-    @classmethod
-    def from_array(cls, arr) -> "RgbImage":
-        a = np.asarray(arr, dtype=np.uint8)
-        return cls(width=a.shape[1], height=a.shape[0], pixels=a)
-
-
-@dataclass(frozen=True)
 class GrayImage:
-    """Row-major grayscale raster, intensities 0-255."""
+    """Row-major (height, width) uint8 raster; a wrapper because the benchmark reads .pixels."""
 
-    width: int
-    height: int
-    pixels: np.ndarray  # (height, width) uint8
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be >= 1")
-        if self.pixels.shape != (self.height, self.width):
-            raise ValueError(f"pixel buffer shape {self.pixels.shape} does not match "
-                             f"{self.height}x{self.width}")
+    pixels: np.ndarray
 
     @classmethod
     def from_array(cls, arr) -> "GrayImage":
+        """The image of an outside array; raises ValueError unless it is 2-D and non-empty."""
         a = np.asarray(arr, dtype=np.uint8)
-        return cls(width=a.shape[1], height=a.shape[0], pixels=a)
+        if a.ndim != 2 or a.size == 0:
+            raise ValueError(f"a gray image needs a non-empty 2-D array, got shape {a.shape}")
+        return cls(a)
 
 
 @dataclass(frozen=True)
@@ -78,16 +51,16 @@ class LabelMap(NamedTuple):
     region_count: int
 
 
-def rgb_to_gray(img: RgbImage) -> GrayImage:
-    """Convert to grayscale with BT.601 luma weights.
+def rgb_to_gray(rgb: np.ndarray) -> GrayImage:
+    """Convert an (h, w, 3) uint8 array to grayscale with BT.601 luma weights.
 
     gray = (299*r + 587*g + 114*b + 500) // 1000, i.e. the weighted sum
     rounded to the nearest integer with halves rounding up.  Exact integer
     arithmetic keeps the result platform-independent.
     """
-    p = img.pixels.astype(np.int64)
+    p = rgb.astype(np.int64)
     gray = (299 * p[:, :, 0] + 587 * p[:, :, 1] + 114 * p[:, :, 2] + 500) // 1000
-    return GrayImage(img.width, img.height, gray.astype(np.uint8))
+    return GrayImage(gray.astype(np.uint8))
 
 
 def threshold_band(img: GrayImage, band: ThresholdBand) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Binary netpbm I/O: P5 (PGM) for gray rasters, P6 (PPM) for RGB; read_gray takes either.
+"""Binary netpbm I/O: P5 (PGM) gray rasters read and written; P6 (PPM) read only, as gray.
 
 A header is the magic, width, height and maxval (only 255), each after whitespace or
 '#' comments that run to the end of their line, then one whitespace byte.
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgproc import GrayImage, RgbImage, rgb_to_gray
+from .imgproc import GrayImage, rgb_to_gray
 
 
 class NetpbmError(Exception):
@@ -24,8 +24,8 @@ _SKIP = rb"(?:\s|#[^\n]*(?![^\n]))"   # the lookahead ends a comment only at its
 _HEADER = re.compile(_SKIP + rb"*([^\s#]+)" + (_SKIP + rb"+([^\s#]+)") * 3 + rb"(\s?)")
 
 
-def _read(path, magics: tuple):
-    """The image of a P5 or P6 file whose magic is one of magics; errors name the file."""
+def _read(path, magics: tuple) -> np.ndarray:
+    """The (h, w) P5 or (h, w, 3) P6 uint8 raster of a file whose magic is in magics."""
     path = Path(path)
     data = path.read_bytes()
     header = _HEADER.match(data)
@@ -49,33 +49,21 @@ def _read(path, magics: tuple):
     size = math.prod(shape)
     if len(data) - header.end() < size:
         raise NetpbmError(f"{path.name}: truncated raster data")
-    pixels = np.frombuffer(data, np.uint8, size, header.end()).reshape(shape).copy()
-    return (GrayImage if magic == b"P5" else RgbImage)(width, height, pixels)
-
-
-def _write(path, magic: bytes, img) -> None:
-    with open(path, "wb") as fh:
-        fh.write(b"%s\n%d %d\n255\n" % (magic, img.width, img.height))
-        fh.write(np.ascontiguousarray(img.pixels, dtype=np.uint8).tobytes())
+    return np.frombuffer(data, np.uint8, size, header.end()).reshape(shape).copy()
 
 
 def read_pgm(path) -> GrayImage:
-    return _read(path, (b"P5",))
-
-
-def read_ppm(path) -> RgbImage:
-    return _read(path, (b"P6",))
+    return GrayImage(_read(path, (b"P5",)))
 
 
 def read_gray(path) -> GrayImage:
     """A P5 file's image as it is, or a P6 file's converted with rgb_to_gray."""
-    img = _read(path, (b"P5", b"P6"))
-    return img if isinstance(img, GrayImage) else rgb_to_gray(img)
+    pixels = _read(path, (b"P5", b"P6"))
+    return GrayImage(pixels) if pixels.ndim == 2 else rgb_to_gray(pixels)
 
 
 def write_pgm(path, img: GrayImage) -> None:
-    _write(path, b"P5", img)
-
-
-def write_ppm(path, img: RgbImage) -> None:
-    _write(path, b"P6", img)
+    height, width = img.pixels.shape
+    with open(path, "wb") as fh:
+        fh.write(b"P5\n%d %d\n255\n" % (width, height))
+        fh.write(np.ascontiguousarray(img.pixels, dtype=np.uint8).tobytes())

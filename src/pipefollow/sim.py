@@ -261,18 +261,6 @@ def image_center(cam: CameraModel) -> tuple:
     return (cam.image_width - 1) / 2.0, (cam.image_height - 1) / 2.0
 
 
-def project_point(point, auv: AuvState, cam: CameraModel):
-    """Pixel coordinates of a seabed point, or None if behind the camera."""
-    origin, right, up, forward = _camera_basis(auv, cam)
-    v = np.array([point[0], point[1], 0.0]) - origin
-    depth = float(v @ forward)
-    if depth <= 1e-9:
-        return None
-    f = focal_px(cam)
-    cx, cy = image_center(cam)
-    return cx + f * float(v @ right) / depth, cy - f * float(v @ up) / depth
-
-
 RENDER_TILE = 16   # side in pixels of the square tiles segments are culled by
 
 
@@ -390,7 +378,7 @@ def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0) -
     img = img.astype(np.uint8)
     if cam.speckle_density > 0:
         img[rng.random((h, w)) < cam.speckle_density] = cam.pipe_intensity
-    return GrayImage(w, h, img)
+    return GrayImage(img)
 
 
 # --- vehicle kinematics -------------------------------------------------------

@@ -138,13 +138,8 @@ def _min_dist2_to_polyline(gx, gy, waypoints):
     return best
 
 
-def render_reference(world, auv, cam, frame: int = 0) -> np.ndarray:
-    """Full-raster seabed render: every pixel's ray against every segment.
-
-    Returns the (height, width) uint8 pixels.  The camera basis, ray grid,
-    distance pass and noise draws follow the same float64 operation order as
-    sim.render_view, so the two must agree byte for byte.
-    """
+def camera_geometry(auv, cam):
+    """Camera origin, its right, up and forward unit vectors, focal length (px), image center."""
     rad = math.radians(auv.heading - 90.0)
     hx, hy = math.sin(rad), math.cos(rad)
     tilt = math.radians(cam.tilt_deg)
@@ -152,9 +147,30 @@ def render_reference(world, auv, cam, frame: int = 0) -> np.ndarray:
     forward = np.array([hx * math.cos(tilt), hy * math.cos(tilt), -math.sin(tilt)])
     up = np.array([hx * math.sin(tilt), hy * math.sin(tilt), math.cos(tilt)])
     origin = np.array([auv.x, auv.y, cam.height_cm])
+    f = (cam.image_width / 2.0) / math.tan(math.radians(cam.fov_deg) / 2.0)
+    center = (cam.image_width - 1) / 2.0, (cam.image_height - 1) / 2.0
+    return origin, right, up, forward, f, center
+
+
+def project_point(point, auv, cam):
+    """Pixel coordinates of a seabed point, or None if behind the camera."""
+    origin, right, up, forward, f, (cx, cy) = camera_geometry(auv, cam)
+    v = np.array([point[0], point[1], 0.0]) - origin
+    depth = float(v @ forward)
+    if depth <= 1e-9:
+        return None
+    return cx + f * float(v @ right) / depth, cy - f * float(v @ up) / depth
+
+
+def render_reference(world, auv, cam, frame: int = 0) -> np.ndarray:
+    """Full-raster seabed render: every pixel's ray against every segment.
+
+    Returns the (height, width) uint8 pixels.  The camera basis, ray grid,
+    distance pass and noise draws follow the same float64 operation order as
+    sim.render_view, so the two must agree byte for byte.
+    """
+    origin, right, up, forward, f, (cx, cy) = camera_geometry(auv, cam)
     h, w = cam.image_height, cam.image_width
-    f = (w / 2.0) / math.tan(math.radians(cam.fov_deg) / 2.0)
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     a = (np.arange(w) - cx) / f
     b = (cy - np.arange(h)) / f
     aa, bb = np.meshgrid(a, b)
@@ -206,3 +222,9 @@ def pnm_header_tokens(data: bytes, count: int = 4):
     if i >= len(data) or not data[i:i + 1].isspace():
         raise ValueError("missing whitespace before raster data")
     return tokens, i + 1
+
+
+def p6_bytes(pixels) -> bytes:
+    """A binary PPM (P6) file holding an (h, w, 3) uint8 array."""
+    height, width, _ = pixels.shape
+    return b"P6\n%d %d\n255\n" % (width, height) + np.asarray(pixels, np.uint8).tobytes()

@@ -119,11 +119,11 @@ class TestFeatures:
             assert all(0.1 <= v <= 1.0 for v in values)
 
     def test_ppm_input_converted(self, capsys, tmp_path):
-        from pipefollow.imgproc import RgbImage
+        import oracles
         pixels = np.full((40, 40, 3), 60, dtype=np.uint8)
         pixels[:, 16:24] = 230
         ppm = tmp_path / "in.ppm"
-        netpbm.write_ppm(ppm, RgbImage.from_array(pixels))
+        ppm.write_bytes(oracles.p6_bytes(pixels))
         code, out, _ = run_cli(capsys, "features", ppm)
         assert code == 0
         assert len(out.strip().splitlines()) == 6
@@ -181,7 +181,7 @@ class TestRender:
         assert run_cli(capsys, "render", "--scenario", small_scenario_file,
                        "--out", pgm)[0] == 0
         img = netpbm.read_pgm(pgm)
-        assert (img.width, img.height) == (96, 72)
+        assert img.pixels.shape == (72, 96)
 
     def test_seed_override_changes_bytes(self, capsys, small_scenario_file, tmp_path):
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"

@@ -1,5 +1,7 @@
 """Outside input the CLI rejects with exit 2 before any mission runs."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,14 @@ def test_non_finite_record_value_exits_two(capsys, tmp_path):
     path.write_text("step,actual_x_cm,sim_x_cm,drift_cm,pct_drift\n1,nan,inf,+0.0,0.0\n")
     assert main(["plot", str(path)]) == 2
     assert "non-finite CSV row: '1,nan,inf,+0.0,0.0'" in capsys.readouterr().err
+
+
+def test_bad_record_exits_two_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("step,x\n1,2\n")
+    assert main(["plot", str(path)]) == 2
+    assert re.match(r"^pipefollow: bad\.csv: missing CSV header 'step,actual_x_cm,",
+                    capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("bad", ["scenario", "rules"])

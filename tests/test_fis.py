@@ -222,6 +222,18 @@ class TestInfer:
         result = infer(default_rulebase(), feature_values(x1, x2, x3, x4, x5, x6))
         assert 30.0 - 1e-12 <= result.output <= 150.0 + 1e-12
 
+    @given(st.lists(st.sampled_from([0.0, 180.0]) | st.floats(0.0, 180.0),
+                    min_size=3, max_size=3), unit, unit, unit, unit, unit, unit)
+    @example([180.0] * 3, 0.6864336754504866, 0.8098510160219619, 0.1844736280968114,
+             0.1255127288698057, 0.8521885935278827, 0.489490361114548)
+    def test_output_within_output_universe(self, centers, x1, x2, x3, x4, x5, x6):
+        """Centers at the universe edges do not round a steer out of [0, 180]."""
+        rb = default_rulebase()
+        params = {("y1", term): (rb.variables["y1"].terms[term].width, center)
+                  for term, center in zip(("TurnLeft", "GoStraight", "TurnRight"), centers)}
+        result = infer(with_term_parameters(rb, params), feature_values(x1, x2, x3, x4, x5, x6))
+        assert 0.0 <= result.output <= 180.0
+
     def test_out_of_universe_rejected(self):
         with pytest.raises(ValueError, match="x1"):
             infer(default_rulebase(), feature_values(x1=1.5))

@@ -11,9 +11,9 @@ from hypothesis.extra.numpy import arrays
 import oracles
 from pipefollow import sim
 from pipefollow.features import object_mask
-from pipefollow.imgproc import (GrayImage, NoObjectError, RgbImage,
-                                ThresholdBand, area, label_regions,
-                                rgb_to_gray, threshold_band)
+from pipefollow.imgproc import (GrayImage, NoObjectError, ThresholdBand,
+                                area, label_regions, rgb_to_gray,
+                                threshold_band)
 
 binary_8x8 = arrays(np.uint8, (8, 8), elements=st.integers(0, 1))
 gray_8x8 = arrays(np.uint8, (8, 8), elements=st.integers(0, 255))
@@ -38,29 +38,28 @@ def mask_of(arr, min_area):
 class TestRgbToGray:
     def test_achromatic_identity(self):
         ramp = np.arange(256, dtype=np.uint8)
-        img = RgbImage.from_array(np.stack([ramp, ramp, ramp], axis=-1).reshape(16, 16, 3))
+        img = np.stack([ramp, ramp, ramp], axis=-1).reshape(16, 16, 3)
         assert np.array_equal(rgb_to_gray(img).pixels, ramp.reshape(16, 16))
 
     def test_black_is_zero(self):
-        img = RgbImage.from_array(np.zeros((2, 2, 3), dtype=np.uint8))
+        img = np.zeros((2, 2, 3), dtype=np.uint8)
         assert rgb_to_gray(img).pixels.max() == 0
 
     def test_pure_red(self):
-        img = RgbImage.from_array(np.full((1, 1, 3), (255, 0, 0), dtype=np.uint8))
+        img = np.full((1, 1, 3), (255, 0, 0), dtype=np.uint8)
         assert rgb_to_gray(img).pixels[0, 0] == 76
 
     @given(arrays(np.uint8, (4, 4, 3), elements=st.integers(0, 255)))
     def test_matches_decimal_oracle(self, pixels):
-        gray = rgb_to_gray(RgbImage.from_array(pixels))
+        gray = rgb_to_gray(pixels)
         for i in range(4):
             for j in range(4):
                 r, g, b = (int(v) for v in pixels[i, j])
                 assert gray.pixels[i, j] == oracles.gray_value(r, g, b)
 
     def test_dimensions_preserved(self):
-        img = RgbImage.from_array(np.zeros((3, 7, 3), dtype=np.uint8))
-        gray = rgb_to_gray(img)
-        assert (gray.width, gray.height) == (7, 3)
+        gray = rgb_to_gray(np.zeros((3, 7, 3), dtype=np.uint8))
+        assert gray.pixels.shape == (3, 7)
 
 
 class TestThresholdBand:
@@ -251,6 +250,7 @@ class TestArea:
 
 
 class TestValidation:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            GrayImage(4, 4, np.zeros((2, 2), dtype=np.uint8))
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (4,), (0, 3)], ids=["rgb", "1-d", "empty"])
+    def test_from_array_rejects_all_but_nonempty_2d(self, shape):
+        with pytest.raises(ValueError, match=r"non-empty 2-D array"):
+            GrayImage.from_array(np.zeros(shape, dtype=np.uint8))

@@ -15,8 +15,7 @@ from pipefollow.sim import (AuvState, CameraModel, EnvelopeExitError,
                             ScenarioError, World, drift_metrics,
                             heading_vector, image_center, mission_objective,
                             parse_scenario, pct_of_drift, pipeline_x_at,
-                            project_point, render_view, run_mission, step_auv,
-                            tune)
+                            render_view, run_mission, step_auv, tune)
 
 TABLE_WORLD = World(pipeline=((36.5, 0.0), (47.5, 22.5), (58.5, 45.0),
                               (69.6, 67.5), (80.8, 90.0), (91.9, 112.5)), seed=7)
@@ -147,12 +146,12 @@ class TestProjection:
         cam = CameraModel()
         auv = AuvState(75.0, 20.0, 90.0)
         ahead = cam.height_cm / math.tan(math.radians(cam.tilt_deg))
-        uv = project_point((75.0, 20.0 + ahead), auv, cam)
+        uv = oracles.project_point((75.0, 20.0 + ahead), auv, cam)
         assert uv == pytest.approx(image_center(cam), abs=1e-9)
 
     def test_point_behind_camera_is_none(self):
         cam = CameraModel()
-        assert project_point((75.0, 0.0), AuvState(75.0, 100.0, 90.0), cam) is None
+        assert oracles.project_point((75.0, 0.0), AuvState(75.0, 100.0, 90.0), cam) is None
 
     def test_rendered_pipe_is_brighter_where_projected(self):
         cam = CameraModel(noise_amplitude=0, speckle_density=0.0)
@@ -160,7 +159,7 @@ class TestProjection:
         auv = AuvState(75.0, 20.0, 90.0)
         img = render_view(world, auv, cam)
         ahead = cam.height_cm / math.tan(math.radians(cam.tilt_deg))
-        u, v = project_point((75.0, 20.0 + ahead), auv, cam)
+        u, v = oracles.project_point((75.0, 20.0 + ahead), auv, cam)
         assert img.pixels[int(round(v)), int(round(u))] == cam.pipe_intensity
 
 
@@ -487,7 +486,8 @@ MISSION_FAILURES = {"no-object", "envelope-exit", "no-points", "no-progress", "b
 @st.composite
 def small_missions(draw):
     """A valid scenario with a camera of at most 32x24 pixels, and a rule base
-    whose term widths and centers lie anywhere in tune's search space."""
+    whose term widths and centers lie anywhere in tune's search space, with
+    centers drawn at the universe edges often."""
     n = draw(st.integers(2, 5))
     ys = sorted(draw(st.lists(st.floats(0.0, 200.0), min_size=n, max_size=n, unique=True)))
     assume(all(b - a > 1e-6 for a, b in zip(ys, ys[1:])))
@@ -513,7 +513,7 @@ def small_missions(draw):
     for var, term in fis.term_parameters(rb0):
         lo, hi = rb0.variables[var].universe
         params[(var, term)] = (draw(st.floats(0.01 * (hi - lo), 2.0 * (hi - lo))),
-                               draw(st.floats(lo, hi)))
+                               draw(st.sampled_from([lo, hi]) | st.floats(lo, hi)))
     return scenario, fis.with_term_parameters(rb0, params)
 
 
@@ -536,6 +536,23 @@ class TestMissionTermination:
                 assert 1 <= len(record.points) <= max_steps
                 outcomes.append(record.to_csv())
         assert outcomes[0] == outcomes[1]
+
+    def test_steer_at_the_universe_edge_ends_in_a_record_or_failure(self):
+        """All y1 centers at 180 once rounded a steer to 180.00000000000003."""
+        rb = fis.default_rulebase()
+        params = {("y1", term): (mf.width, 180.0)
+                  for term, mf in rb.variables["y1"].terms.items()}
+        rb = fis.with_term_parameters(rb, params)
+        scenario = small_scenario(steering_gain=0.0)
+        outcomes = []
+        for mode in ("sequential", "overlapped"):
+            try:
+                outcomes.append(run_mission(scenario, rb, mode).to_csv())
+            except MissionFailure as exc:
+                assert exc.reason in MISSION_FAILURES
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        mission_objective([scenario], rb)     # and tune's objective raises nothing either
 
 
 def detuned(shift):
