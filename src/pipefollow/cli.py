@@ -90,7 +90,7 @@ def cmd_features(args) -> int:
         _diag(f"no-object: {exc}")
         return 1
     except ValueError as exc:   # an image too small to band
-        _diag(f"{args.image}: {exc}")
+        _diag(f"{Path(args.image).name}: {exc}")
         return 2
     lines = ["band,x1,x2,x3,x4,x5,x6"]
     for v in vectors:

@@ -8,14 +8,16 @@ Rule conjunction is minimum; defuzzification is the weighted mean of the
 consequent term centers by rule firing strength.  A rule base can be edited
 as a small text DSL, one rule per line:
 
+    IF <var> IS <Term> [AND <var> IS <Term>]... THEN y1 IS <Term>
     IF x5 IS Left AND x6 IS Center THEN y1 IS TurnLeft
 
 plus optional term parameter overrides:
 
+    term.<var>.<Term> = gaussian(<sigma>, <center>) | pi(<half_width>, <center>)
     term.x5.Left = gaussian(0.19, 0.1)
-    term.y1.TurnRight = pi(60.0, 150.0)
 
-`#` starts a comment, blank lines are ignored, everything is case-sensitive.
+`#` starts a comment, blank lines are ignored, everything is case-sensitive,
+and any other line is a parse error that names its line.
 """
 
 from __future__ import annotations
@@ -133,6 +135,14 @@ class InferenceResult:
     no_fire: bool
 
 
+def _check_term(variables: dict, var: str, term: str) -> None:
+    """Raise ValueError unless var is a variable and term one of its terms."""
+    if var not in variables:
+        raise ValueError(f"unknown variable {var}")
+    if term not in variables[var].terms:
+        raise ValueError(f"unknown term {term} for variable {var}")
+
+
 def _check_rule(variables: dict, rule: Rule) -> None:
     """Raise ValueError unless the rule fits the variables.
 
@@ -144,22 +154,16 @@ def _check_rule(variables: dict, rule: Rule) -> None:
         raise ValueError("empty antecedent")
     seen = set()
     for var, term in rule.antecedents:
-        if var not in variables:
-            raise ValueError(f"unknown variable {var}")
         if var == OUTPUT_VARIABLE:
             raise ValueError(f"{var} cannot appear in an antecedent")
-        if term not in variables[var].terms:
-            raise ValueError(f"unknown term {term} for variable {var}")
+        _check_term(variables, var, term)
         if var in seen:
             raise ValueError(f"variable {var} used twice in one rule")
         seen.add(var)
     var, term = rule.consequent
-    if var not in variables:
-        raise ValueError(f"unknown variable {var}")
-    if var != OUTPUT_VARIABLE:
+    if var in variables and var != OUTPUT_VARIABLE:
         raise ValueError(f"{var} cannot appear in a consequent")
-    if term not in variables[var].terms:
-        raise ValueError(f"unknown term {term} for variable {var}")
+    _check_term(variables, var, term)
 
 
 @dataclass(frozen=True)
@@ -179,15 +183,11 @@ class RuleBase:
 
 def fire_rules(rb: RuleBase, values) -> list:
     """Per-rule firing strength: minimum of the antecedent memberships."""
-    alphas = []
-    for rule in rb.rules:
-        alpha = 1.0
-        for var, term in rule.antecedents:
-            if var not in values:
-                raise ValueError(f"no value supplied for variable {var}")
-            alpha = min(alpha, rb.variables[var].terms[term](values[var]))
-        alphas.append(alpha)
-    return alphas
+    try:   # rb's names were checked when it was built, so a KeyError is a missing value
+        return [min(rb.variables[var].terms[term](values[var]) for var, term in rule.antecedents)
+                for rule in rb.rules]
+    except KeyError as exc:
+        raise ValueError(f"no value supplied for variable {exc.args[0]}") from None
 
 
 def defuzzify(alphas, rb: RuleBase) -> float:
@@ -269,6 +269,7 @@ def default_rulebase() -> RuleBase:
 
 _TERM_LINE = re.compile(r"^term\.([A-Za-z0-9_]+)\.([A-Za-z0-9_]+)\s*=\s*(.+)$")
 _TERM_VALUE = re.compile(r"^(gaussian|pi)\(\s*([^,\s]+)\s*,\s*([^,\s)]+)\s*\)$")
+_RULE_LINE = re.compile(r"IF((?: \S+ IS \S+(?: AND \S+ IS \S+)*)?) THEN (\S+) IS (\S+)")
 
 
 def strip_comment(line: str) -> str:
@@ -279,56 +280,32 @@ def strip_comment(line: str) -> str:
     return line.strip()
 
 
-def _parse_rule_line(line_no: int, tokens, variables) -> Rule:
-    if tokens[0] != "IF":
-        raise RuleParseError(line_no, f"expected IF, got {tokens[0]!r}")
-    try:
-        then_pos = tokens.index("THEN")
-    except ValueError:
-        raise RuleParseError(line_no, "missing THEN") from None
-    ante_tokens = tokens[1:then_pos]
-    cons_tokens = tokens[then_pos + 1:]
-    if ante_tokens and len(ante_tokens) % 4 != 3:   # _check_rule rejects an empty one
-        raise RuleParseError(line_no, "malformed antecedent list")
-    antecedents = []
-    for i in range(0, len(ante_tokens), 4):
-        var, kw, term = ante_tokens[i:i + 3]
-        if kw != "IS":
-            raise RuleParseError(line_no, f"expected IS after {var!r}")
-        if i + 3 < len(ante_tokens) and ante_tokens[i + 3] != "AND":
-            raise RuleParseError(line_no, f"expected AND, got {ante_tokens[i + 3]!r}")
-        antecedents.append((var, term))
-    if len(cons_tokens) != 3 or cons_tokens[1] != "IS":
-        raise RuleParseError(line_no, "consequent must be '<var> IS <Term>'")
-    rule = Rule(tuple(antecedents), (cons_tokens[0], cons_tokens[2]))
-    try:
-        _check_rule(variables, rule)
-    except ValueError as exc:
-        raise RuleParseError(line_no, str(exc)) from None
+def _parse_rule_line(line: str, variables) -> Rule:
+    """The checked Rule a rule line states; raises ValueError."""
+    m = _RULE_LINE.fullmatch(" ".join(line.split()))
+    if not m:
+        raise ValueError("expected a rule 'IF <var> IS <Term> [AND <var> IS <Term>]... "
+                         "THEN y1 IS <Term>'")
+    rule = Rule(tuple(re.findall(r"(?:^| AND) (\S+) IS (\S+)", m[1])), (m[2], m[3]))
+    _check_rule(variables, rule)
     return rule
 
 
-def _parse_term_line(line_no: int, match, variables) -> None:
+def _parse_term_line(match, variables) -> None:
+    """Apply the override a matched `term.` line states; raises ValueError."""
     var, term, value = match.groups()
-    if var not in variables:
-        raise RuleParseError(line_no, f"unknown variable {var}")
-    if term not in variables[var].terms:
-        raise RuleParseError(line_no, f"unknown term {term} for variable {var}")
+    _check_term(variables, var, term)
     vm = _TERM_VALUE.match(value.strip())
     if not vm:
-        raise RuleParseError(line_no, f"malformed term definition {value!r}")
+        raise ValueError(f"malformed term definition {value!r}")
     kind, width_s, center_s = vm.groups()
     try:
         width, center = float(width_s), float(center_s)
     except ValueError:
-        raise RuleParseError(line_no, f"non-numeric term parameters {value!r}") from None
+        raise ValueError(f"non-numeric term parameters {value!r}") from None
     old = variables[var]
-    terms = dict(old.terms)
-    try:
-        terms[term] = MembershipFunction(kind, width, center)
-        variables[var] = LinguisticVariable(old.name, old.universe, terms)
-    except ValueError as exc:
-        raise RuleParseError(line_no, str(exc)) from None
+    terms = {**old.terms, term: MembershipFunction(kind, width, center)}
+    variables[var] = LinguisticVariable(old.name, old.universe, terms)
 
 
 def parse_rulebase(text: str) -> RuleBase:
@@ -344,10 +321,13 @@ def parse_rulebase(text: str) -> RuleBase:
         if not line:
             continue
         term_match = _TERM_LINE.match(line)
-        if term_match:
-            _parse_term_line(line_no, term_match, variables)
-            continue
-        rules.append(_parse_rule_line(line_no, line.split(), variables))
+        try:
+            if term_match:
+                _parse_term_line(term_match, variables)
+            else:
+                rules.append(_parse_rule_line(line, variables))
+        except ValueError as exc:
+            raise RuleParseError(line_no, str(exc)) from None
     return RuleBase(variables, tuple(rules))
 
 

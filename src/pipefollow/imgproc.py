@@ -15,7 +15,7 @@ class NoObjectError(Exception):
     """Raised when no foreground region survives to act as object of interest."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # == on the array field would be ambiguous
 class GrayImage:
     """Row-major (height, width) uint8 raster; a wrapper because the benchmark reads .pixels."""
 

@@ -228,3 +228,28 @@ def p6_bytes(pixels) -> bytes:
     """A binary PPM (P6) file holding an (h, w, 3) uint8 array."""
     height, width, _ = pixels.shape
     return b"P6\n%d %d\n255\n" % (width, height) + np.asarray(pixels, np.uint8).tobytes()
+
+
+def rule_tokens(line: str):
+    """(antecedents, consequent) of a rules-DSL rule line read word by word, or None.
+
+    The words must be IF, zero or more `<var> IS <Term>` clauses joined by
+    AND, THEN (the first one) and `<var> IS <Term>`.  Names are not checked.
+    """
+    tokens = line.split()
+    if not tokens or tokens[0] != "IF" or "THEN" not in tokens:
+        return None
+    then_pos = tokens.index("THEN")
+    ante_tokens = tokens[1:then_pos]
+    cons_tokens = tokens[then_pos + 1:]
+    if ante_tokens and len(ante_tokens) % 4 != 3:
+        return None
+    antecedents = []
+    for i in range(0, len(ante_tokens), 4):
+        var, kw, term = ante_tokens[i:i + 3]
+        if kw != "IS" or (i + 3 < len(ante_tokens) and ante_tokens[i + 3] != "AND"):
+            return None
+        antecedents.append((var, term))
+    if len(cons_tokens) != 3 or cons_tokens[1] != "IS":
+        return None
+    return tuple(antecedents), (cons_tokens[0], cons_tokens[2])

@@ -155,7 +155,8 @@ def test_image_too_small_to_band_exits_two(capsys, tmp_path, height):
     netpbm.write_pgm(path, GrayImage.from_array(pixels))
     assert main(["features", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "short.pgm: image too small to band: 40x" in err
+    assert re.fullmatch(rf"pipefollow: short\.pgm: image too small to band: 40x{height} "
+                        r"\(needs at least 2 columns and 10 rows\)\n", err)
 
 
 @pytest.mark.parametrize("name, data, message", [

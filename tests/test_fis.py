@@ -1,9 +1,11 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from pipefollow import fis
 from pipefollow.fis import (InferenceResult, LinguisticVariable,
                             MembershipFunction, Rule, RuleBase, RuleParseError,
@@ -295,9 +297,18 @@ class TestRuleDsl:
         with pytest.raises(RuleParseError, match=r"line 3.*Huge"):
             parse_rulebase("# header\n\nIF x1 IS Huge THEN y1 IS TurnLeft")
 
-    def test_missing_then(self):
-        with pytest.raises(RuleParseError, match="THEN"):
-            parse_rulebase("IF x1 IS Small\n")
+    @pytest.mark.parametrize("line", [
+        "WHEN x1 IS Small THEN y1 IS TurnLeft",
+        "IF x1 IS Small",
+        "IF x1 IS Small x2 THEN y1 IS TurnLeft",
+        "IF x1 ARE Small THEN y1 IS TurnLeft",
+        "IF x1 IS Small OR x2 IS Large THEN y1 IS TurnLeft",
+        "IF x1 IS Small THEN y1 TurnLeft",
+    ], ids=["no-IF", "no-THEN", "stray-token", "no-IS", "no-AND", "bad-consequent"])
+    def test_syntax_error_shows_the_rule_form(self, line):
+        form = "IF <var> IS <Term> [AND <var> IS <Term>]... THEN y1 IS <Term>"
+        with pytest.raises(RuleParseError, match=f"^line 2: expected a rule '{re.escape(form)}'$"):
+            parse_rulebase(f"# header\n{line}\n")
 
     def test_empty_antecedent(self):
         with pytest.raises(RuleParseError, match="empty antecedent"):
@@ -406,6 +417,61 @@ term_line = st.builds("term.{0[0]}.{0[1]} = {1}({2!r}, {3!r})".format, reference
 token_line = st.lists(st.sampled_from(DSL_TOKENS), max_size=12).map(" ".join)
 dsl_text = st.one_of(st.text(),
                      st.lists(st.one_of(rule_line, term_line, token_line)).map("\n".join))
+
+
+not_term_line = st.one_of(rule_line, token_line).filter(
+    lambda line: not fis._TERM_LINE.match(fis.strip_comment(line)))
+
+
+def word_rule(line):
+    """The Rule the word-by-word oracle reads from a line, or None when it reads
+    none or the rule's names do not check."""
+    tokens = oracles.rule_tokens(fis.strip_comment(line))
+    if tokens is None:
+        return None
+    try:
+        fis._check_rule(fis.default_variables(), Rule(*tokens))
+    except ValueError:
+        return None
+    return Rule(*tokens)
+
+
+def assert_read_as_the_oracle_reads(line):
+    rule = word_rule(line)
+    try:
+        assert parse_rulebase(line).rules == (rule,)
+    except RuleParseError:
+        assert rule is None
+
+
+@example(["IF x5 IS Left THEN y1 IS TurnLeft",
+          "\tIF  x1 IS Large AND\tx2 IS Small THEN y1 IS TurnLeft  # note",
+          "IF x6 IS Right AND x5 IS Center AND x1 IS Small THEN y1 IS GoStraight"])
+@example(["IF x5 IS Left THEN y1 IS TurnLeft", "", "IF x1 IS THEN THEN y1 IS TurnLeft"])
+@given(st.lists(not_term_line))
+def test_rule_lines_parse_as_the_word_tokenizer_reads_them(lines):
+    """parse_rulebase accepts a rule line exactly when the word-by-word oracle reads a
+    rule whose names check, and a text up to the first line where it does not."""
+    read = {line_no: word_rule(line)
+            for line_no, line in enumerate(lines, start=1) if fis.strip_comment(line)}
+    for line_no in read:
+        assert_read_as_the_oracle_reads(lines[line_no - 1])
+    bad = [line_no for line_no, rule in read.items() if rule is None]
+    try:
+        rb = parse_rulebase("\n".join(lines))
+    except RuleParseError as exc:
+        assert exc.line_no == bad[0]
+    else:
+        assert not bad and rb.rules == tuple(read.values())
+
+
+def test_one_word_edits_of_a_rule_parse_as_the_word_tokenizer_reads_them():
+    """Near misses random lines rarely hit: each word dropped or swapped for a keyword,
+    a name or a clause."""
+    words = "IF x5 IS Left AND x6 IS Center AND x1 IS Large THEN y1 IS TurnLeft".split()
+    for pos in range(len(words)):
+        for word in ("", "IF", "THEN", "IS", "AND", "x2", "Small", "x2 IS Small"):
+            assert_read_as_the_oracle_reads(" ".join([*words[:pos], word, *words[pos + 1:]]))
 
 
 @given(dsl_text)

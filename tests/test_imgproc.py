@@ -254,3 +254,7 @@ class TestValidation:
     def test_from_array_rejects_all_but_nonempty_2d(self, shape):
         with pytest.raises(ValueError, match=r"non-empty 2-D array"):
             GrayImage.from_array(np.zeros(shape, dtype=np.uint8))
+
+    def test_images_compare_by_identity(self):
+        a, b = (GrayImage.from_array(np.zeros((2, 2), dtype=np.uint8)) for _ in range(2))
+        assert a == a and a != b   # == on the pixel arrays would raise
