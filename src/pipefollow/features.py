@@ -1,7 +1,8 @@
 """Object mask and the 5 band feature vectors the fuzzy controller reads.
 
-An image is cut into 5 equal horizontal bands, ordered bottom to top so that
-band 1 covers the terrain acted on first.  Each band carries 6 sub-segments:
+An image is cut into 5 equal horizontal bands, each an inclusive
+(first_row, last_row) tuple of rows, ordered bottom to top so that band 1
+covers the terrain acted on first.  Each band carries 6 sub-segments:
 quadrants 1-4 (upper-left, upper-right, lower-left, lower-right), 5 the upper
 half and 6 the lower half; the upper half holds a band's first rows // 2
 rows and the left quadrants the first width // 2 columns.  Per band the
@@ -36,12 +37,6 @@ _SPAN = UNIVERSE_HI - UNIVERSE_LO
 
 
 @dataclass(frozen=True)
-class BandLayout:
-    band_index: int          # 1..5, 1 = bottom of the image
-    row_range: tuple         # (first_row, last_row) inclusive
-
-
-@dataclass(frozen=True)
 class FeatureVector:
     x1: float
     x2: float
@@ -60,18 +55,18 @@ class FeatureVector:
 
 
 def split_bands(width: int, height: int) -> list:
-    """Lay out 5 equal-height bands, bottom first; remainder rows go to the top band.
+    """The 5 equal-height bands as inclusive (first_row, last_row) tuples, bottom first.
 
-    Sub-segments split a band at floor(size/2), so every one holds at least
-    one pixel only when a band has 2 rows or more.
+    Remainder rows go to the top band.  Sub-segments split a band at
+    floor(size/2), so every one holds at least one pixel only when a band
+    has 2 rows or more.
     """
     if height < 2 * NUM_BANDS or width < 2:
         raise ValueError(f"image too small to band: {width}x{height} (needs at least "
                          f"2 columns and {2 * NUM_BANDS} rows)")
     base = height // NUM_BANDS
     # band k occupies the k-th block of rows counted from the bottom
-    return [BandLayout(k, (0 if k == NUM_BANDS else height - k * base,
-                           height - (k - 1) * base - 1))
+    return [(0 if k == NUM_BANDS else height - k * base, height - (k - 1) * base - 1)
             for k in range(1, NUM_BANDS + 1)]
 
 
@@ -89,12 +84,10 @@ def band_vectors(pixels) -> list:
     produces usable inputs.  Every value is a Python float.
     """
     height, width = pixels.shape
-    layouts = split_bands(width, height)[::-1]    # top band first: half-band rows ascend
     mid_col = width // 2
-    starts = []
-    for layout in layouts:
-        first, last = layout.row_range
-        starts += [first, first + (last - first + 1) // 2]
+    # top band first, so that the half-band starts ascend
+    starts = [row for first, last in split_bands(width, height)[::-1]
+              for row in (first, (first + last + 1) // 2)]
     per_row = np.stack([np.count_nonzero(pixels[:, :mid_col], axis=1),
                         np.count_nonzero(pixels, axis=1),
                         pixels @ np.arange(width)], axis=1)
@@ -105,9 +98,9 @@ def band_vectors(pixels) -> list:
                     else _to_universe(float(colsum) / count / (width - 1)))
         halves.append((_to_universe(left / (rows * mid_col)),
                        _to_universe((count - left) / (rows * (width - mid_col))), location))
-    pairs = zip(halves[0::2], halves[1::2])       # (upper, lower) half of each band
-    return [FeatureVector(u1, u2, u3, u4, x5, x6, layout.band_index)
-            for layout, ((u1, u2, x5), (u3, u4, x6)) in zip(layouts, pairs)][::-1]
+    pairs = list(zip(halves[0::2], halves[1::2]))[::-1]   # (upper, lower) halves, bottom first
+    return [FeatureVector(u1, u2, u3, u4, x5, x6, k)
+            for k, ((u1, u2, x5), (u3, u4, x6)) in enumerate(pairs, start=1)]
 
 
 def object_mask(img: GrayImage, band: ThresholdBand, min_area: int) -> np.ndarray:
@@ -143,7 +136,7 @@ def extract_features(img: GrayImage, band: ThresholdBand, min_area: int) -> list
 
 
 __all__ = [
-    "BandLayout", "FeatureVector", "NoObjectError", "band_vectors",
+    "FeatureVector", "NoObjectError", "band_vectors",
     "extract_features", "object_mask", "split_bands",
     "NUM_BANDS", "UNIVERSE_LO", "UNIVERSE_HI", "UNIVERSE_MID",
 ]

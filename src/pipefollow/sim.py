@@ -16,7 +16,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -453,10 +452,6 @@ def _capture(scenario: Scenario, auv: AuvState, frame: int, captures: dict) -> t
     return vectors
 
 
-def _band_steer(rb, vector) -> float:
-    return fis.infer(rb, vector.as_dict()).output
-
-
 def run_mission(scenario: Scenario, rb, mode: str = "sequential",
                 tolerance: float = DEFAULT_TOLERANCE_CM,
                 captures: dict | None = None) -> PathRecord:
@@ -483,7 +478,6 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
     auv = scenario.start
     first_y, far_y = scenario.world.pipeline[0][1], scenario.world.pipeline[-1][1]
     max_steps = math.ceil(2.0 * (far_y - auv.y) / scenario.step_length)
-    steer = partial(_band_steer, rb)
     pool = ThreadPoolExecutor(max_workers=NUM_BANDS) if mode == "overlapped" else None
     steer_all = map if pool is None else pool.map
     path = []
@@ -492,7 +486,8 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
             frame, i = divmod(len(path), scenario.steps_per_image)
             if i == 0:
                 vectors = _capture(scenario, auv, frame, captures)
-                steers = list(steer_all(steer, vectors[:scenario.steps_per_image]))
+                steers = list(steer_all(lambda v: fis.infer(rb, v.as_dict()).output,
+                                        vectors[:scenario.steps_per_image]))
             if len(path) == max_steps:
                 raise MissionFailure("no-progress", len(path) + 1,
                                      f"after {max_steps} steps y={auv.y:.1f} is still short "
@@ -548,9 +543,11 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
 
     Each coordinate is probed one step up and down and then walked greedily
     while the objective keeps improving; a step is 5% of its variable's span
-    times one scale, which halves after a sweep without progress.  Only
-    improvements are ever accepted, so the result is never worse than init,
-    and the whole search is deterministic.
+    times one scale, which halves after a sweep without progress.  The search
+    stops after a sweep without progress once the widest variable's step is
+    at most 1/8 of the narrowest variable's first step, or when the budget is
+    spent.  Only improvements are ever accepted, so the result is never worse
+    than init, and the whole search is deterministic.
 
     Evaluations only change the rule parameters, so they share one captures
     dict for the duration of the call: a capture identical to one an earlier
@@ -573,45 +570,32 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
     initial_obj = best_obj
 
     spans = {var: v.universe[1] - v.universe[0] for var, v in rb0.variables.items()}
-    coords = [(var, term, fld) for var in (*fis.INPUT_VARIABLES, fis.OUTPUT_VARIABLE)
-              for term in rb0.variables[var].terms for fld in ("center", "width")]
-
-    def propose(params, var, term, fld, delta):
-        width, center = params[(var, term)]
-        if fld == "center":
-            lo, hi = rb0.variables[var].universe
-            center = min(max(center + delta, lo), hi)
-        else:
-            width = min(max(width + delta, 0.01 * spans[var]), 2.0 * spans[var])
-        if (width, center) == params[(var, term)]:
-            return None
-        cand = dict(params)
-        cand[(var, term)] = (width, center)
-        return cand
-
-    min_step = min(spans.values()) * 0.05 / 8.0
     scale = 1.0
     while evals < budget:
         improved = False
-        for coord in coords:
-            if evals >= budget:
-                break
-            for sign in (1.0, -1.0):
-                moved = False
-                # walk this direction while it keeps paying off
-                while evals < budget:
-                    cand = propose(best, *coord, sign * (0.05 * spans[coord[0]]) * scale)
-                    if cand is None:
-                        break
-                    obj = evaluate(cand)
-                    if not obj < best_obj:
-                        break
-                    best, best_obj = cand, obj
-                    improved = moved = True
-                if moved:
-                    break
+        for var in (*fis.INPUT_VARIABLES, fis.OUTPUT_VARIABLE):
+            span, (lo, hi) = spans[var], rb0.variables[var].universe
+            for term in rb0.variables[var].terms:
+                # the center, then the width: index into (width, center) and its clamp
+                for k, low, high in ((1, lo, hi), (0, 0.01 * span, 2.0 * span)):
+                    moved = False
+                    for sign in (1.0, -1.0):
+                        # walk this direction while it keeps paying off
+                        while evals < budget:
+                            point = list(best[(var, term)])
+                            point[k] = min(max(point[k] + sign * 0.05 * span * scale, low), high)
+                            if tuple(point) == best[(var, term)]:
+                                break
+                            cand = {**best, (var, term): tuple(point)}
+                            obj = evaluate(cand)
+                            if not obj < best_obj:
+                                break
+                            best, best_obj = cand, obj
+                            improved = moved = True
+                        if moved:
+                            break
         if not improved:
-            if 0.05 * max(spans.values()) * scale <= min_step:
+            if scale <= min(spans.values()) / max(spans.values()) / 8:
                 break
             scale /= 2.0
     return TuneResult(best, initial_obj, best_obj, evals)
@@ -641,7 +625,7 @@ _SCENARIO_KEYS = {
 }
 
 
-def _parse_waypoints(source, line_no, value):
+def _parse_waypoints(value):
     waypoints = []
     for part in value.split(";"):
         part = part.strip()
@@ -649,14 +633,13 @@ def _parse_waypoints(source, line_no, value):
             continue
         bits = part.split(":")
         if len(bits) != 2:
-            raise ScenarioError(f"{source} line {line_no}: waypoint {part!r} is not x:y")
+            raise ValueError(f"waypoint {part!r} is not x:y")
         try:
             x, y = float(bits[0]), float(bits[1])
         except ValueError:
-            raise ScenarioError(f"{source} line {line_no}: non-numeric waypoint "
-                                f"{part!r}") from None
+            raise ValueError(f"non-numeric waypoint {part!r}") from None
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ScenarioError(f"{source} line {line_no}: non-finite waypoint {part!r}")
+            raise ValueError(f"non-finite waypoint {part!r}")
         waypoints.append((x, y))
     return tuple(waypoints)
 
@@ -669,33 +652,34 @@ def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scena
         line = fis.strip_comment(raw)
         if not line:
             continue
-        if "=" not in line:
-            raise ScenarioError(f"{source} line {line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in key_lines:
-            raise ScenarioError(f"{source} line {line_no}: duplicate key {key!r} "
-                                f"(first set on line {key_lines[key]})")
-        key_lines[key] = line_no
-        if key == "pipe.waypoints":
-            waypoints = _parse_waypoints(source, line_no, value)
-            continue
-        if key not in _SCENARIO_KEYS:
-            raise ScenarioError(f"{source} line {line_no}: unknown key {key!r}")
-        if key == "rulebase":
-            try:
-                values[key] = str((Path(base_dir) / value).resolve()) if value else ""
-            except ValueError as exc:   # a NUL byte
-                raise ScenarioError(f"{source} line {line_no}: rulebase path: {exc}") from None
-            continue
-        part, field = _SCENARIO_KEYS[key]
-        kind = int if isinstance(getattr(_SCENARIO_PARTS[part], field), int) else float
         try:
-            values[key] = kind(value)
-        except ValueError:
-            raise ScenarioError(f"{source} line {line_no}: non-numeric value for {key}") from None
-        if kind is float and not math.isfinite(values[key]):
-            raise ScenarioError(f"{source} line {line_no}: non-finite value for {key}")
+            if "=" not in line:
+                raise ValueError("expected 'key = value'")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key in key_lines:
+                raise ValueError(f"duplicate key {key!r} (first set on line {key_lines[key]})")
+            key_lines[key] = line_no
+            if key == "pipe.waypoints":
+                waypoints = _parse_waypoints(value)
+            elif key not in _SCENARIO_KEYS:
+                raise ValueError(f"unknown key {key!r}")
+            elif key == "rulebase":
+                try:
+                    values[key] = str((Path(base_dir) / value).resolve()) if value else ""
+                except ValueError as exc:   # a NUL byte
+                    raise ValueError(f"rulebase path: {exc}") from None
+            else:
+                part, field = _SCENARIO_KEYS[key]
+                kind = int if isinstance(getattr(_SCENARIO_PARTS[part], field), int) else float
+                try:
+                    values[key] = kind(value)
+                except ValueError:
+                    raise ValueError(f"non-numeric value for {key}") from None
+                if kind is float and not math.isfinite(values[key]):
+                    raise ValueError(f"non-finite value for {key}")
+        except ValueError as exc:
+            raise ScenarioError(f"{source} line {line_no}: {exc}") from None
     if not waypoints:
         raise ScenarioError(f"{source}: missing required key pipe.waypoints")
 

@@ -12,9 +12,9 @@ from pipefollow.imgproc import GrayImage, NoObjectError, ThresholdBand
 mask_16x20 = arrays(np.uint8, (20, 16), elements=st.integers(0, 1))
 
 
-def halves(layout):
+def halves(band):
     """(upper, lower) inclusive row ranges of a band; the upper half has rows // 2 rows."""
-    first, last = layout.row_range
+    first, last = band
     split = first + (last - first + 1) // 2
     return (first, split - 1), (split, last)
 
@@ -31,22 +31,22 @@ def masks(draw):
 class TestSplitBands:
     def test_320x240(self):
         bands = split_bands(320, 240)
-        assert [b.row_range for b in bands] == [
+        assert bands == [
             (192, 239), (144, 191), (96, 143), (48, 95), (0, 47)]
 
     def test_exact_division(self):
         bands = split_bands(10, 100)
-        assert all(b.row_range[1] - b.row_range[0] + 1 == 20 for b in bands)
+        assert all(last - first + 1 == 20 for first, last in bands)
 
     def test_remainder_goes_to_top_band(self):
         bands = split_bands(10, 103)
-        heights = [b.row_range[1] - b.row_range[0] + 1 for b in bands]
+        heights = [last - first + 1 for first, last in bands]
         assert heights == [20, 20, 20, 20, 23]
-        assert bands[4].row_range == (0, 22)
+        assert bands[4] == (0, 22)
 
     def test_bands_tile_image(self):
         bands = split_bands(17, 97)
-        rows = sorted(r for b in bands for r in range(b.row_range[0], b.row_range[1] + 1))
+        rows = sorted(r for first, last in bands for r in range(first, last + 1))
         assert rows == list(range(97))
 
     def test_sub_segment_unions(self):
@@ -61,11 +61,11 @@ class TestSplitBands:
             for v in band_vectors(obj):
                 assert (v.x1 > 0.1, v.x3 > 0.1) == (left, left)
                 assert (v.x2 > 0.1, v.x4 > 0.1) == (not left, not left)
-        for layout in split_bands(21, 50):
-            (r0, r1), _ = halves(layout)
+        for k, band in enumerate(split_bands(21, 50)):
+            (r0, r1), _ = halves(band)
             obj = np.zeros((50, 21), dtype=np.uint8)
             obj[r0:r1 + 1] = 1
-            fv = band_vectors(obj)[layout.band_index - 1]
+            fv = band_vectors(obj)[k]
             assert (fv.x1, fv.x2, fv.x3, fv.x4) == (1.0, 1.0, 0.1, 0.1)
             assert fv.x6 == 0.55
 
@@ -169,15 +169,15 @@ class TestProperties:
 
     @given(mask_16x20)
     def test_area_conserved_across_quadrants(self, mask):
-        for layout, fv in zip(split_bands(16, 20), band_vectors(mask)):
+        for band, fv in zip(split_bands(16, 20), band_vectors(mask)):
             total = 0
-            (u0, u1), (l0, l1) = halves(layout)
+            (u0, u1), (l0, l1) = halves(band)
             for rows, uq in zip((u1 - u0 + 1, u1 - u0 + 1, l1 - l0 + 1, l1 - l0 + 1),
                                 (fv.x1, fv.x2, fv.x3, fv.x4)):
                 count = (uq - 0.1) / 0.9 * rows * 8
                 assert count == pytest.approx(round(count), abs=1e-6)
                 total += round(count)
-            r0, r1 = layout.row_range
+            r0, r1 = band
             assert total == int(mask[r0:r1 + 1].sum())
 
     @settings(deadline=None)

@@ -592,6 +592,11 @@ class TestTune:
         assert a.params == b.params
         assert a.best_objective == b.best_objective
 
+    def test_stops_after_a_sweep_without_progress_at_the_finest_scale(self):
+        result = tune([small_scenario()], detuned(0.1), budget=10**6)
+        assert result.evaluations == 1348
+        assert result.best_objective == (0.5, 0.42000000000000004)
+
     def test_objective_counts_failures_as_infinite(self):
         world = World(pipeline=((10.0, 0.0), (10.0, 100.0)), seed=1)
         sc = Scenario(world=world, start=AuvState(140.0, 0.0, 90.0))
