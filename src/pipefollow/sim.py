@@ -25,6 +25,8 @@ from .features import NUM_BANDS, split_bands
 from .imgproc import GrayImage, NoObjectError, ThresholdBand
 
 DEFAULT_TOLERANCE_CM = 8.0
+MAX_MISSION_STEPS = 10_000          # shipped and benchmark scenarios need at most 18
+MAX_NOISE_AMPLITUDE = 2**31 - 256   # keeps a noisy intensity within int32
 CSV_HEADER = "step,actual_x_cm,sim_x_cm,drift_cm,pct_drift"
 
 
@@ -102,8 +104,8 @@ class CameraModel:
             raise ValueError("camera height must be positive and finite")
         if not 0 <= self.speckle_density < 1:
             raise ValueError("speckle density must be in [0, 1)")
-        if self.noise_amplitude < 0:
-            raise ValueError("noise amplitude must be >= 0")
+        if not 0 <= self.noise_amplitude <= MAX_NOISE_AMPLITUDE:
+            raise ValueError(f"noise amplitude must be in 0-{MAX_NOISE_AMPLITUDE}")
         if self.image_width < 1 or self.image_height < 1:
             raise ValueError("image dimensions must be >= 1")
 
@@ -233,6 +235,20 @@ class Scenario:
                              f"y={self.world.pipeline[0][1]}")
         if not math.isfinite(self.start.heading):
             raise ValueError("start heading must be finite")
+        _step_bound(self)
+
+
+def _step_bound(scenario: Scenario) -> int:
+    """Twice the steps a straight run from the start to the pipeline end would need.
+
+    Raises ValueError when that exceeds MAX_MISSION_STEPS, so that every
+    mission ends after a bounded number of steps.
+    """
+    steps = 2.0 * (scenario.world.pipeline[-1][1] - scenario.start.y) / scenario.step_length
+    if steps > MAX_MISSION_STEPS:
+        raise ValueError(f"a {scenario.step_length:g} cm step allows {steps:.6g} steps to "
+                         f"the pipeline end, more than {MAX_MISSION_STEPS}")
+    return math.ceil(steps)
 
 
 # --- geometry ----------------------------------------------------------------
@@ -364,7 +380,8 @@ def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0) -
       of pixels as on the full raster, in the same operation order;
     - the noise and speckle draws come from the generator in the same order;
       an int32 noise draw returns the same values as an int64 one and leaves
-      the generator in the same state, and intensities stay within int32.
+      the generator in the same state, and intensities stay within int32
+      (CameraModel bounds the noise amplitude).
     """
     h, w = cam.image_height, cam.image_width
     pipe = _pipe_mask(world, auv, cam)
@@ -477,7 +494,7 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
     captures = {} if captures is None else captures
     auv = scenario.start
     first_y, far_y = scenario.world.pipeline[0][1], scenario.world.pipeline[-1][1]
-    max_steps = math.ceil(2.0 * (far_y - auv.y) / scenario.step_length)
+    max_steps = _step_bound(scenario)
     pool = ThreadPoolExecutor(max_workers=NUM_BANDS) if mode == "overlapped" else None
     steer_all = map if pool is None else pool.map
     path = []

@@ -147,6 +147,20 @@ def test_camera_rejected_when_scenario_is_built(capsys, tmp_path, line, command,
     assert "cam.scenario: " in err and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("camera.noise = 2147483648", "noise amplitude must be in 0-2147483392"),
+    ("step.length = 1e-300",
+     "a 1e-300 cm step allows 9e+301 steps to the pipeline end, more than 10000"),
+    ("step.length = 1e-310",
+     "a 1e-310 cm step allows inf steps to the pipeline end, more than 10000"),
+])
+def test_scenario_past_a_run_time_limit_exits_two(capsys, tmp_path, line, message):
+    path = tmp_path / "huge.scenario"
+    path.write_text(f"pipe.waypoints = 36.5:0; 47.5:22.5; 58.5:45\n{line}\n")
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"pipefollow: huge.scenario: {message}\n"
+
+
 @pytest.mark.parametrize("height", [7, 9])
 def test_image_too_small_to_band_exits_two(capsys, tmp_path, height):
     pixels = np.full((height, 40), 60, dtype=np.uint8)

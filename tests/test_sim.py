@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from pipefollow.sim import (AuvState, CameraModel, EnvelopeExitError,
                             heading_vector, image_center, mission_objective,
                             parse_scenario, pct_of_drift, pipeline_x_at,
                             render_view, run_mission, step_auv, tune)
+from conftest import ROOT
 
 TABLE_WORLD = World(pipeline=((36.5, 0.0), (47.5, 22.5), (58.5, 45.0),
                               (69.6, 67.5), (80.8, 90.0), (91.9, 112.5)), seed=7)
@@ -60,6 +62,9 @@ class TestWorldValidation:
             CameraModel(fov_deg=200.0)
         with pytest.raises(ValueError, match="noise"):
             CameraModel(noise_amplitude=-5)
+        CameraModel(noise_amplitude=2**31 - 256)   # noise plus intensity 255 still fits int32
+        with pytest.raises(ValueError, match="noise"):
+            CameraModel(noise_amplitude=2**31 - 255)
         for side in ({"image_width": 0}, {"image_height": 0}):
             with pytest.raises(ValueError, match="dimensions"):
                 CameraModel(**side)
@@ -79,6 +84,12 @@ class TestWorldValidation:
             with pytest.raises(ValueError, match="too small to band"):
                 Scenario(world=world, camera=CameraModel(image_width=width, image_height=height))
         Scenario(world=world, camera=CameraModel(image_width=2, image_height=10))
+
+    def test_step_bound_capped(self):
+        world = World(pipeline=((10.0, 0.0), (10.0, 156.25)))
+        Scenario(world=world, step_length=0.03125)   # 2 * 156.25 / 0.03125 = 10000 steps
+        with pytest.raises(ValueError, match="more than 10000$"):
+            Scenario(world=world, step_length=math.nextafter(0.03125, 0.0))
 
     def test_start_below_first_waypoint_rejected(self):
         world = World(pipeline=((10.0, 40.0), (10.0, 90.0)))
@@ -667,6 +678,13 @@ class TestScenarioFiles:
         assert default_scenario.start == AuvState(36.5, 0.0, 116.0)
         assert default_scenario.thresholds.t1 == 180
         assert default_scenario.rulebase_file.endswith("tuned.rules")
+
+    def test_readme_lists_every_scenario_key(self):
+        readme = (ROOT / "README.md").read_text()
+        paragraph = readme[readme.index("**Scenario**"):].split("\n\n")[0]
+        keys = {name for name in re.findall(r"`([^`]+)`", paragraph)
+                if re.fullmatch(r"[A-Za-z][\w.]*", name)}
+        assert keys == set(sim._SCENARIO_KEYS) | {"pipe.waypoints"}
 
     def test_unset_keys_take_the_dataclass_defaults(self):
         assert parse_scenario("pipe.waypoints = 30:10; 40:60\n") == Scenario(
