@@ -235,7 +235,7 @@ class Scenario:
                              f"y={self.world.pipeline[0][1]}")
         if not math.isfinite(self.start.heading):
             raise ValueError("start heading must be finite")
-        _step_bound(self)
+        _step_bound(self)   # rejects a bound above MAX_MISSION_STEPS
 
 
 def _step_bound(scenario: Scenario) -> int:
