@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Before/after tuning comparison on the default mission.
 
-Runs the detuned and tuned controllers over the same world, prints both
-drift tables and writes CSV + SVG artifacts under results/.
+Flies the detuned and the tuned scenario through `pipefollow run`, prints
+both drift records and writes CSV + SVG artifacts under results/.
 """
 
 import sys
@@ -11,32 +11,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from pipefollow import sim  # noqa: E402
+from pipefollow import cli  # noqa: E402
 
 
-def fly(scenario_path: Path, out_dir: Path, label: str) -> sim.PathRecord:
-    scenario = sim.load_scenario(scenario_path)
-    record = sim.run_mission(scenario, sim.load_rulebase(scenario))
-    (out_dir / f"{label}.csv").write_text(record.to_csv())
-    (out_dir / f"{label}.svg").write_text(
-        sim.plot_svg(record, scenario.world.envelope, scenario.step_length, scenario.start.y))
-    print(f"--- {label} ---")
-    print(record.to_csv(), end="")
-    verdict = "inside" if record.within_tolerance() else "OUTSIDE"
-    print(f"max |drift| {record.max_abs_drift():.1f} cm -> {verdict} the "
-          f"+/-{record.tolerance:.1f} cm band\n")
-    return record
-
-
-def main() -> int:
-    out_dir = ROOT / "results"
+def main(out_dir: Path = ROOT / "results") -> int:
     out_dir.mkdir(exist_ok=True)
-    detuned = fly(ROOT / "scenarios" / "detuned.scenario", out_dir, "detuned")
-    tuned = fly(ROOT / "scenarios" / "default.scenario", out_dir, "tuned")
-    if tuned.within_tolerance() and not detuned.within_tolerance():
+    codes = []
+    for label, scenario in (("detuned", "detuned"), ("tuned", "default")):
+        csv = out_dir / f"{label}.csv"
+        csv.unlink(missing_ok=True)
+        scenario_path = ROOT / "scenarios" / f"{scenario}.scenario"
+        codes.append(cli.main(["run", "--scenario", str(scenario_path), "--out", str(csv),
+                               "--plot", str(out_dir / f"{label}.svg")]))
+        if not csv.exists():   # no record: the CLI has said why
+            return 1
+        print(f"--- {label} ---\n{csv.read_text()}")
+    # exit 1: the detuned drift exceeds the tolerance; exit 0: the tuned drift stays inside
+    if codes == [1, 0]:
         print("tuning closed the gap: detuned exceeds the band, tuned stays inside")
         return 0
-    print("unexpected outcome; inspect the records in results/")
+    print(f"unexpected outcome; inspect the records in {out_dir}")
     return 1
 
 

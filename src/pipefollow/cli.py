@@ -71,8 +71,7 @@ def cmd_run(args) -> int:
         return 1
     _write_output(record.to_csv(), args.out)
     if args.plot:
-        Path(args.plot).write_text(sim.plot_svg(record, scenario.world.envelope,
-                                                scenario.step_length, scenario.start.y))
+        Path(args.plot).write_text(sim.plot_svg(record, scenario))
     if not record.within_tolerance():
         _diag(f"drift exceeds +/-{args.tolerance:.1f} cm tolerance "
               f"(max {record.max_abs_drift():.1f} cm)")
@@ -144,11 +143,8 @@ def cmd_plot(args) -> int:
     except ValueError as exc:
         _diag(f"{Path(args.record).name}: {exc}")
         return 2
-    geometry = ()   # plot_svg's defaults
-    if args.scenario:
-        scenario = sim.load_scenario(args.scenario)
-        geometry = (scenario.world.envelope, scenario.step_length, scenario.start.y)
-    _write_output(sim.plot_svg(record, *geometry), args.out)
+    scenario = sim.load_scenario(args.scenario) if args.scenario else None
+    _write_output(sim.plot_svg(record, scenario), args.out)
     return 0
 
 

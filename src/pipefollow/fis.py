@@ -267,8 +267,9 @@ def default_rulebase() -> RuleBase:
 
 # --- DSL parsing and printing -----------------------------------------------
 
-_TERM_LINE = re.compile(r"^term\.([A-Za-z0-9_]+)\.([A-Za-z0-9_]+)\s*=\s*(.+)$")
-_TERM_VALUE = re.compile(r"^(gaussian|pi)\(\s*([^,\s]+)\s*,\s*([^,\s)]+)\s*\)$")
+# a value that is not gaussian(...) or pi(...) leaves the kind group empty
+_TERM_LINE = re.compile(r"term\.([A-Za-z0-9_]+)\.([A-Za-z0-9_]+)\s*=\s*"
+                        r"((gaussian|pi)\(\s*([^,\s]+)\s*,\s*([^,\s)]+)\s*\)|.+)")
 _RULE_LINE = re.compile(r"IF((?: \S+ IS \S+(?: AND \S+ IS \S+)*)?) THEN (\S+) IS (\S+)")
 
 
@@ -291,14 +292,15 @@ def _parse_rule_line(line: str, variables) -> Rule:
     return rule
 
 
-def _parse_term_line(match, variables) -> None:
-    """Apply the override a matched `term.` line states; raises ValueError."""
-    var, term, value = match.groups()
-    _check_term(variables, var, term)
-    vm = _TERM_VALUE.match(value.strip())
-    if not vm:
-        raise ValueError(f"malformed term definition {value!r}")
-    kind, width_s, center_s = vm.groups()
+def _parse_term_line(line: str, variables) -> None:
+    """Apply the override a `term.` line states; raises ValueError."""
+    m = _TERM_LINE.fullmatch(line)
+    if m:
+        _check_term(variables, m[1], m[2])   # names are reported before the value
+    if not (m and m[4]):
+        raise ValueError("malformed term definition, expected "
+                         "'term.<var>.<Term> = gaussian|pi(<width>, <center>)'")
+    var, term, value, kind, width_s, center_s = m.groups()
     try:
         width, center = float(width_s), float(center_s)
     except ValueError:
@@ -320,10 +322,9 @@ def parse_rulebase(text: str) -> RuleBase:
         line = strip_comment(raw)
         if not line:
             continue
-        term_match = _TERM_LINE.match(line)
         try:
-            if term_match:
-                _parse_term_line(term_match, variables)
+            if line.startswith("term."):
+                _parse_term_line(line, variables)
             else:
                 rules.append(_parse_rule_line(line, variables))
         except ValueError as exc:

@@ -27,6 +27,7 @@ from .imgproc import GrayImage, NoObjectError, ThresholdBand
 DEFAULT_TOLERANCE_CM = 8.0
 MAX_MISSION_STEPS = 10_000          # shipped and benchmark scenarios need at most 18
 MAX_NOISE_AMPLITUDE = 2**31 - 256   # keeps a noisy intensity within int32
+MAX_IMAGE_PIXELS = 2**22            # 2048x2048; the largest benchmark frame is 640x480
 CSV_HEADER = "step,actual_x_cm,sim_x_cm,drift_cm,pct_drift"
 
 
@@ -108,6 +109,9 @@ class CameraModel:
             raise ValueError(f"noise amplitude must be in 0-{MAX_NOISE_AMPLITUDE}")
         if self.image_width < 1 or self.image_height < 1:
             raise ValueError("image dimensions must be >= 1")
+        if self.image_width * self.image_height > MAX_IMAGE_PIXELS:
+            raise ValueError(f"a {self.image_width}x{self.image_height} image has more than "
+                             f"{MAX_IMAGE_PIXELS} pixels")
 
 
 @dataclass(frozen=True)
@@ -166,13 +170,15 @@ class PathRecord:
         return cls(tuple(points), tolerance)
 
 
-def plot_svg(record: PathRecord, envelope=(150.0, 200.0),
-             step_length: float = 22.5, start_y: float = 0.0) -> str:
+def plot_svg(record: PathRecord, scenario: Scenario | None = None) -> str:
     """Deterministic top-down SVG: envelope, tolerance band, centerline, path.
 
     Path point k is drawn at the nominal along-track station
-    start_y + k * step_length.
+    start.y + k * step_length.  The envelope, step length and start come from
+    the scenario; without one, the class attributes are the field defaults.
     """
+    world, scenario = (scenario.world, scenario) if scenario else (World, Scenario)
+    envelope, step_length, start_y = world.envelope, scenario.step_length, scenario.start.y
     scale, margin = 3.0, 20.0
     width = envelope[0] * scale + 2 * margin
     height = envelope[1] * scale + 2 * margin
@@ -720,8 +726,8 @@ def load_scenario(path) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read scenario {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{p.name}: {exc}") from exc
     return parse_scenario(text, base_dir=p.parent, source=p.name)
 
 

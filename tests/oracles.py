@@ -5,6 +5,7 @@ and shares no code with the package.
 """
 
 import math
+import re
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -253,3 +254,22 @@ def rule_tokens(line: str):
     if len(cons_tokens) != 3 or cons_tokens[1] != "IS":
         return None
     return tuple(antecedents), (cons_tokens[0], cons_tokens[2])
+
+
+_TERM_LINE = re.compile(r"^term\.([A-Za-z0-9_]+)\.([A-Za-z0-9_]+)\s*=\s*(.+)$")
+_TERM_VALUE = re.compile(r"^(gaussian|pi)\(\s*([^,\s]+)\s*,\s*([^,\s)]+)\s*\)$")
+
+
+def term_fields(line: str):
+    """(var, term, value) of a rules-DSL term line read by two patterns, or None.
+
+    The first pattern reads `term.<var>.<Term> = <value>`; value is then the
+    (kind, width, center) text the second reads from it, or None when it
+    reads none.  Names and numbers are not checked.
+    """
+    m = _TERM_LINE.match(line)
+    if not m:
+        return None
+    var, term, value = m.groups()
+    vm = _TERM_VALUE.match(value.strip())
+    return var, term, vm and vm.groups()

@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from pipefollow import netpbm
-from pipefollow.cli import main
+from pipefollow.cli import build_parser, main
 from conftest import ROOT, SCENARIO_DIR
 
 SMALL_SCENARIO = """\
@@ -49,6 +50,16 @@ class TestRun:
         assert code == 1
         assert "tolerance" in err
         assert out_csv.read_text().count("\n") == 6  # record still written
+
+    def test_tolerance_sets_pct_drift(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--scenario", SCENARIO_DIR / "default.scenario",
+                                 "--tolerance", 0.05)
+        assert code == 1
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(row[3], row[4]) for row in rows] == [("+0.0", "0.0"), ("+0.1", "200.0"),
+                                                      ("+0.1", "200.0"), ("+0.0", "0.0"),
+                                                      ("-0.1", "200.0")]
+        assert "drift exceeds" in err
 
     def test_missing_scenario_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "run", "--scenario", "nowhere.scenario")
@@ -163,6 +174,13 @@ class TestInfer:
         assert code == 0
         assert "y' = 150.000" in out
 
+    def test_no_rule_fired_says_so(self, capsys, tmp_path):
+        rules = tmp_path / "narrow.rules"
+        rules.write_text("term.x1.Small = pi(0.1, 0.1)\nIF x1 IS Small THEN y1 IS TurnLeft\n")
+        code, out, _ = run_cli(capsys, "infer", 0.9, 0.4, 0.4, 0.4, 0.55, 0.55, "--rules", rules)
+        assert code == 0
+        assert out.splitlines()[1:] == ["no rule fired; steering defaults to 90", "y' = 90.000"]
+
 
 class TestTune:
     def test_smoke(self, capsys, small_scenario_file, tmp_path):
@@ -245,3 +263,12 @@ class TestEntryPoint:
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 0, done.stderr
         assert "usage: pipefollow" in done.stdout
+
+
+def test_readme_commands_parse():
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Running missions"):].split("```")[1]
+    lines = [line for line in section.splitlines() if line.startswith("pipefollow ")]
+    assert len(lines) == 7
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])

@@ -99,6 +99,19 @@ def test_bad_record_exits_two_naming_the_file(capsys, tmp_path):
                     capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--scenario"],
+    ["run", "--scenario", str(SCENARIO_DIR / "default.scenario"), "--rules"],
+    ["plot"],
+    ["features"],
+], ids=["scenario", "rules", "record", "image"])
+def test_missing_file_exits_two_with_the_os_error(capsys, tmp_path, command):
+    missing = tmp_path / "gone"
+    assert main([*command, str(missing)]) == 2
+    assert capsys.readouterr().err == \
+        f"pipefollow: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 @pytest.mark.parametrize("bad", ["scenario", "rules"])
 def test_file_not_in_utf8_exits_two(capsys, tmp_path, bad):
     files = {"scenario": tmp_path / "ok.scenario", "rules": tmp_path / "ok.rules"}
@@ -122,6 +135,7 @@ def test_duplicate_scenario_key_exits_two(capsys, tmp_path):
 @pytest.mark.parametrize("line, message", [
     ("minArea = -1", "min"),
     ("start.y = 10", "below the first waypoint"),
+    ("threshold.t1 = 300", "thresholds must lie in 0-255"),
 ])
 def test_scenario_invariant_exits_two(capsys, tmp_path, line, message):
     path = tmp_path / "bad.scenario"
@@ -137,6 +151,8 @@ def test_scenario_invariant_exits_two(capsys, tmp_path, line, message):
     ("camera.image.height = 3", "run", "too small to band"),
     ("camera.image.height = 7", "run", "too small to band"),
     ("camera.image.width = 1", "run", "too small to band"),
+    ("camera.intensity.pipe = 300", "run", "pipe_intensity must be in 0-255"),
+    ("camera.speckle = 1.5", "render", "speckle density must be in [0, 1)"),
 ])
 def test_camera_rejected_when_scenario_is_built(capsys, tmp_path, line, command, message):
     path = tmp_path / "cam.scenario"
@@ -153,6 +169,10 @@ def test_camera_rejected_when_scenario_is_built(capsys, tmp_path, line, command,
      "a 1e-300 cm step allows 9e+301 steps to the pipeline end, more than 10000"),
     ("step.length = 1e-310",
      "a 1e-310 cm step allows inf steps to the pipeline end, more than 10000"),
+    ("camera.image.width = 4611686018427387904",
+     "a 4611686018427387904x240 image has more than 4194304 pixels"),
+    ("camera.image.width = 100000\ncamera.image.height = 100000",
+     "a 100000x100000 image has more than 4194304 pixels"),
 ])
 def test_scenario_past_a_run_time_limit_exits_two(capsys, tmp_path, line, message):
     path = tmp_path / "huge.scenario"

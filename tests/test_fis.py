@@ -358,6 +358,36 @@ class TestRuleDsl:
         with pytest.raises(RuleParseError, match="line 1"):
             parse_rulebase("term.x1.Small = gaussian(0.19)")
 
+    @pytest.mark.parametrize("line", [
+        "term.x1 = gaussian(0.1, 0.2)",
+        "term.x1.Small gaussian(0.1, 0.2)",
+        "term.x1.Small =",
+        "term.x1.Small = gaussian(0.1, 0.2) now",
+        "term.x1.Small = bump(0.1, 0.2)",
+    ], ids=["no-term", "no-equals", "no-value", "trailing-text", "unknown-kind"])
+    def test_malformed_term_line_shows_the_term_form(self, line):
+        form = re.escape("term.<var>.<Term> = gaussian|pi(<width>, <center>)")
+        with pytest.raises(RuleParseError,
+                           match=f"^line 2: malformed term definition, expected '{form}'$"):
+            parse_rulebase(f"# header\n{line}\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("term.x9.Small = bump(0.1)", "unknown variable x9"),
+        ("term.x1.Huge = gaussian(a, 0.2", "unknown term Huge for variable x1"),
+    ])
+    def test_term_names_are_reported_before_the_value(self, line, message):
+        with pytest.raises(RuleParseError, match=f"^line 1: {message}$"):
+            parse_rulebase(line)
+
+    def test_non_numeric_term_parameters(self):
+        with pytest.raises(RuleParseError,
+                           match=r"^line 1: non-numeric term parameters 'gaussian\(a, 0\.2\)'$"):
+            parse_rulebase("term.x1.Small = gaussian(a, 0.2)")
+
+    def test_unknown_membership_kind(self):
+        with pytest.raises(ValueError, match="^unknown membership kind 'bump'$"):
+            MembershipFunction("bump", 0.1, 0.5)
+
     def test_round_trip_default(self):
         rb = default_rulebase()
         assert parse_rulebase(format_rulebase(rb)) == rb
@@ -420,7 +450,7 @@ dsl_text = st.one_of(st.text(),
 
 
 not_term_line = st.one_of(rule_line, token_line).filter(
-    lambda line: not fis._TERM_LINE.match(fis.strip_comment(line)))
+    lambda line: not fis.strip_comment(line).startswith("term."))
 
 
 def word_rule(line):
@@ -510,6 +540,58 @@ def test_a_parsed_override_infers_a_steer_in_the_output_universe(line, values):
         return
     output = infer(rb, dict(zip(fis.INPUT_VARIABLES, values))).output
     assert math.isfinite(output) and 0.0 <= output <= 180.0
+
+
+def oracle_term(line):
+    """((var, term), MembershipFunction) that the two-pattern oracle reads from a term
+    line, or else the start of the error it implies: names are checked before the value,
+    then the numbers, then the membership and its center."""
+    fields = oracles.term_fields(fis.strip_comment(line))
+    if fields is None:
+        return "malformed term definition"
+    var, term, value = fields
+    variables = fis.default_variables()
+    try:
+        fis._check_term(variables, var, term)
+        if value is None:
+            return "malformed term definition"
+        kind, width, center = value
+        try:
+            width, center = float(width), float(center)
+        except ValueError:
+            return "non-numeric term parameters"
+        membership = MembershipFunction(kind, width, center)
+        LinguisticVariable(var, variables[var].universe, {term: membership})
+    except ValueError as exc:
+        return str(exc)
+    return (var, term), membership
+
+
+TERM_PIECES = ("x5", "y1", "x9", ".", "Left", "TurnLeft", "Huge", " ", "\t", "=", " = ",
+               "gaussian(", "pi(", "bump(", "(", ")", ",", ", ", "0.19", "60.0", "nan", "a",
+               "#", "x5.Left = gaussian(", "y1.TurnLeft = pi(", "0.2, 0.3)", "60, 30)")
+term_shaped_line = st.one_of(term_line, st.lists(st.sampled_from(TERM_PIECES), max_size=10).map(
+    lambda parts: "term." + "".join(parts)))
+
+
+@example("term.x5.Left = gaussian(0.2, 0.3)")
+@example("term.y1.TurnLeft\t=pi( 60 ,30 )  # note")
+@example("term.x5.Left = gaussian(0.2, 0.3) x")
+@example("term.x9.Left = gaussian(")
+@example("term.x5.Left = gaussian(0.2 a, 0.3)")
+@example("term.x5.Léft = gaussian(0.2, 0.3)")
+@given(st.one_of(term_override, term_shaped_line))
+def test_term_lines_parse_as_the_two_pattern_reader_reads_them(line):
+    """parse_rulebase accepts a term line exactly when the two-pattern oracle reads one
+    that checks, with the same membership, and otherwise reports the oracle's error."""
+    read = oracle_term(line)
+    try:
+        rb = parse_rulebase(line)
+    except RuleParseError as exc:
+        assert isinstance(read, str) and str(exc).startswith(f"line 1: {read}")
+    else:
+        (var, term), membership = read
+        assert rb.variables[var].terms[term] == membership and rb.rules == ()
 
 
 class TestTermParameterViews:

@@ -39,6 +39,13 @@ def test_unsupported_maxval_rejected(tmp_path):
         read_pgm(path)
 
 
+def test_non_positive_dimensions_rejected(tmp_path):
+    path = tmp_path / "flat.pgm"
+    path.write_bytes(b"P5\n0 4\n255\n")
+    with pytest.raises(NetpbmError, match=r"^flat\.pgm: non-positive image dimensions$"):
+        read_pgm(path)
+
+
 def test_truncated_raster_rejected(tmp_path):
     path = tmp_path / "trunc.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))

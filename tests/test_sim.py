@@ -69,6 +69,9 @@ class TestWorldValidation:
             with pytest.raises(ValueError, match="dimensions"):
                 CameraModel(**side)
         CameraModel(image_width=1, image_height=1)   # renders, though too small to band
+        CameraModel(image_width=2048, image_height=2048)   # at the pixel bound; not rendered
+        with pytest.raises(ValueError, match="^a 2049x2048 image has more than 4194304 pixels$"):
+            CameraModel(image_width=2049, image_height=2048)
 
     def test_scenario_bounds(self):
         world = World(pipeline=((10.0, 0.0), (10.0, 50.0)))
@@ -613,6 +616,9 @@ class TestTune:
         sc = Scenario(world=world, start=AuvState(140.0, 0.0, 90.0))
         assert mission_objective([sc], fis.default_rulebase()) == (math.inf, math.inf)
 
+    def test_objective_of_no_scenarios_is_infinite(self):
+        assert mission_objective([], fis.default_rulebase()) == (math.inf, math.inf)
+
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             tune([small_scenario()], fis.term_parameters(fis.default_rulebase()), budget=0)
@@ -701,6 +707,15 @@ class TestScenarioFiles:
     def test_malformed_waypoint_rejected(self):
         with pytest.raises(ScenarioError, match="waypoint"):
             parse_scenario("pipe.waypoints = 10:0; oops\n")
+
+    def test_non_numeric_waypoint_named(self):
+        with pytest.raises(ScenarioError, match=r"^<scenario> line 1: non-numeric waypoint "
+                                                r"'a:0'$"):
+            parse_scenario("pipe.waypoints = a:0; 1:2\n")
+
+    def test_waypoint_list_may_end_in_a_separator(self):
+        assert parse_scenario("pipe.waypoints = 30:10; 40:60;\n") == \
+            parse_scenario("pipe.waypoints = 30:10; 40:60\n")
 
     def test_non_numeric_value_rejected(self):
         with pytest.raises(ScenarioError, match="seed"):
