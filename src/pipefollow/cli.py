@@ -29,29 +29,22 @@ def _write_output(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of --tolerance: a positive finite number of cm."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, not {text!r}")
-    return value
-
-
-def _whole_number(minimum: int):
-    """argparse type of --budget and --seed: a whole number, at least minimum."""
-    def parse(text: str) -> int:
+def _number(kind, accept, what: str):
+    """argparse type: text that kind (int or float) parses to a value accept() holds for."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be a whole number >= {minimum}, "
-                                             f"not {text!r}")
-        return value
+            pass
+        else:
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {what}, not {text!r}")
     return parse
+
+
+_tolerance = _number(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number")
+_seed = _number(int, lambda v: v >= 0, "a whole number >= 0")
 
 
 def _load_scenario(args) -> sim.Scenario:
@@ -72,8 +65,8 @@ def cmd_run(args) -> int:
     _write_output(record.to_csv(), args.out)
     if args.plot:
         Path(args.plot).write_text(sim.plot_svg(record, scenario))
-    if not record.within_tolerance():
-        _diag(f"drift exceeds +/-{args.tolerance:.1f} cm tolerance "
+    if record.max_abs_drift() > record.tolerance:
+        _diag(f"drift exceeds +/-{record.tolerance} cm tolerance "
               f"(max {record.max_abs_drift():.1f} cm)")
         return 1
     return 0
@@ -159,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario file")
     p.add_argument("--rules", help="rule base DSL file (overrides the scenario's)")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--seed", type=_whole_number(0), help="override the scenario's noise seed")
+    p.add_argument("--seed", type=_seed, help="override the scenario's noise seed")
     p.add_argument("--plot", help="also write an SVG path plot here")
     p.add_argument("--mode", choices=("sequential", "overlapped"), default="sequential")
     p.add_argument("--tolerance", type=_tolerance, default=sim.DEFAULT_TOLERANCE_CM,
@@ -183,14 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", action="append", required=True,
                    help="scenario file (repeatable)")
     p.add_argument("--rules", help="initial rule base DSL file")
-    p.add_argument("--budget", type=_whole_number(1), default=200, help="objective evaluations")
+    p.add_argument("--budget", type=_number(int, lambda v: v >= 1, "a whole number >= 1"),
+                   default=200, help="objective evaluations")
     p.add_argument("--out", help="output path for the tuned rule base DSL")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("render", help="render the camera view from the start pose")
     p.add_argument("--scenario", required=True, help="scenario file")
     p.add_argument("--out", required=True, help="output PGM path")
-    p.add_argument("--seed", type=_whole_number(0), help="override the scenario's noise seed")
+    p.add_argument("--seed", type=_seed, help="override the scenario's noise seed")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("plot", help="plot a drift record CSV as SVG")

@@ -103,8 +103,8 @@ def band_vectors(pixels) -> list:
             for k, ((u1, u2, x5), (u3, u4, x6)) in enumerate(pairs, start=1)]
 
 
-def object_mask(img: GrayImage, band: ThresholdBand, min_area: int) -> np.ndarray:
-    """Bool mask of the largest 8-connected region of the thresholded image.
+def object_mask(pixels: np.ndarray, band: ThresholdBand, min_area: int) -> np.ndarray:
+    """Bool mask of the largest 8-connected region of a thresholded 2-D uint8 array.
 
     Ties go to the smallest label, the first region in raster order.  Raises
     NoObjectError unless that region holds at least min_area pixels, which is
@@ -112,7 +112,7 @@ def object_mask(img: GrayImage, band: ThresholdBand, min_area: int) -> np.ndarra
     """
     if min_area < 0:
         raise ValueError("min_area must be >= 0")
-    fg = threshold_band(img, band)
+    fg = threshold_band(pixels, band)
     labels, count = label_regions(fg)
     # background pixels are left out of the count: each label 1..count has a
     # foreground pixel, so the sizes are the same
@@ -132,11 +132,4 @@ def extract_features(img: GrayImage, band: ThresholdBand, min_area: int) -> list
     """
     height, width = img.pixels.shape
     split_bands(width, height)                    # rejects a too-small image before labelling
-    return band_vectors(object_mask(img, band, min_area))
-
-
-__all__ = [
-    "FeatureVector", "NoObjectError", "band_vectors",
-    "extract_features", "object_mask", "split_bands",
-    "NUM_BANDS", "UNIVERSE_LO", "UNIVERSE_HI", "UNIVERSE_MID",
-]
+    return band_vectors(object_mask(img.pixels, band, min_area))

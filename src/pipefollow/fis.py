@@ -313,17 +313,23 @@ def _parse_term_line(line: str, variables) -> None:
 def parse_rulebase(text: str) -> RuleBase:
     """Parse DSL text into a RuleBase over the default variable set.
 
-    `term.` lines override individual membership parameters and may appear
-    anywhere; they apply to the whole rule base.
+    `term.` lines override individual membership parameters, each term at
+    most once, and may appear anywhere; they apply to the whole rule base.
     """
     variables = default_variables()
     rules = []
+    term_lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = strip_comment(raw)
         if not line:
             continue
         try:
             if line.startswith("term."):
+                name = line.partition("=")[0].strip()
+                if name in term_lines:
+                    raise ValueError(f"duplicate term {name.removeprefix('term.')} "
+                                     f"(first set on line {term_lines[name]})")
+                term_lines[name] = line_no
                 _parse_term_line(line, variables)
             else:
                 rules.append(_parse_rule_line(line, variables))

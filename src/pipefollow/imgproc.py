@@ -21,14 +21,6 @@ class GrayImage:
 
     pixels: np.ndarray
 
-    @classmethod
-    def from_array(cls, arr) -> "GrayImage":
-        """The image of an outside array; raises ValueError unless it is 2-D and non-empty."""
-        a = np.asarray(arr, dtype=np.uint8)
-        if a.ndim != 2 or a.size == 0:
-            raise ValueError(f"a gray image needs a non-empty 2-D array, got shape {a.shape}")
-        return cls(a)
-
 
 @dataclass(frozen=True)
 class ThresholdBand:
@@ -51,8 +43,8 @@ class LabelMap(NamedTuple):
     region_count: int
 
 
-def rgb_to_gray(rgb: np.ndarray) -> GrayImage:
-    """Convert an (h, w, 3) uint8 array to grayscale with BT.601 luma weights.
+def rgb_to_gray(rgb: np.ndarray) -> np.ndarray:
+    """Convert an (h, w, 3) uint8 array to an (h, w) one with BT.601 luma weights.
 
     gray = (299*r + 587*g + 114*b + 500) // 1000, i.e. the weighted sum
     rounded to the nearest integer with halves rounding up.  Exact integer
@@ -60,12 +52,12 @@ def rgb_to_gray(rgb: np.ndarray) -> GrayImage:
     """
     p = rgb.astype(np.int64)
     gray = (299 * p[:, :, 0] + 587 * p[:, :, 1] + 114 * p[:, :, 2] + 500) // 1000
-    return GrayImage(gray.astype(np.uint8))
+    return gray.astype(np.uint8)
 
 
-def threshold_band(img: GrayImage, band: ThresholdBand) -> np.ndarray:
-    """Bool mask of the pixels with band.t1 < intensity <= band.t2."""
-    return (img.pixels > band.t1) & (img.pixels <= band.t2)
+def threshold_band(pixels: np.ndarray, band: ThresholdBand) -> np.ndarray:
+    """Bool mask of the pixels of a 2-D uint8 array with band.t1 < intensity <= band.t2."""
+    return (pixels > band.t1) & (pixels <= band.t2)
 
 
 def label_regions(mask: np.ndarray) -> LabelMap:

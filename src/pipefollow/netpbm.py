@@ -59,7 +59,7 @@ def read_pgm(path) -> GrayImage:
 def read_gray(path) -> GrayImage:
     """A P5 file's image as it is, or a P6 file's converted with rgb_to_gray."""
     pixels = _read(path, (b"P5", b"P6"))
-    return GrayImage(pixels) if pixels.ndim == 2 else rgb_to_gray(pixels)
+    return GrayImage(pixels if pixels.ndim == 2 else rgb_to_gray(pixels))
 
 
 def write_pgm(path, img: GrayImage) -> None:

@@ -31,10 +31,6 @@ MAX_IMAGE_PIXELS = 2**22            # 2048x2048; the largest benchmark frame is 
 CSV_HEADER = "step,actual_x_cm,sim_x_cm,drift_cm,pct_drift"
 
 
-class EnvelopeExitError(Exception):
-    """A step carried the vehicle outside the working envelope."""
-
-
 class MissionFailure(Exception):
     """A mission that ended without a record, with the frame and pose it ended at."""
 
@@ -137,9 +133,6 @@ class PathRecord:
 
     def max_abs_drift(self) -> float:
         return max((abs(p.drift) for p in self.points), default=0.0)
-
-    def within_tolerance(self) -> bool:
-        return all(abs(p.drift) <= self.tolerance for p in self.points)
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -408,20 +401,17 @@ def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0) -
 def step_auv(state: AuvState, steer: float, scenario: Scenario) -> AuvState:
     """Apply one steering command and advance one step length.
 
-    The set point maps to a heading change of gain*(steer - 90) degrees; the
-    vehicle then advances along the new heading.  Raises EnvelopeExitError if
-    the step leaves the working area.
+    The set point maps to a heading change of gain*(steer - fis.NEUTRAL_STEER)
+    degrees; the vehicle then advances along the new heading.  Raises
+    ValueError for a set point outside fis.OUTPUT_UNIVERSE.
     """
-    if not 0.0 <= steer <= 180.0:
-        raise ValueError(f"steering set point {steer} outside [0, 180]")
-    heading = state.heading + scenario.steering_gain * (steer - 90.0)
+    lo, hi = fis.OUTPUT_UNIVERSE
+    if not lo <= steer <= hi:
+        raise ValueError(f"steering set point {steer} outside [{lo:g}, {hi:g}]")
+    heading = state.heading + scenario.steering_gain * (steer - fis.NEUTRAL_STEER)
     dx, dy = heading_vector(heading)
-    x = state.x + scenario.step_length * dx
-    y = state.y + scenario.step_length * dy
-    ex, ey = scenario.world.envelope
-    if not (0.0 <= x <= ex and 0.0 <= y <= ey):
-        raise EnvelopeExitError(f"({x:.1f}, {y:.1f}) outside {ex:.0f} x {ey:.0f} envelope")
-    return AuvState(x, y, heading)
+    return AuvState(state.x + scenario.step_length * dx, state.y + scenario.step_length * dy,
+                    heading)
 
 
 # --- drift accounting ---------------------------------------------------------
@@ -492,14 +482,17 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
     "no-points".  One that takes more than twice the steps a straight run
     along the remaining span would need (less than half a step length of
     along-track progress per step) fails with "no-progress".  A step that
-    lands below the first waypoint, where drift has no reference, fails with
-    "behind-start".  A failure carries the last capture's frame and the pose.
+    leaves the envelope fails with "envelope-exit" and carries the pose it
+    started from.  A step that lands below the first waypoint, where drift has
+    no reference, fails with "behind-start".  A failure carries the last
+    capture's frame and the pose.
     """
     if mode not in ("sequential", "overlapped"):
         raise ValueError(f"unknown mode {mode!r}")
     captures = {} if captures is None else captures
     auv = scenario.start
     first_y, far_y = scenario.world.pipeline[0][1], scenario.world.pipeline[-1][1]
+    ex, ey = scenario.world.envelope
     max_steps = _step_bound(scenario)
     pool = ThreadPoolExecutor(max_workers=NUM_BANDS) if mode == "overlapped" else None
     steer_all = map if pool is None else pool.map
@@ -515,7 +508,12 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
                 raise MissionFailure("no-progress", len(path) + 1,
                                      f"after {max_steps} steps y={auv.y:.1f} is still short "
                                      f"of the pipeline end at y={far_y:g}", frame, auv)
-            auv = step_auv(auv, steers[min(i, NUM_BANDS - 1)], scenario)
+            moved = step_auv(auv, steers[min(i, NUM_BANDS - 1)], scenario)
+            if not (0.0 <= moved.x <= ex and 0.0 <= moved.y <= ey):
+                raise MissionFailure("envelope-exit", len(path) + 1, f"({moved.x:.1f}, "
+                                     f"{moved.y:.1f}) outside {ex:.0f} x {ey:.0f} envelope",
+                                     frame, auv)
+            auv = moved
             if auv.y < first_y - 1e-9:   # the slack pipeline_x_at allows
                 raise MissionFailure("behind-start", len(path) + 1,
                                      f"y={auv.y:.1f} lies below the pipeline start "
@@ -523,8 +521,6 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
             path.append(auv)
     except NoObjectError as exc:
         raise MissionFailure("no-object", len(path) + 1, str(exc), frame, auv) from exc
-    except EnvelopeExitError as exc:
-        raise MissionFailure("envelope-exit", len(path) + 1, str(exc), frame, auv) from exc
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
@@ -579,6 +575,8 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if not scenarios:
+        raise ValueError("tune needs at least one scenario")
     rb0 = rulebase if rulebase is not None else fis.default_rulebase()
     captures = {}
     evals = 0

@@ -12,8 +12,7 @@ import numpy as np
 import oracles
 from conftest import SCENARIO_DIR
 from pipefollow import fis, sim
-from pipefollow.imgproc import (GrayImage, ThresholdBand, area, label_regions,
-                                threshold_band)
+from pipefollow.imgproc import ThresholdBand, area, label_regions, threshold_band
 
 
 @contextmanager
@@ -73,7 +72,7 @@ def test_criterion_4_threshold_area_labeling_oracle_equivalence():
             gray = rng.integers(0, 256, (16, 16), dtype=np.uint8)
             t1 = int(rng.integers(0, 254))
             t2 = int(rng.integers(t1 + 1, 256))
-            got = threshold_band(GrayImage.from_array(gray), ThresholdBand(t1, t2))
+            got = threshold_band(gray, ThresholdBand(t1, t2))
             want = oracles.threshold_pixels(gray, t1, t2)
             assert np.array_equal(got, want)
             assert area(got) == oracles.count_area(want)
@@ -85,7 +84,7 @@ def test_criterion_4_threshold_area_labeling_oracle_equivalence():
             bits = np.array([(code >> k) & 1 for k in range(9)],
                             dtype=np.uint8).reshape(3, 3)
             img = binary_image(bits)
-            got = threshold_band(GrayImage.from_array(bits), ThresholdBand(0, 1))
+            got = threshold_band(bits, ThresholdBand(0, 1))
             assert np.array_equal(got, bits)
             assert area(img) == oracles.count_area(bits)
             lm = label_regions(img)

@@ -59,7 +59,7 @@ class TestRun:
         assert [(row[3], row[4]) for row in rows] == [("+0.0", "0.0"), ("+0.1", "200.0"),
                                                       ("+0.1", "200.0"), ("+0.0", "0.0"),
                                                       ("-0.1", "200.0")]
-        assert "drift exceeds" in err
+        assert err == "pipefollow: drift exceeds +/-0.05 cm tolerance (max 0.1 cm)\n"
 
     def test_missing_scenario_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "run", "--scenario", "nowhere.scenario")
@@ -142,7 +142,7 @@ class TestFeatures:
     def test_blank_image_exits_one(self, capsys, tmp_path):
         from pipefollow.imgproc import GrayImage
         pgm = tmp_path / "blank.pgm"
-        netpbm.write_pgm(pgm, GrayImage.from_array(np.full((40, 40), 60, dtype=np.uint8)))
+        netpbm.write_pgm(pgm, GrayImage(np.full((40, 40), 60, dtype=np.uint8)))
         code, _, err = run_cli(capsys, "features", pgm)
         assert code == 1
         assert "no-object" in err

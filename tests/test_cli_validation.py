@@ -186,7 +186,7 @@ def test_image_too_small_to_band_exits_two(capsys, tmp_path, height):
     pixels = np.full((height, 40), 60, dtype=np.uint8)
     pixels[:, 16:24] = 230
     path = tmp_path / "short.pgm"
-    netpbm.write_pgm(path, GrayImage.from_array(pixels))
+    netpbm.write_pgm(path, GrayImage(pixels))
     assert main(["features", str(path)]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(rf"pipefollow: short\.pgm: image too small to band: 40x{height} "

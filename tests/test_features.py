@@ -193,7 +193,7 @@ class TestExtractFeatures:
     def _stripe_image(self, col0, col1):
         pixels = np.full((40, 40), 60, dtype=np.uint8)
         pixels[:, col0:col1] = 220
-        return GrayImage.from_array(pixels)
+        return GrayImage(pixels)
 
     def test_centered_stripe(self):
         vectors = extract_features(self._stripe_image(16, 24), ThresholdBand(180, 255), 4)
@@ -211,7 +211,7 @@ class TestExtractFeatures:
             assert v.x1 > v.x2 and v.x3 > v.x4
 
     def test_blank_image_raises(self):
-        img = GrayImage.from_array(np.full((40, 40), 60, dtype=np.uint8))
+        img = GrayImage(np.full((40, 40), 60, dtype=np.uint8))
         with pytest.raises(NoObjectError):
             extract_features(img, ThresholdBand(180, 255), 4)
 
@@ -219,6 +219,6 @@ class TestExtractFeatures:
         pixels = np.full((40, 40), 60, dtype=np.uint8)
         pixels[3, 3] = 220
         pixels[20, 30] = 220
-        img = GrayImage.from_array(pixels)
+        img = GrayImage(pixels)
         with pytest.raises(NoObjectError):
             extract_features(img, ThresholdBand(180, 255), 4)

@@ -379,6 +379,13 @@ class TestRuleDsl:
         with pytest.raises(RuleParseError, match=f"^line 1: {message}$"):
             parse_rulebase(line)
 
+    @pytest.mark.parametrize("second", ["term.x1.Small = gaussian(0.25, 0.4)",
+                                        "term.x1.Small\t=pi(0.3, 0.2)  # again"])
+    def test_term_given_twice_names_both_lines(self, second):
+        with pytest.raises(RuleParseError,
+                           match=r"^line 2: duplicate term x1\.Small \(first set on line 1\)$"):
+            parse_rulebase(f"term.x1.Small = gaussian(0.2, 0.3)\n{second}\n")
+
     def test_non_numeric_term_parameters(self):
         with pytest.raises(RuleParseError,
                            match=r"^line 1: non-numeric term parameters 'gaussian\(a, 0\.2\)'$"):

@@ -32,22 +32,22 @@ def survey_start():
 
 def mask_of(arr, min_area):
     """object_mask of a 0/1 raster: the band (0, 1] keeps exactly its 1 pixels."""
-    return object_mask(GrayImage.from_array(arr), ThresholdBand(0, 1), min_area)
+    return object_mask(binary(arr), ThresholdBand(0, 1), min_area)
 
 
 class TestRgbToGray:
     def test_achromatic_identity(self):
         ramp = np.arange(256, dtype=np.uint8)
         img = np.stack([ramp, ramp, ramp], axis=-1).reshape(16, 16, 3)
-        assert np.array_equal(rgb_to_gray(img).pixels, ramp.reshape(16, 16))
+        assert np.array_equal(rgb_to_gray(img), ramp.reshape(16, 16))
 
     def test_black_is_zero(self):
         img = np.zeros((2, 2, 3), dtype=np.uint8)
-        assert rgb_to_gray(img).pixels.max() == 0
+        assert rgb_to_gray(img).max() == 0
 
     def test_pure_red(self):
         img = np.full((1, 1, 3), (255, 0, 0), dtype=np.uint8)
-        assert rgb_to_gray(img).pixels[0, 0] == 76
+        assert rgb_to_gray(img)[0, 0] == 76
 
     @given(arrays(np.uint8, (4, 4, 3), elements=st.integers(0, 255)))
     def test_matches_decimal_oracle(self, pixels):
@@ -55,20 +55,20 @@ class TestRgbToGray:
         for i in range(4):
             for j in range(4):
                 r, g, b = (int(v) for v in pixels[i, j])
-                assert gray.pixels[i, j] == oracles.gray_value(r, g, b)
+                assert gray[i, j] == oracles.gray_value(r, g, b)
 
     def test_dimensions_preserved(self):
         gray = rgb_to_gray(np.zeros((3, 7, 3), dtype=np.uint8))
-        assert gray.pixels.shape == (3, 7)
+        assert (gray.shape, gray.dtype) == ((3, 7), np.uint8)
 
 
 class TestThresholdBand:
     def test_lower_bound_strict(self):
-        img = GrayImage.from_array(np.full((2, 2), 100, dtype=np.uint8))
+        img = np.full((2, 2), 100, dtype=np.uint8)
         assert threshold_band(img, ThresholdBand(100, 200)).max() == 0
 
     def test_upper_bound_inclusive(self):
-        img = GrayImage.from_array(np.full((2, 2), 200, dtype=np.uint8))
+        img = np.full((2, 2), 200, dtype=np.uint8)
         assert threshold_band(img, ThresholdBand(100, 200)).min() == 1
 
     def test_invalid_band_rejected(self):
@@ -78,30 +78,29 @@ class TestThresholdBand:
             ThresholdBand(150, 150)
 
     def test_threshold_and_object_mask_are_bool(self):
-        img = GrayImage.from_array(np.array([[0, 150], [150, 250]], dtype=np.uint8))
+        img = np.array([[0, 150], [150, 250]], dtype=np.uint8)
         assert threshold_band(img, ThresholdBand(100, 200)).dtype == bool
         assert object_mask(img, ThresholdBand(100, 200), 1).dtype == bool
 
     @given(gray_8x8)
     def test_matches_per_pixel_oracle(self, pixels):
-        got = threshold_band(GrayImage.from_array(pixels), ThresholdBand(100, 200))
+        got = threshold_band(pixels, ThresholdBand(100, 200))
         assert np.array_equal(got, oracles.threshold_pixels(pixels, 100, 200))
 
     @given(gray_8x8)
     def test_output_is_binary_and_idempotent(self, pixels):
-        b = threshold_band(GrayImage.from_array(pixels), ThresholdBand(180, 255))
+        b = threshold_band(pixels, ThresholdBand(180, 255))
         assert set(np.unique(b)) <= {0, 1}
-        again = threshold_band(GrayImage.from_array(b), ThresholdBand(0, 1))
+        again = threshold_band(binary(b), ThresholdBand(0, 1))
         assert np.array_equal(again, b)
 
     @given(gray_8x8, st.integers(0, 253), st.integers(0, 253))
     def test_area_monotone_in_band(self, pixels, t1, t2):
-        img = GrayImage.from_array(pixels)
         t1, t2 = sorted((t1, t2))
         t2 += 2  # keep t1 < t2 with headroom for widening
-        base = area(threshold_band(img, ThresholdBand(t1, t2)))
-        assert area(threshold_band(img, ThresholdBand(t1 + 1, t2))) <= base
-        assert area(threshold_band(img, ThresholdBand(t1, min(t2 + 1, 255)))) >= base
+        base = area(threshold_band(pixels, ThresholdBand(t1, t2)))
+        assert area(threshold_band(pixels, ThresholdBand(t1 + 1, t2))) <= base
+        assert area(threshold_band(pixels, ThresholdBand(t1, min(t2 + 1, 255)))) >= base
 
 
 class TestLabelRegions:
@@ -141,7 +140,7 @@ class TestLabelRegions:
 
     def test_survey_frame_matches_flood_fill_oracle(self):
         sc, img = survey_start()
-        pixels = threshold_band(img, sc.thresholds)
+        pixels = threshold_band(img.pixels, sc.thresholds)
         lm = label_regions(binary(pixels))
         want, n = oracles.flood_fill_labels(pixels)
         assert n > 100  # speckle leaves hundreds of small regions
@@ -227,10 +226,10 @@ class TestLargestRegion:
         ones would add a further 600 KiB.
         """
         sc, img = survey_start()
-        object_mask(img, sc.thresholds, sc.min_area)   # warm up lazy imports
+        object_mask(img.pixels, sc.thresholds, sc.min_area)   # warm up lazy imports
         tracemalloc.start()
         try:
-            object_mask(img, sc.thresholds, sc.min_area)
+            object_mask(img.pixels, sc.thresholds, sc.min_area)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -250,11 +249,6 @@ class TestArea:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("shape", [(2, 2, 3), (4,), (0, 3)], ids=["rgb", "1-d", "empty"])
-    def test_from_array_rejects_all_but_nonempty_2d(self, shape):
-        with pytest.raises(ValueError, match=r"non-empty 2-D array"):
-            GrayImage.from_array(np.zeros(shape, dtype=np.uint8))
-
     def test_images_compare_by_identity(self):
-        a, b = (GrayImage.from_array(np.zeros((2, 2), dtype=np.uint8)) for _ in range(2))
+        a, b = (GrayImage(np.zeros((2, 2), dtype=np.uint8)) for _ in range(2))
         assert a == a and a != b   # == on the pixel arrays would raise
