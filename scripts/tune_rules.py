@@ -49,8 +49,8 @@ def tuned_rules_text() -> str:
     suite = build_suite(base)
     rb = fis.default_rulebase()
     init = hand_profile(rb)
-    print(f"initial objective: {sim.mission_objective(suite, fis.with_term_parameters(rb, init))}")
     result = sim.tune(suite, init, budget=BUDGET)
+    print(f"initial objective: {result.initial_objective}")
     print(f"tuned objective:   {result.best_objective}  ({result.evaluations} evaluations)")
     tuned = fis.with_term_parameters(rb, result.params)
     header = ("# Tuned rule base produced by scripts/tune_rules.py "

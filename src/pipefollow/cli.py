@@ -62,9 +62,15 @@ def cmd_run(args) -> int:
     except sim.MissionFailure as exc:
         _diag(str(exc))
         return 1
-    _write_output(record.to_csv(), args.out)
+    csv = record.to_csv()
+    _write_output(csv, args.out)
     if args.plot:
-        Path(args.plot).write_text(sim.plot_svg(record, scenario))
+        try:   # drawn from the record as written, as `plot` would draw it
+            written = sim.PathRecord.from_csv(csv, record.tolerance)
+        except ValueError as exc:   # a percentage past the float range; the run exits 1
+            _diag(f"{Path(args.plot).name} not written: {exc}")
+        else:
+            Path(args.plot).write_text(sim.plot_svg(written, scenario))
     if record.max_abs_drift() > record.tolerance:
         _diag(f"drift exceeds +/-{record.tolerance} cm tolerance "
               f"(max {record.max_abs_drift():.1f} cm)")
@@ -130,12 +136,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    try:
-        record = sim.PathRecord.from_csv(Path(args.record).read_text(),
-                                         tolerance=args.tolerance)
-    except ValueError as exc:
-        _diag(f"{Path(args.record).name}: {exc}")
-        return 2
+    record = sim.read_file(args.record, lambda text: sim.PathRecord.from_csv(text, args.tolerance))
     scenario = sim.load_scenario(args.scenario) if args.scenario else None
     _write_output(sim.plot_svg(record, scenario), args.out)
     return 0

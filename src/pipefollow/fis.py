@@ -37,7 +37,7 @@ LOCATION_TERMS = ("Left", "Center", "Right")
 OUTPUT_TERMS = ("TurnLeft", "GoStraight", "TurnRight")
 
 
-class RuleParseError(Exception):
+class RuleParseError(ValueError):
     """DSL text could not be parsed; message carries the offending line number."""
 
     def __init__(self, line_no: int, message: str):

@@ -28,6 +28,8 @@ DEFAULT_TOLERANCE_CM = 8.0
 MAX_MISSION_STEPS = 10_000          # shipped and benchmark scenarios need at most 18
 MAX_NOISE_AMPLITUDE = 2**31 - 256   # keeps a noisy intensity within int32
 MAX_IMAGE_PIXELS = 2**22            # 2048x2048; the largest benchmark frame is 640x480
+MAX_WORLD_CM = 1e6                  # keeps the render's lengths and their squares finite
+MAX_STEERING_GAIN = 1e6             # degrees per steering unit; keeps every heading finite
 CSV_HEADER = "step,actual_x_cm,sim_x_cm,drift_cm,pct_drift"
 
 
@@ -44,7 +46,7 @@ class MissionFailure(Exception):
 
 
 class ScenarioError(Exception):
-    """Scenario file rejected; message names the file and line."""
+    """Scenario, rules or record file rejected; the message names the file (and line)."""
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,10 @@ class World:
                              "length underflows to 0")
         if not (math.isfinite(self.pipe_width) and self.pipe_width > 0):
             raise ValueError("pipe width must be positive and finite")
+        # bounds the waypoints and the start too, which lie in the envelope
+        if max(ex, ey, self.pipe_width) > MAX_WORLD_CM:
+            raise ValueError(f"envelope dimensions and pipe width must be at most "
+                             f"{MAX_WORLD_CM:.0f} cm")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -99,6 +105,8 @@ class CameraModel:
                 raise ValueError(f"{name} must be in 0-255")
         if not (math.isfinite(self.height_cm) and self.height_cm > 0):
             raise ValueError("camera height must be positive and finite")
+        if self.height_cm > MAX_WORLD_CM:
+            raise ValueError(f"camera height must be at most {MAX_WORLD_CM:.0f} cm")
         if not 0 <= self.speckle_density < 1:
             raise ValueError("speckle density must be in [0, 1)")
         if not 0 <= self.noise_amplitude <= MAX_NOISE_AMPLITUDE:
@@ -153,13 +161,8 @@ class PathRecord:
             parts = ln.split(",")
             if len(parts) != 5:
                 raise ValueError(f"malformed CSV row: {ln!r}")
-            try:
-                numbers = [float(part) for part in parts[1:]]
-                points.append(PathPoint(int(parts[0]), *numbers))
-            except ValueError:
-                raise ValueError(f"non-numeric CSV row: {ln!r}") from None
-            if not all(math.isfinite(v) for v in numbers):
-                raise ValueError(f"non-finite CSV row: {ln!r}")
+            points.append(PathPoint(*_numbers(parts, (int, float, float, float, float),
+                                              f"CSV row: {ln!r}")))
         return cls(tuple(points), tolerance)
 
 
@@ -220,6 +223,8 @@ class Scenario:
             raise ValueError("step length must be positive and finite")
         if not math.isfinite(self.steering_gain):
             raise ValueError("steering gain must be finite")
+        if abs(self.steering_gain) > MAX_STEERING_GAIN:
+            raise ValueError(f"steering gain must be at most {MAX_STEERING_GAIN:.0f} in magnitude")
         if self.steps_per_image < 1:
             raise ValueError("steps per image must be >= 1")
         if self.min_area < 0:
@@ -425,16 +430,16 @@ def pipeline_x_at(world: World, y: float) -> float:
     return float(np.interp(y, ys, xs))
 
 
-def _round1(value: float) -> float:
-    return float(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+def _round1(value: Decimal) -> float:
+    """value rounded half-up to one decimal; unlike quantize, never past a precision limit."""
+    return float(value.scaleb(1).to_integral_value(ROUND_HALF_UP).scaleb(-1))
 
 
 def pct_of_drift(drift: float, tolerance: float) -> float:
     """100*|drift|/tolerance rounded half-up to one decimal."""
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    q = Decimal(repr(abs(drift))) * 100 / Decimal(repr(tolerance))
-    return float(q.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    return _round1(Decimal(repr(abs(drift))) * 100 / Decimal(repr(tolerance)))
 
 
 def drift_metrics(path, world: World, tolerance: float = DEFAULT_TOLERANCE_CM) -> PathRecord:
@@ -442,7 +447,7 @@ def drift_metrics(path, world: World, tolerance: float = DEFAULT_TOLERANCE_CM) -
     points = []
     for i, state in enumerate(path, start=1):
         actual = pipeline_x_at(world, state.y)
-        drift = _round1(state.x - actual)
+        drift = _round1(Decimal(repr(state.x - actual)))
         points.append(PathPoint(i, actual, state.x, drift, pct_of_drift(drift, tolerance)))
     return PathRecord(tuple(points), tolerance)
 
@@ -646,6 +651,18 @@ _SCENARIO_KEYS = {
 }
 
 
+def _numbers(texts, kinds, what: str) -> list:
+    """Each text read by its kind (int or float); raises ValueError "non-numeric <what>"
+    unless all read, then "non-finite <what>" for a nan or infinite float."""
+    try:
+        values = [kind(text) for kind, text in zip(kinds, texts)]
+    except ValueError:
+        raise ValueError(f"non-numeric {what}") from None
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        raise ValueError(f"non-finite {what}")
+    return values
+
+
 def _parse_waypoints(value):
     waypoints = []
     for part in value.split(";"):
@@ -655,13 +672,7 @@ def _parse_waypoints(value):
         bits = part.split(":")
         if len(bits) != 2:
             raise ValueError(f"waypoint {part!r} is not x:y")
-        try:
-            x, y = float(bits[0]), float(bits[1])
-        except ValueError:
-            raise ValueError(f"non-numeric waypoint {part!r}") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"non-finite waypoint {part!r}")
-        waypoints.append((x, y))
+        waypoints.append(tuple(_numbers(bits, (float, float), f"waypoint {part!r}")))
     return tuple(waypoints)
 
 
@@ -693,12 +704,7 @@ def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scena
             else:
                 part, field = _SCENARIO_KEYS[key]
                 kind = int if isinstance(getattr(_SCENARIO_PARTS[part], field), int) else float
-                try:
-                    values[key] = kind(value)
-                except ValueError:
-                    raise ValueError(f"non-numeric value for {key}") from None
-                if kind is float and not math.isfinite(values[key]):
-                    raise ValueError(f"non-finite value for {key}")
+                values[key] = _numbers([value], [kind], f"value for {key}")[0]
         except ValueError as exc:
             raise ScenarioError(f"{source} line {line_no}: {exc}") from None
     if not waypoints:
@@ -720,27 +726,24 @@ def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scena
         raise ScenarioError(f"{source}: {exc}") from exc
 
 
-def load_scenario(path) -> Scenario:
-    p = Path(path)
+def read_file(path, parse):
+    """parse(the file's text); a ValueError, undecodable text included, becomes a
+    ScenarioError naming the file.  An OSError passes through."""
+    path = Path(path)
     try:
-        text = p.read_text()
-    except UnicodeDecodeError as exc:
-        raise ScenarioError(f"{p.name}: {exc}") from exc
-    return parse_scenario(text, base_dir=p.parent, source=p.name)
+        return parse(path.read_text())
+    except ValueError as exc:
+        raise ScenarioError(f"{path.name}: {exc}") from exc
+
+
+def load_scenario(path) -> Scenario:
+    path = Path(path)
+    return read_file(path, lambda text: parse_scenario(text, path.parent, path.name))
 
 
 def read_rulebase(path):
-    """Parse a rule base DSL file, or the built-in default for an empty or None path.
-
-    A parse error becomes a ScenarioError naming the file.
-    """
-    if not path:
-        return fis.default_rulebase()
-    path = Path(path)
-    try:
-        return fis.parse_rulebase(path.read_text())
-    except (fis.RuleParseError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"{path.name}: {exc}") from exc
+    """Parse a rule base DSL file, or the built-in default for an empty or None path."""
+    return read_file(path, fis.parse_rulebase) if path else fis.default_rulebase()
 
 
 def load_rulebase(scenario: Scenario):

@@ -61,6 +61,35 @@ class TestRun:
                                                       ("-0.1", "200.0")]
         assert err == "pipefollow: drift exceeds +/-0.05 cm tolerance (max 0.1 cm)\n"
 
+    @pytest.mark.parametrize("tolerance, last_row", [
+        ("1e-26", "5,86.2,86.1,-0.1,1000000000000000013287555072.0"),
+        ("5e-324", "5,86.2,86.1,-0.1,inf"),   # a percentage past the float range
+    ])
+    def test_tiny_tolerance_ends_in_a_record(self, capsys, tolerance, last_row):
+        code, out, err = run_cli(capsys, "run", "--scenario", SCENARIO_DIR / "default.scenario",
+                                 "--tolerance", tolerance)
+        assert code == 1
+        assert out.splitlines()[-1] == last_row
+        assert err == f"pipefollow: drift exceeds +/-{tolerance} cm tolerance (max 0.1 cm)\n"
+
+    @pytest.mark.parametrize("tolerance", [[], ["--tolerance", "0.05"]], ids=["default", "0.05"])
+    def test_plot_equals_plot_of_the_written_record(self, capsys, tmp_path, tolerance):
+        scenario = SCENARIO_DIR / "default.scenario"
+        record, svg = tmp_path / "rec.csv", tmp_path / "run.svg"
+        run_cli(capsys, "run", "--scenario", scenario, "--out", record, "--plot", svg, *tolerance)
+        code, out, _ = run_cli(capsys, "plot", record, "--scenario", scenario, *tolerance)
+        assert code == 0
+        assert svg.read_text() == out
+
+    def test_plot_of_an_infinite_percentage_is_not_written(self, capsys, tmp_path):
+        record, svg = tmp_path / "rec.csv", tmp_path / "run.svg"
+        code, _, err = run_cli(capsys, "run", "--scenario", SCENARIO_DIR / "default.scenario",
+                               "--out", record, "--plot", svg, "--tolerance", "5e-324")
+        assert code == 1 and not svg.exists()
+        assert err.startswith("pipefollow: run.svg not written: non-finite CSV row: "
+                              "'2,56.2,56.3,+0.1,inf'\npipefollow: drift exceeds")
+        assert run_cli(capsys, "plot", record, "--tolerance", "5e-324")[0] == 2
+
     def test_missing_scenario_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "run", "--scenario", "nowhere.scenario")
         assert code == 2

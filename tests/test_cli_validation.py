@@ -1,11 +1,19 @@
-"""Outside input the CLI rejects with exit 2 before any mission runs."""
+"""Outside input the CLI rejects with exit 2 before any mission runs, and extreme input
+that must end in an exit code and a `pipefollow: ` diagnostic, never a traceback."""
 
+import contextlib
+import io
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pipefollow import netpbm
+from pipefollow import netpbm, sim
 from pipefollow.cli import main
 from pipefollow.imgproc import GrayImage
 from conftest import SCENARIO_DIR
@@ -173,6 +181,10 @@ def test_camera_rejected_when_scenario_is_built(capsys, tmp_path, line, command,
      "a 4611686018427387904x240 image has more than 4194304 pixels"),
     ("camera.image.width = 100000\ncamera.image.height = 100000",
      "a 100000x100000 image has more than 4194304 pixels"),
+    ("pipe.width = 1e200", "envelope dimensions and pipe width must be at most 1000000 cm"),
+    ("envelope.x = 1e160", "envelope dimensions and pipe width must be at most 1000000 cm"),
+    ("camera.height = 1.7976931348623157e308", "camera height must be at most 1000000 cm"),
+    ("steering.gain = -1e300", "steering gain must be at most 1000000 in magnitude"),
 ])
 def test_scenario_past_a_run_time_limit_exits_two(capsys, tmp_path, line, message):
     path = tmp_path / "huge.scenario"
@@ -202,3 +214,79 @@ def test_bad_image_exits_two_naming_the_file(capsys, tmp_path, name, data, messa
     path.write_bytes(data)
     assert main(["features", str(path)]) == 2
     assert capsys.readouterr().err == f"pipefollow: {message}\n"
+
+
+INT_EXTREMES = ["0", "1", "-1", "2147483392", "2147483648", "9" * 400]
+FLOAT_EXTREMES = ["0", "-0.0", "5e-324", "1e-300", "1e6", "1.0000001e6", "1e26", "1e155",
+                  "1e200", "1e300", "-1e300", "1.7976931348623157e308", "nan", "-inf"]
+WAYPOINT_EXTREMES = ["0:0; 0:1e-300", "0:0; 5e-324:112.5", "1e6:0; 1e6:112.5",
+                     "0:0; 0:1e6", "1e155:0; 36.5:112.5", "0:0; 1e300:1e300"]
+
+
+def key_extremes(key):
+    """Extreme value texts for one scenario key, of the type the key parses as."""
+    if key == "pipe.waypoints":
+        return st.sampled_from(WAYPOINT_EXTREMES)
+    if key == "rulebase":
+        return st.sampled_from(["", "gone.rules", str(SCENARIO_DIR / "detuned.rules")])
+    part, field = sim._SCENARIO_KEYS[key]
+    is_int = isinstance(getattr(sim._SCENARIO_PARTS[part], field), int)
+    return st.sampled_from(INT_EXTREMES if is_int else FLOAT_EXTREMES)
+
+
+one_key_mutation = st.sampled_from(sorted([*sim._SCENARIO_KEYS, "pipe.waypoints"])).flatmap(
+    lambda key: key_extremes(key).map(lambda value: {key: value}))
+
+
+def run_cli_quietly(argv):
+    """(exit code, stderr) of one CLI call with every warning raised as an error."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejected the command line
+            assert exc.code == 2 and err.getvalue().startswith("usage: ")
+            return exc.code, ""
+    return code, err.getvalue()
+
+
+HUGE_DRIFT = {"envelope.x": "1e27", "pipe.waypoints": "1e26:0; 1e26:112.5", "start.x": "5e26",
+              "start.y": "0", "start.heading": "90", "camera.speckle": "0.3", "minArea": "1"}
+
+
+@example(changes={}, tolerance="1e-26", seed=None)
+@example(changes=HUGE_DRIFT, tolerance=None, seed=None)
+@example(changes={"pipe.width": "1e200"}, tolerance=None, seed=None)
+@example(changes={"envelope.x": "1e160", "pipe.waypoints": "1e155:0; 36.5:112.5"},
+         tolerance=None, seed=None)
+@settings(max_examples=50, deadline=None)
+@given(changes=one_key_mutation,
+       tolerance=st.sampled_from([None, "5e-324", "1e-300", "1e-26", "0.05", "1e300", "0"]),
+       seed=st.sampled_from([None, "0", "9" * 400, "-1"]))
+def test_run_and_plot_end_without_a_traceback(changes, tolerance, seed):
+    """A run of the default scenario with extreme values, and a plot of its record,
+    each end in an exit code and stderr lines that all come from the CLI."""
+    lines = []
+    for line in (SCENARIO_DIR / "default.scenario").read_text().splitlines():
+        key = line.partition("=")[0].strip()
+        value = changes.get(key, SCENARIO_DIR / "tuned.rules" if key == "rulebase" else None)
+        lines.append(line if value is None else f"{key} = {value}")
+    tolerance = [f"--tolerance={tolerance}"] * (tolerance is not None)
+    seed = [f"--seed={seed}"] * (seed is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, record, svg = Path(tmp, "x.scenario"), Path(tmp, "x.csv"), Path(tmp, "x.svg")
+        scenario.write_text("\n".join(lines) + "\n")
+        code, err = run_cli_quietly(["run", "--scenario", str(scenario), "--out", str(record),
+                                     "--plot", str(svg), *tolerance, *seed])
+        assert code in (0, 1, 2)
+        assert all(line.startswith("pipefollow: ") for line in err.splitlines())
+        if record.exists():
+            plotted = Path(tmp, "plot.svg")
+            code, err = run_cli_quietly(["plot", str(record), "--scenario", str(scenario),
+                                         "--out", str(plotted), *tolerance])
+            assert code in (0, 2)
+            assert all(line.startswith("pipefollow: ") for line in err.splitlines())
+            assert svg.exists() == plotted.exists()
+            if svg.exists():
+                assert svg.read_bytes() == plotted.read_bytes()

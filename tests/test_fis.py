@@ -293,6 +293,10 @@ class TestRuleDsl:
         with pytest.raises(RuleParseError, match=r"line 1.*x9"):
             parse_rulebase("IF x9 IS Small THEN y1 IS TurnLeft")
 
+    def test_parse_error_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^line 1: unknown variable x9$"):
+            parse_rulebase("IF x9 IS Small THEN y1 IS TurnLeft")
+
     def test_unknown_term_named(self):
         with pytest.raises(RuleParseError, match=r"line 3.*Huge"):
             parse_rulebase("# header\n\nIF x1 IS Huge THEN y1 IS TurnLeft")

@@ -302,6 +302,12 @@ class TestDriftMetrics:
         with pytest.raises(ValueError):
             drift_metrics([AuvState(50.0, 150.0, 90.0)], world)
 
+    def test_rounding_has_no_precision_limit(self):
+        assert pct_of_drift(0.1, 1e-26) == 1e27   # 29 digits, past Decimal's default 28
+        world = World(pipeline=((47.5, 22.5), (58.5, 45.0)))
+        point, = drift_metrics([AuvState(5e26, 22.5, 90.0)], world).points
+        assert (point.drift, point.pct_drift) == (5e26, 6.25e27)
+
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             pct_of_drift(1.0, 0.0)
@@ -333,6 +339,16 @@ class TestPathRecordCsv:
     def test_rejects_empty_body(self):
         with pytest.raises(ValueError):
             PathRecord.from_csv("step,actual_x_cm,sim_x_cm,drift_cm,pct_drift\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,a,3,4,5", "non-numeric"),
+        ("1.5,2,3,4,5", "non-numeric"),
+        ("1,inf,abc,+0.0,0.0", "non-numeric"),   # every field is read before a finiteness test
+        ("1,nan,inf,+0.0,0.0", "non-finite"),
+    ])
+    def test_bad_number_names_the_row(self, row, message):
+        with pytest.raises(ValueError, match=f"^{message} CSV row: {re.escape(repr(row))}$"):
+            PathRecord.from_csv(f"{sim.CSV_HEADER}\n{row}\n")
 
     def test_rejects_malformed_rows(self):
         with pytest.raises(ValueError):
@@ -726,6 +742,10 @@ class TestScenarioFiles:
     def test_non_numeric_value_rejected(self):
         with pytest.raises(ScenarioError, match="seed"):
             parse_scenario("pipe.waypoints = 10:0; 10:50\nseed = many\n")
+
+    def test_seed_of_400_digits_parses(self):
+        assert parse_scenario(f"pipe.waypoints = 10:0; 10:50\nseed = {'9' * 400}\n"
+                              ).world.seed == int("9" * 400)
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ScenarioError, match="line 1"):
