@@ -79,7 +79,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_features(args) -> int:
-    gray = netpbm.read_gray(args.image)
+    gray = netpbm.read_pgm(args.image)
     # without a scenario file, the class attributes are the field defaults
     scenario = sim.load_scenario(args.scenario) if args.scenario else sim.Scenario
     try:

@@ -37,8 +37,8 @@ LOCATION_TERMS = ("Left", "Center", "Right")
 OUTPUT_TERMS = ("TurnLeft", "GoStraight", "TurnRight")
 
 
-class RuleParseError(ValueError):
-    """DSL text could not be parsed; message carries the offending line number."""
+class ParseError(ValueError):
+    """A line of a rules or scenario file could not be parsed; the message names the line."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -47,10 +47,11 @@ class RuleParseError(ValueError):
 
 def eval_gaussian(x: float, sigma: float, c: float) -> float:
     """exp(-(x-c)^2 / (2 sigma^2)); peak 1 at the center."""
-    if sigma <= 0:
-        raise ValueError(f"gaussian sigma must be > 0, got {sigma}")
+    den = 2.0 * sigma * sigma
+    if not (sigma > 0 and den > 0):   # a tiny sigma underflows den to 0
+        raise ValueError(f"gaussian sigma must be > 0 with 2*sigma*sigma > 0, got {sigma}")
     d = x - c
-    return math.exp(-(d * d) / (2.0 * sigma * sigma))
+    return math.exp(-(d * d) / den)
 
 
 def eval_s(x: float, a: float, b: float, c: float) -> float:
@@ -76,8 +77,9 @@ def eval_s(x: float, a: float, b: float, c: float) -> float:
 
 def eval_pi(x: float, b: float, c: float) -> float:
     """Pi-shaped bump with peak 1 at c and feet at c-b and c+b."""
-    if b <= 0:
-        raise ValueError(f"pi half-width must be > 0, got {b}")
+    if not c - b < c - b / 2 < c < c + b / 2 < c + b:   # false for b <= 0, inf or too small
+        raise ValueError(f"pi half-width must be > 0 with feet c-b < c-b/2 < c < c+b/2 < c+b, "
+                         f"got b={b}, c={c}")
     if x <= c:
         return eval_s(x, c - b, c - b / 2.0, c)
     return 1.0 - eval_s(x, c, c + b / 2.0, c + b)
@@ -96,11 +98,7 @@ class MembershipFunction:
             raise ValueError(f"membership width must be finite and > 0, got {self.width}")
         if not math.isfinite(self.center):
             raise ValueError(f"membership center must be finite, got {self.center}")
-        w, c = self.width, self.center   # too narrow a width divides by 0 or collapses the pi
-        if self.kind == "gaussian" and not 2.0 * w * w > 0:
-            raise ValueError(f"membership width {w} too small: 2*width*width underflows to 0")
-        if self.kind == "pi" and not c - w < c - w / 2 < c < c + w / 2 < c + w:
-            raise ValueError(f"membership width {w} too small: pi feet collapse onto center {c}")
+        self(self.center)   # the shape's evaluator rejects a width too narrow to evaluate
 
     def __call__(self, x: float) -> float:
         if self.kind == "gaussian":
@@ -230,15 +228,11 @@ def default_variables() -> dict:
     for name in INPUT_VARIABLES:
         terms = COVERAGE_TERMS if name in ("x1", "x2", "x3", "x4") else LOCATION_TERMS
         variables[name] = LinguisticVariable(name, INPUT_UNIVERSE, {
-            terms[0]: MembershipFunction("gaussian", 0.19, 0.1),
-            terms[1]: MembershipFunction("gaussian", 0.19, 0.55),
-            terms[2]: MembershipFunction("gaussian", 0.19, 1.0),
-        })
+            term: MembershipFunction("gaussian", 0.19, center)
+            for term, center in zip(terms, (0.1, 0.55, 1.0))})
     variables[OUTPUT_VARIABLE] = LinguisticVariable(OUTPUT_VARIABLE, OUTPUT_UNIVERSE, {
-        "TurnLeft": MembershipFunction("pi", 60.0, 30.0),
-        "GoStraight": MembershipFunction("pi", 60.0, 90.0),
-        "TurnRight": MembershipFunction("pi", 60.0, 150.0),
-    })
+        term: MembershipFunction("pi", 60.0, center)
+        for term, center in zip(OUTPUT_TERMS, (30.0, 90.0, 150.0))})
     return variables
 
 
@@ -334,7 +328,7 @@ def parse_rulebase(text: str) -> RuleBase:
             else:
                 rules.append(_parse_rule_line(line, variables))
         except ValueError as exc:
-            raise RuleParseError(line_no, str(exc)) from None
+            raise ParseError(line_no, str(exc)) from None
     return RuleBase(variables, tuple(rules))
 
 

@@ -1,4 +1,5 @@
-"""Binary netpbm I/O: P5 (PGM) gray rasters read and written; P6 (PPM) read only, as gray.
+"""Binary netpbm I/O: one reader takes a P5 (PGM) or P6 (PPM) file and returns a gray
+image, converting P6 with rgb_to_gray; the writer writes P5.
 
 A header is the magic, width, height and maxval (only 255), each after whitespace or
 '#' comments that run to the end of their line, then one whitespace byte.
@@ -24,8 +25,8 @@ _SKIP = rb"(?:\s|#[^\n]*(?![^\n]))"   # the lookahead ends a comment only at its
 _HEADER = re.compile(_SKIP + rb"*([^\s#]+)" + (_SKIP + rb"+([^\s#]+)") * 3 + rb"(\s?)")
 
 
-def _read(path, magics: tuple) -> np.ndarray:
-    """The (h, w) P5 or (h, w, 3) P6 uint8 raster of a file whose magic is in magics."""
+def read_pgm(path) -> GrayImage:
+    """A P5 file's image as it is, or a P6 file's converted with rgb_to_gray."""
     path = Path(path)
     data = path.read_bytes()
     header = _HEADER.match(data)
@@ -34,9 +35,8 @@ def _read(path, magics: tuple) -> np.ndarray:
     magic, *fields, space = header.groups()
     if not space:
         raise NetpbmError(f"{path.name}: missing whitespace before raster data")
-    if magic not in magics:
-        raise NetpbmError(f"{path.name}: expected {b' or '.join(magics).decode()} file, "
-                          f"got {magic[:2]!r}")
+    if magic not in (b"P5", b"P6"):
+        raise NetpbmError(f"{path.name}: expected P5 or P6 file, got {magic[:2]!r}")
     try:
         width, height, maxval = (int(t) for t in fields)
     except ValueError as exc:
@@ -49,17 +49,8 @@ def _read(path, magics: tuple) -> np.ndarray:
     size = math.prod(shape)
     if len(data) - header.end() < size:
         raise NetpbmError(f"{path.name}: truncated raster data")
-    return np.frombuffer(data, np.uint8, size, header.end()).reshape(shape).copy()
-
-
-def read_pgm(path) -> GrayImage:
-    return GrayImage(_read(path, (b"P5",)))
-
-
-def read_gray(path) -> GrayImage:
-    """A P5 file's image as it is, or a P6 file's converted with rgb_to_gray."""
-    pixels = _read(path, (b"P5", b"P6"))
-    return GrayImage(pixels if pixels.ndim == 2 else rgb_to_gray(pixels))
+    pixels = np.frombuffer(data, np.uint8, size, header.end()).reshape(shape)
+    return GrayImage(pixels.copy() if magic == b"P5" else rgb_to_gray(pixels))
 
 
 def write_pgm(path, img: GrayImage) -> None:

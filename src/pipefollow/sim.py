@@ -46,7 +46,8 @@ class MissionFailure(Exception):
 
 
 class ScenarioError(Exception):
-    """Scenario, rules or record file rejected; the message names the file (and line)."""
+    """A scenario, rules or record file was rejected.  Raised only by read_file, so the
+    message always starts with the file's name (then, for a bad line, the line)."""
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,11 @@ class PathRecord:
             parts = ln.split(",")
             if len(parts) != 5:
                 raise ValueError(f"malformed CSV row: {ln!r}")
-            points.append(PathPoint(*_numbers(parts, (int, float, float, float, float),
-                                              f"CSV row: {ln!r}")))
+            point = PathPoint(*_numbers(parts, (int, float, float, float, float),
+                                        f"CSV row: {ln!r}"))
+            if not 1 <= point.step <= MAX_MISSION_STEPS:   # as a mission numbers its steps
+                raise ValueError(f"step outside 1-{MAX_MISSION_STEPS} in CSV row: {ln!r}")
+            points.append(point)
         return cls(tuple(points), tolerance)
 
 
@@ -676,7 +680,9 @@ def _parse_waypoints(value):
     return tuple(waypoints)
 
 
-def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scenario:
+def parse_scenario(text: str, base_dir=".") -> Scenario:
+    """The Scenario a scenario file's text states; a bad line raises fis.ParseError, a
+    missing pipe.waypoints or a broken invariant a ValueError."""
     values = {}
     waypoints = ()
     key_lines = {}
@@ -706,9 +712,9 @@ def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scena
                 kind = int if isinstance(getattr(_SCENARIO_PARTS[part], field), int) else float
                 values[key] = _numbers([value], [kind], f"value for {key}")[0]
         except ValueError as exc:
-            raise ScenarioError(f"{source} line {line_no}: {exc}") from None
+            raise fis.ParseError(line_no, str(exc)) from None
     if not waypoints:
-        raise ScenarioError(f"{source}: missing required key pipe.waypoints")
+        raise ValueError("missing required key pipe.waypoints")
 
     first_x, first_y = waypoints[0]
     fields = {part: {} for part in _SCENARIO_PARTS}
@@ -717,13 +723,10 @@ def parse_scenario(text: str, base_dir=".", source: str = "<scenario>") -> Scena
         fields[part][field] = value
     fields["world"]["envelope"] = (values.get("envelope.x", World.envelope[0]),
                                    values.get("envelope.y", World.envelope[1]))
-    try:
-        return Scenario(World(pipeline=waypoints, **fields["world"]),
-                        camera=replace(Scenario.camera, **fields["camera"]),
-                        thresholds=replace(Scenario.thresholds, **fields["thresholds"]),
-                        start=replace(Scenario.start, **fields["start"]), **fields["scenario"])
-    except ValueError as exc:
-        raise ScenarioError(f"{source}: {exc}") from exc
+    return Scenario(World(pipeline=waypoints, **fields["world"]),
+                    camera=replace(Scenario.camera, **fields["camera"]),
+                    thresholds=replace(Scenario.thresholds, **fields["thresholds"]),
+                    start=replace(Scenario.start, **fields["start"]), **fields["scenario"])
 
 
 def read_file(path, parse):
@@ -738,7 +741,7 @@ def read_file(path, parse):
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    return read_file(path, lambda text: parse_scenario(text, path.parent, path.name))
+    return read_file(path, lambda text: parse_scenario(text, path.parent))
 
 
 def read_rulebase(path):

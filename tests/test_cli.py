@@ -301,3 +301,49 @@ def test_readme_commands_parse():
     assert len(lines) == 7
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+WAYPOINTS = "pipe.waypoints = 36.5:0; 47.5:22.5; 58.5:45\n"
+RULE = "IF x5 IS Left THEN y1 IS TurnLeft\n"
+
+
+@pytest.mark.parametrize("quote, argv, files", [
+    ("my.rules: line 3: unknown term Huge for variable x1", ["infer", *["0.4"] * 6, "--rules",
+     "my.rules"], {"my.rules": RULE * 2 + "IF x1 IS Huge THEN y1 IS TurnLeft\n"}),
+    ("my.rules: line 2: duplicate term x1.Small (first set on line 1)",
+     ["infer", *["0.4"] * 6, "--rules", "my.rules"],
+     {"my.rules": "term.x1.Small = gaussian(0.2, 0.1)\nterm.x1.Small = pi(0.2, 0.1)\n"}),
+    ("my.rules: line 2: gaussian sigma must be > 0 with 2*sigma*sigma > 0, got 1e-200",
+     ["infer", *["0.4"] * 6, "--rules", "my.rules"],
+     {"my.rules": RULE + "term.x5.Left = gaussian(1e-200, 0.5)\n"}),
+    ("my.rules: line 2: pi half-width must be > 0 with feet c-b < c-b/2 < c < c+b/2 < c+b, "
+     "got b=1e-20, c=0.5", ["infer", *["0.4"] * 6, "--rules", "my.rules"],
+     {"my.rules": RULE + "term.x5.Left = pi(1e-20, 0.5)\n"}),
+    ("my.scenario: line 2: non-finite value for camera.height",
+     ["run", "--scenario", "my.scenario"], {"my.scenario": WAYPOINTS + "camera.height = nan\n"}),
+    ("my.scenario: a 100000x100000 image has more than 4194304 pixels",
+     ["run", "--scenario", "my.scenario"],
+     {"my.scenario": WAYPOINTS + "camera.image.width = 100000\ncamera.image.height = 100000\n"}),
+    ("bad.csv: missing CSV header ...", ["plot", "bad.csv"], {"bad.csv": "step,x\n1,2\n"}),
+    ("view.pgm: truncated raster data", ["features", "view.pgm"],
+     {"view.pgm": "P5\n4 4\n255\n" + "\0" * 7}),
+    ("argument --tolerance: must be a positive finite number, not 'abc'",
+     ["run", "--scenario", "my.scenario", "--tolerance", "abc"], {"my.scenario": WAYPOINTS}),
+], ids=["unknown-term", "duplicate-term", "gaussian-width", "pi-width", "scenario-line",
+        "scenario-bound", "record-header", "image", "tolerance"])
+def test_readme_diagnostics_are_printed_verbatim(capsys, tmp_path, monkeypatch, quote, argv,
+                                                 files):
+    """Each diagnostic the README quotes is in its text and in the command's stderr, after
+    `pipefollow: ` (or argparse's `pipefollow <command>: error: `); a quote ending in ` ...`
+    is a prefix."""
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    assert f"`{quote}`" in readme
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    try:
+        code, lead = main(argv), "pipefollow: "
+    except SystemExit as exc:
+        code, lead = exc.code, f"pipefollow {argv[0]}: error: "
+    assert code == 2
+    assert lead + quote.removesuffix(" ...") in capsys.readouterr().err

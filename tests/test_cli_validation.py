@@ -2,6 +2,7 @@
 that must end in an exit code and a `pipefollow: ` diagnostic, never a traceback."""
 
 import contextlib
+import functools
 import io
 import re
 import tempfile
@@ -67,29 +68,32 @@ def test_non_finite_term_parameter_exits_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "infer"])
-@pytest.mark.parametrize("value", ["gaussian(1e-200, 0.5)", "pi(1e-20, 0.5)"],
-                         ids=["gaussian", "pi"])
-def test_term_too_narrow_to_evaluate_exits_two(capsys, tmp_path, command, value):
+@pytest.mark.parametrize("value, message", [
+    ("gaussian(1e-200, 0.5)", "gaussian sigma must be > 0 with 2*sigma*sigma > 0, got 1e-200"),
+    ("pi(1e-20, 0.5)", "pi half-width must be > 0 with feet c-b < c-b/2 < c < c+b/2 < c+b, "
+                       "got b=1e-20, c=0.5"),
+], ids=["gaussian", "pi"])
+def test_term_too_narrow_to_evaluate_exits_two(capsys, tmp_path, command, value, message):
     path = tmp_path / "narrow.rules"
     path.write_text(f"IF x5 IS Left THEN y1 IS TurnLeft\nterm.x5.Left = {value}\n")
     target = ["--scenario", str(SCENARIO_DIR / "default.scenario")] if command == "run" \
         else ["0.4"] * 6
     assert main([command, *target, "--rules", str(path)]) == 2
-    assert "narrow.rules: line 2: membership width" in capsys.readouterr().err
+    assert f"narrow.rules: line 2: {message}" in capsys.readouterr().err
 
 
 def test_non_finite_scenario_value_exits_two(capsys, tmp_path):
     path = tmp_path / "sick.scenario"
     path.write_text("pipe.waypoints = 36.5:0; 47.5:22.5; 58.5:45\ncamera.height = nan\n")
     assert main(["run", "--scenario", str(path)]) == 2
-    assert "sick.scenario line 2: non-finite value for camera.height" in capsys.readouterr().err
+    assert "sick.scenario: line 2: non-finite value for camera.height" in capsys.readouterr().err
 
 
 def test_nul_in_rulebase_path_exits_two(capsys, tmp_path):
     path = tmp_path / "nul.scenario"
     path.write_text("pipe.waypoints = 36.5:0; 47.5:22.5; 58.5:45\nrulebase = a\0b\n")
     assert main(["run", "--scenario", str(path)]) == 2
-    assert "nul.scenario line 2: rulebase path: embedded null byte" in capsys.readouterr().err
+    assert "nul.scenario: line 2: rulebase path: embedded null byte" in capsys.readouterr().err
 
 
 def test_non_finite_record_value_exits_two(capsys, tmp_path):
@@ -97,6 +101,15 @@ def test_non_finite_record_value_exits_two(capsys, tmp_path):
     path.write_text("step,actual_x_cm,sim_x_cm,drift_cm,pct_drift\n1,nan,inf,+0.0,0.0\n")
     assert main(["plot", str(path)]) == 2
     assert "non-finite CSV row: '1,nan,inf,+0.0,0.0'" in capsys.readouterr().err
+
+
+def test_record_step_past_the_mission_bound_exits_two(capsys, tmp_path):
+    path = tmp_path / "far.csv"
+    row = "9" * 400 + ",46.4,46.4,+0.0,0.0"
+    path.write_text(f"step,actual_x_cm,sim_x_cm,drift_cm,pct_drift\n{row}\n")
+    assert main(["plot", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        f"pipefollow: far.csv: step outside 1-10000 in CSV row: '{row}'\n"
 
 
 def test_bad_record_exits_two_naming_the_file(capsys, tmp_path):
@@ -137,7 +150,7 @@ def test_duplicate_scenario_key_exits_two(capsys, tmp_path):
     path.write_text("seed = 3\npipe.waypoints = 36.5:0; 47.5:22.5; 58.5:45\nseed = 4\n")
     assert main(["run", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "twice.scenario line 3: duplicate key 'seed' (first set on line 1)" in err
+    assert "twice.scenario: line 3: duplicate key 'seed' (first set on line 1)" in err
 
 
 @pytest.mark.parametrize("line, message", [
@@ -251,6 +264,16 @@ def run_cli_quietly(argv):
     return code, err.getvalue()
 
 
+def scenario_text(changes: dict) -> str:
+    """The default scenario with the values in changes; its rulebase path made absolute."""
+    lines = []
+    for line in (SCENARIO_DIR / "default.scenario").read_text().splitlines():
+        key = line.partition("=")[0].strip()
+        value = changes.get(key, SCENARIO_DIR / "tuned.rules" if key == "rulebase" else None)
+        lines.append(line if value is None else f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
 HUGE_DRIFT = {"envelope.x": "1e27", "pipe.waypoints": "1e26:0; 1e26:112.5", "start.x": "5e26",
               "start.y": "0", "start.heading": "90", "camera.speckle": "0.3", "minArea": "1"}
 
@@ -267,16 +290,11 @@ HUGE_DRIFT = {"envelope.x": "1e27", "pipe.waypoints": "1e26:0; 1e26:112.5", "sta
 def test_run_and_plot_end_without_a_traceback(changes, tolerance, seed):
     """A run of the default scenario with extreme values, and a plot of its record,
     each end in an exit code and stderr lines that all come from the CLI."""
-    lines = []
-    for line in (SCENARIO_DIR / "default.scenario").read_text().splitlines():
-        key = line.partition("=")[0].strip()
-        value = changes.get(key, SCENARIO_DIR / "tuned.rules" if key == "rulebase" else None)
-        lines.append(line if value is None else f"{key} = {value}")
     tolerance = [f"--tolerance={tolerance}"] * (tolerance is not None)
     seed = [f"--seed={seed}"] * (seed is not None)
     with tempfile.TemporaryDirectory() as tmp:
         scenario, record, svg = Path(tmp, "x.scenario"), Path(tmp, "x.csv"), Path(tmp, "x.svg")
-        scenario.write_text("\n".join(lines) + "\n")
+        scenario.write_text(scenario_text(changes))
         code, err = run_cli_quietly(["run", "--scenario", str(scenario), "--out", str(record),
                                      "--plot", str(svg), *tolerance, *seed])
         assert code in (0, 1, 2)
@@ -290,3 +308,127 @@ def test_run_and_plot_end_without_a_traceback(changes, tolerance, seed):
             assert svg.exists() == plotted.exists()
             if svg.exists():
                 assert svg.read_bytes() == plotted.read_bytes()
+
+
+RULES_LINES = (SCENARIO_DIR / "default.rules").read_text().splitlines()
+RULE_LINE_EXTREMES = [
+    "", "IF x5 IS Huge THEN y1 IS TurnLeft", "IF x9 IS Left THEN y1 IS TurnLeft",
+    "IF x5 IS Left AND x5 IS Right THEN y1 IS TurnLeft", "IF y1 IS TurnLeft THEN y1 IS TurnLeft",
+    "IF x5 IS Left THEN x6 IS Left", "IF THEN y1 IS TurnLeft",
+    "IF x1 IS Large THEN y1 IS TurnRight",
+    next(line for line in RULES_LINES if line.startswith("term."))]   # a term set twice
+
+
+def rules_text(number: int, term_value: str, rule_line: str) -> str:
+    """The committed default rules with line `number` changed: a term line gets term_value,
+    any other line becomes rule_line."""
+    lines = list(RULES_LINES)
+    name = lines[number].partition("=")[0].strip()
+    lines[number] = f"{name} = {term_value}" if name.startswith("term.") else rule_line
+    return "\n".join(lines) + "\n"
+
+
+one_line_rules = st.builds(
+    rules_text, st.sampled_from([i for i, line in enumerate(RULES_LINES) if line[:1] != "#"]),
+    st.builds("{}({}, {})".format, st.sampled_from(["gaussian", "pi", "bump"]),
+              st.sampled_from(["0.19", "60.0", *FLOAT_EXTREMES]),
+              st.sampled_from(["0.55", "90.0", *FLOAT_EXTREMES])),
+    st.sampled_from(RULE_LINE_EXTREMES))
+
+
+@functools.cache
+def default_flight() -> tuple:
+    """(the default scenario's start view, the drift record CSV of its mission)."""
+    scenario = sim.load_scenario(SCENARIO_DIR / "default.scenario")
+    view = sim.render_view(scenario.world, scenario.start, scenario.camera, frame=0).pixels
+    return view, sim.run_mission(scenario, sim.read_rulebase(scenario.rulebase_file)).to_csv()
+
+
+def record_text(row: int, column: int, value: str) -> str:
+    """The default mission's record with one field (the header's included) set to value."""
+    rows = [line.split(",") for line in default_flight()[1].splitlines()]
+    rows[row % len(rows)][column] = value
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
+one_field_record = st.builds(record_text, st.integers(0, 20), st.integers(0, 4),
+                             st.sampled_from(["", "x", "1,2", *INT_EXTREMES, *FLOAT_EXTREMES]))
+
+IMAGE_EXTREMES = {"none": [""], "magic": ["P2", "P3", "P4", "P7", "no"],
+                  "width": INT_EXTREMES, "height": INT_EXTREMES,
+                  "maxval": ["0", "1", "65535", *INT_EXTREMES], "cut": ["1", "all"]}
+
+
+def image_bytes(magic: str, shape: tuple, key: str, value: str) -> bytes:
+    """The default start view cropped to shape, as a P5 or P6 file with one header key
+    set to value, or with its raster cut short by value bytes (key "cut")."""
+    height, width = shape
+    pixels = default_flight()[0][:height, :width]
+    if magic == "P6":
+        pixels = np.repeat(pixels[:, :, None], 3, axis=2)
+    raster = pixels.tobytes()
+    header = {"magic": magic, "width": str(width), "height": str(height), "maxval": "255"}
+    if key == "cut":
+        raster = raster[:-1] if value == "1" else b""
+    elif key != "none":
+        header[key] = value
+    return "{magic}\n{width} {height}\n{maxval}\n".format(**header).encode() + raster
+
+
+one_key_image = st.builds(
+    lambda magic, shape, change: image_bytes(magic, shape, *change),
+    st.sampled_from(["P5", "P6"]),
+    st.sampled_from([(240, 320), (1, 320), (240, 1), (10, 2), (9, 40), (60, 80)]),
+    st.sampled_from(sorted(IMAGE_EXTREMES)).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(IMAGE_EXTREMES[key]))))
+
+# Each command line is (argv, {file name: bytes}); "{tmp}" in argv is the directory the
+# files are written to.
+DEFAULT = str(SCENARIO_DIR / "default.scenario")
+
+
+def features_line(image: bytes, scenario: list) -> tuple:
+    return ["features", "{tmp}/in.pnm", *scenario, "--out", "{tmp}/out.csv"], {"in.pnm": image}
+
+
+command_lines = st.one_of(
+    st.builds(features_line, one_key_image, st.sampled_from([[], ["--scenario", DEFAULT]])),
+    st.builds(lambda rules, values: (["infer", *values, "--rules", "{tmp}/x.rules",
+                                      "--out", "{tmp}/out.txt"], {"x.rules": rules.encode()}),
+              one_line_rules,
+              st.builds(lambda i, value: [*["0.55"] * i, value, *["0.55"] * (5 - i)],
+                        st.integers(0, 5), st.sampled_from(["0.1", "1.0", "1.0000000009",
+                                                            "1.1", "0", "nan", "inf", "1e300"]))),
+    st.builds(lambda rules, budget: (["tune", "--scenario", DEFAULT, "--rules", "{tmp}/x.rules",
+                                      "--budget", budget, "--out", "{tmp}/t.rules"],
+                                     {"x.rules": rules.encode()}),
+              one_line_rules, st.sampled_from(["1", "2", "3", "0"])),
+    st.builds(lambda changes, seed: (["render", "--scenario", "{tmp}/x.scenario",
+                                      "--out", "{tmp}/view.pgm", *seed],
+                                     {"x.scenario": scenario_text(changes).encode()}),
+              one_key_mutation, st.sampled_from([[], ["--seed=0"], ["--seed=" + "9" * 400]])),
+    st.builds(lambda record, scenario, tolerance: (["plot", "{tmp}/x.csv", *scenario, *tolerance,
+                                                    "--out", "{tmp}/x.svg"],
+                                                   {"x.csv": record.encode()}),
+              one_field_record, st.sampled_from([[], ["--scenario", DEFAULT]]),
+              st.sampled_from([[], ["--tolerance=5e-324"], ["--tolerance=1e300"]])))
+
+
+@example((["plot", "{tmp}/x.csv", "--out", "{tmp}/x.svg"],
+          {"x.csv": record_text(1, 0, "9" * 400).encode()}))
+@example(features_line(image_bytes("P6", (240, 320), "magic", "P3"), []))
+@example(features_line(image_bytes("P5", (240, 320), "cut", "1"), []))
+@example(features_line(image_bytes("P6", (1, 320), "none", ""), []))
+@example(features_line(image_bytes("P5", (240, 1), "none", ""), []))
+@settings(max_examples=150, deadline=None)
+@given(command_lines)
+def test_other_commands_end_without_a_traceback(command_line):
+    """features, infer, tune, render and plot, each over one mutated image, rules, scenario
+    or record file, end in an exit code and stderr lines that all come from the CLI."""
+    argv, files = command_line
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            Path(tmp, name).write_bytes(data)
+        code, err = run_cli_quietly([arg.format(tmp=tmp) for arg in argv])
+    assert code in (0, 1, 2)
+    assert all(line.startswith("pipefollow: ") for line in err.splitlines())

@@ -345,6 +345,9 @@ class TestPathRecordCsv:
         ("1.5,2,3,4,5", "non-numeric"),
         ("1,inf,abc,+0.0,0.0", "non-numeric"),   # every field is read before a finiteness test
         ("1,nan,inf,+0.0,0.0", "non-finite"),
+        ("0,2,3,4,5", "step outside 1-10000 in"),
+        ("10001,2,3,4,5", "step outside 1-10000 in"),
+        ("9" * 400 + ",2,3,4,5", "step outside 1-10000 in"),   # overflowed the plot
     ])
     def test_bad_number_names_the_row(self, row, message):
         with pytest.raises(ValueError, match=f"^{message} CSV row: {re.escape(repr(row))}$"):
@@ -719,20 +722,19 @@ class TestScenarioFiles:
             World(pipeline=((30.0, 10.0), (40.0, 60.0))), start=AuvState(30.0, 10.0, 90.0))
 
     def test_unknown_key_names_line(self):
-        with pytest.raises(ScenarioError, match=r"line 2.*bogus"):
+        with pytest.raises(fis.ParseError, match=r"line 2.*bogus"):
             parse_scenario("pipe.waypoints = 10:0; 10:50\nbogus.key = 1\n")
 
     def test_missing_waypoints_rejected(self):
-        with pytest.raises(ScenarioError, match="pipe.waypoints"):
+        with pytest.raises(ValueError, match="^missing required key pipe.waypoints$"):
             parse_scenario("seed = 3\n")
 
     def test_malformed_waypoint_rejected(self):
-        with pytest.raises(ScenarioError, match="waypoint"):
+        with pytest.raises(fis.ParseError, match="waypoint"):
             parse_scenario("pipe.waypoints = 10:0; oops\n")
 
     def test_non_numeric_waypoint_named(self):
-        with pytest.raises(ScenarioError, match=r"^<scenario> line 1: non-numeric waypoint "
-                                                r"'a:0'$"):
+        with pytest.raises(fis.ParseError, match=r"^line 1: non-numeric waypoint 'a:0'$"):
             parse_scenario("pipe.waypoints = a:0; 1:2\n")
 
     def test_waypoint_list_may_end_in_a_separator(self):
@@ -740,7 +742,7 @@ class TestScenarioFiles:
             parse_scenario("pipe.waypoints = 30:10; 40:60\n")
 
     def test_non_numeric_value_rejected(self):
-        with pytest.raises(ScenarioError, match="seed"):
+        with pytest.raises(fis.ParseError, match="seed"):
             parse_scenario("pipe.waypoints = 10:0; 10:50\nseed = many\n")
 
     def test_seed_of_400_digits_parses(self):
@@ -748,16 +750,24 @@ class TestScenarioFiles:
                               ).world.seed == int("9" * 400)
 
     def test_missing_equals_rejected(self):
-        with pytest.raises(ScenarioError, match="line 1"):
+        with pytest.raises(fis.ParseError, match="line 1"):
             parse_scenario("just some text\n")
 
     def test_start_defaults_to_first_waypoint(self):
         sc = parse_scenario("pipe.waypoints = 30:10; 40:60\n")
         assert sc.start == AuvState(30.0, 10.0, 90.0)
 
-    def test_invariant_violations_become_scenario_errors(self):
-        with pytest.raises(ScenarioError):
-            parse_scenario("pipe.waypoints = 10:0; 10:300\n")  # outside envelope
+    def test_invariant_violations_become_scenario_errors(self, tmp_path):
+        text = "pipe.waypoints = 10:0; 10:300\n"   # outside envelope
+        with pytest.raises(ValueError, match=r"^waypoint \(10\.0, 300\.0\) outside envelope$") \
+                as raised:
+            parse_scenario(text)
+        assert not isinstance(raised.value, fis.ParseError)   # names no line
+        path = tmp_path / "far.scenario"
+        path.write_text(text)
+        with pytest.raises(ScenarioError,
+                           match=r"^far\.scenario: waypoint \(10\.0, 300\.0\) outside envelope$"):
+            sim.load_scenario(path)
 
     def test_rulebase_resolved_relative_to_file(self, tmp_path):
         rules = tmp_path / "my.rules"
@@ -772,21 +782,24 @@ class TestScenarioFiles:
                                       "start.x = nan", "start.heading = inf",
                                       "pipe.waypoints = 10:0; nan:50",
                                       "pipe.waypoints = 10:0; 10:inf"])
-    def test_non_finite_number_names_file_and_line(self, line):
+    def test_non_finite_number_names_file_and_line(self, tmp_path, line):
         text = "seed = 3\n" + line + "\n"
         if not line.startswith("pipe.waypoints"):
             text += "pipe.waypoints = 10:0; 10:50\n"
-        with pytest.raises(ScenarioError, match=r"^bad\.scenario line 2: non-finite"):
-            parse_scenario(text, source="bad.scenario")
+        path = tmp_path / "bad.scenario"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match=r"^bad\.scenario: line 2: non-finite"):
+            sim.load_scenario(path)
 
-    def test_duplicate_key_names_both_lines(self):
-        text = "seed = 3\npipe.waypoints = 10:0; 10:50\nseed = 4\n"
+    def test_duplicate_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "dup.scenario"
+        path.write_text("seed = 3\npipe.waypoints = 10:0; 10:50\nseed = 4\n")
         with pytest.raises(ScenarioError,
-                           match=r"^dup\.scenario line 3: duplicate key 'seed'.*line 1"):
-            parse_scenario(text, source="dup.scenario")
+                           match=r"^dup\.scenario: line 3: duplicate key 'seed'.*line 1"):
+            sim.load_scenario(path)
 
     def test_duplicate_start_key_rejected(self):
-        with pytest.raises(ScenarioError, match=r"line 3: duplicate key 'start.y'"):
+        with pytest.raises(fis.ParseError, match=r"line 3: duplicate key 'start.y'"):
             parse_scenario("start.y = 0\npipe.waypoints = 10:0; 10:50\nstart.y = 5\n")
 
     def test_committed_scenarios_parse(self, scenario_dir):
@@ -830,7 +843,11 @@ scenario_lines = st.fixed_dictionaries(
 @given(st.one_of(st.text(), scenario_lines.map(
     lambda lines: "\n".join(f"{key} = {value}" for key, value in lines.items()))))
 def test_parse_scenario_raises_only_scenario_error(text):
+    """parse_scenario raises only ValueError, and a bad line is a fis.ParseError whose
+    line_no is a line of the text."""
     try:
         parse_scenario(text)
-    except ScenarioError:
+    except fis.ParseError as exc:
+        assert 1 <= exc.line_no <= len(text.splitlines())
+    except ValueError:
         pass
