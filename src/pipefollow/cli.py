@@ -79,17 +79,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_features(args) -> int:
-    gray = netpbm.read_pgm(args.image)
     # without a scenario file, the class attributes are the field defaults
     scenario = sim.load_scenario(args.scenario) if args.scenario else sim.Scenario
-    try:
-        vectors = extract_features(gray, scenario.thresholds, scenario.min_area)
+    try:   # a malformed image, or one too small to band, is an InputError
+        vectors = sim.read_file(args.image, lambda p: extract_features(
+            netpbm.read_pgm(p), scenario.thresholds, scenario.min_area))
     except NoObjectError as exc:
         _diag(f"no-object: {exc}")
         return 1
-    except ValueError as exc:   # an image too small to band
-        _diag(f"{Path(args.image).name}: {exc}")
-        return 2
     lines = ["band,x1,x2,x3,x4,x5,x6"]
     for v in vectors:
         lines.append(f"{v.band_index}," + ",".join(f"{c:.6f}" for c in v.as_tuple()))
@@ -136,7 +133,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    record = sim.read_file(args.record, lambda text: sim.PathRecord.from_csv(text, args.tolerance))
+    record = sim.read_file(args.record,
+                           lambda p: sim.PathRecord.from_csv(p.read_text(), args.tolerance))
     scenario = sim.load_scenario(args.scenario) if args.scenario else None
     _write_output(sim.plot_svg(record, scenario), args.out)
     return 0
@@ -202,7 +200,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (sim.ScenarioError, netpbm.NetpbmError, OSError) as exc:
+    except (sim.InputError, OSError) as exc:
         _diag(str(exc))
         return 2
 

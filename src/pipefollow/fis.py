@@ -62,7 +62,7 @@ def eval_s(x: float, a: float, b: float, c: float) -> float:
     """
     if a >= c:
         raise ValueError(f"S-shape requires a < c, got a={a}, c={c}")
-    if abs(b - (a + c) / 2.0) > 1e-9 * max(1.0, abs(c - a)):
+    if abs(b - (a + c) / 2.0) > 1e-9 * max(1.0, c - a, abs(a), abs(c)):
         raise ValueError(f"S-shape midpoint must be (a+c)/2, got b={b}")
     if x <= a:
         return 0.0

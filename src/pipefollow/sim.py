@@ -45,9 +45,9 @@ class MissionFailure(Exception):
         self.pose = pose
 
 
-class ScenarioError(Exception):
-    """A scenario, rules or record file was rejected.  Raised only by read_file, so the
-    message always starts with the file's name (then, for a bad line, the line)."""
+class InputError(Exception):
+    """A scenario, rules, record or image file was rejected.  Raised only by read_file, so
+    the message always starts with the file's name (then, for a bad line, the line)."""
 
 
 @dataclass(frozen=True)
@@ -730,23 +730,24 @@ def parse_scenario(text: str, base_dir=".") -> Scenario:
 
 
 def read_file(path, parse):
-    """parse(the file's text); a ValueError, undecodable text included, becomes a
-    ScenarioError naming the file.  An OSError passes through."""
+    """parse(Path(path)), with a ValueError, undecodable text included, raised again as an
+    InputError naming the file: no other code names an input file.  OSError passes through."""
     path = Path(path)
     try:
-        return parse(path.read_text())
+        return parse(path)
     except ValueError as exc:
-        raise ScenarioError(f"{path.name}: {exc}") from exc
+        raise InputError(f"{path.name}: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
-    path = Path(path)
-    return read_file(path, lambda text: parse_scenario(text, path.parent))
+    return read_file(path, lambda p: parse_scenario(p.read_text(), p.parent))
 
 
 def read_rulebase(path):
     """Parse a rule base DSL file, or the built-in default for an empty or None path."""
-    return read_file(path, fis.parse_rulebase) if path else fis.default_rulebase()
+    if not path:
+        return fis.default_rulebase()
+    return read_file(path, lambda p: fis.parse_rulebase(p.read_text()))
 
 
 def load_rulebase(scenario: Scenario):

@@ -219,14 +219,31 @@ def test_image_too_small_to_band_exits_two(capsys, tmp_path, height):
 
 
 @pytest.mark.parametrize("name, data, message", [
-    ("trunc.pgm", b"P5\n4 4\n255\n" + bytes(7), "trunc.pgm: truncated raster data"),
+    ("short.pgm", b"P5\n4 4", "short.pgm: truncated header"),
+    ("glued.pgm", b"P5\n2 2\n255", "glued.pgm: missing whitespace before raster data"),
     ("text.pgm", b"not an image at all\n", "text.pgm: expected P5 or P6 file, got b'no'"),
-], ids=["truncated-raster", "wrong-magic"])
+    ("word.pgm", b"P5\nfour 4\n255\n" + bytes(16),
+     "word.pgm: non-numeric header field: invalid literal for int() with base 10: b'four'"),
+    ("flat.pgm", b"P5\n0 4\n255\n", "flat.pgm: non-positive image dimensions"),
+    ("deep.pgm", b"P5\n2 2\n65535\n" + bytes(8),
+     "deep.pgm: only maxval 255 is supported, got 65535"),
+    ("trunc.pgm", b"P5\n4 4\n255\n" + bytes(7), "trunc.pgm: truncated raster data"),
+], ids=["truncated-header", "missing-whitespace", "wrong-magic", "non-numeric", "non-positive",
+        "maxval", "truncated-raster"])
 def test_bad_image_exits_two_naming_the_file(capsys, tmp_path, name, data, message):
     path = tmp_path / name
     path.write_bytes(data)
     assert main(["features", str(path)]) == 2
     assert capsys.readouterr().err == f"pipefollow: {message}\n"
+
+
+def test_features_reads_its_scenario_before_its_image(capsys, tmp_path):
+    (tmp_path / "text.pgm").write_bytes(b"not an image at all\n")
+    (tmp_path / "bad.scenario").write_text("pipe.waypoints = 36.5:0\n")
+    assert main(["features", str(tmp_path / "text.pgm"),
+                 "--scenario", str(tmp_path / "bad.scenario")]) == 2
+    assert capsys.readouterr().err == \
+        "pipefollow: bad.scenario: pipeline needs at least 2 waypoints\n"
 
 
 INT_EXTREMES = ["0", "1", "-1", "2147483392", "2147483648", "9" * 400]

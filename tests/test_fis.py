@@ -2,7 +2,7 @@ import math
 import re
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -114,6 +114,15 @@ class TestPiShape:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             eval_pi(0.5, 0.0, 0.5)
+
+    # past about 9e307 the midpoint check's a + c overflows
+    @given(st.floats(-1e300, 1e300), st.floats(0, 1e300, exclude_min=True),
+           st.floats(-1e300, 1e300))
+    @example(0.0, 5.5805267802281075e-05, 1e10)   # c - b/2 is one ulp of c from (a+c)/2
+    @example(1e10, 5.5805267802281075e-05, 1e10)
+    def test_strictly_ordered_feet_are_accepted(self, x, b, c):
+        assume(c - b < c - b / 2 < c < c + b / 2 < c + b)
+        assert 0.0 <= eval_pi(x, b, c) <= 1.0
 
     @pytest.mark.parametrize("b", [1e-20, 5e-324, -1.0, math.inf, math.nan])
     def test_width_that_collapses_or_loses_the_feet_rejected(self, b):
@@ -357,6 +366,12 @@ class TestRuleDsl:
     def test_term_override_outside_universe_rejected(self):
         with pytest.raises(ParseError, match="universe"):
             parse_rulebase("term.x1.Small = gaussian(0.19, 1.4)")
+
+    def test_narrow_pi_override_far_outside_universe_names_its_center(self):
+        # the S-shape midpoint check must not reject this pi before the universe check
+        with pytest.raises(ParseError, match=r"^line 1: term x6\.Right center 10000000000\.0 "
+                                             r"outside universe \[0\.1, 1\.0\]$"):
+            parse_rulebase("term.x6.Right = pi(5.58e-05, 1e10)")
 
     @pytest.mark.parametrize("term, value, message", [
         ("x5.Left", "gaussian(nan, 0.19)", "width must be finite"),

@@ -12,7 +12,7 @@ import oracles
 from pipefollow import features, fis, sim
 from pipefollow.imgproc import ThresholdBand
 from pipefollow.sim import (AuvState, CameraModel, MissionFailure, PathRecord, Scenario,
-                            ScenarioError, World, drift_metrics,
+                            InputError, World, drift_metrics,
                             heading_vector, image_center, mission_objective,
                             parse_scenario, pct_of_drift, pipeline_x_at,
                             render_view, run_mission, step_auv, tune)
@@ -765,7 +765,7 @@ class TestScenarioFiles:
         assert not isinstance(raised.value, fis.ParseError)   # names no line
         path = tmp_path / "far.scenario"
         path.write_text(text)
-        with pytest.raises(ScenarioError,
+        with pytest.raises(InputError,
                            match=r"^far\.scenario: waypoint \(10\.0, 300\.0\) outside envelope$"):
             sim.load_scenario(path)
 
@@ -788,13 +788,13 @@ class TestScenarioFiles:
             text += "pipe.waypoints = 10:0; 10:50\n"
         path = tmp_path / "bad.scenario"
         path.write_text(text)
-        with pytest.raises(ScenarioError, match=r"^bad\.scenario: line 2: non-finite"):
+        with pytest.raises(InputError, match=r"^bad\.scenario: line 2: non-finite"):
             sim.load_scenario(path)
 
     def test_duplicate_key_names_both_lines(self, tmp_path):
         path = tmp_path / "dup.scenario"
         path.write_text("seed = 3\npipe.waypoints = 10:0; 10:50\nseed = 4\n")
-        with pytest.raises(ScenarioError,
+        with pytest.raises(InputError,
                            match=r"^dup\.scenario: line 3: duplicate key 'seed'.*line 1"):
             sim.load_scenario(path)
 
@@ -812,7 +812,7 @@ class TestScenarioFiles:
     def test_rule_parse_error_names_file(self, tmp_path):
         rules = tmp_path / "broken.rules"
         rules.write_text("IF x5 IS Nowhere THEN y1 IS TurnLeft\n")
-        with pytest.raises(ScenarioError, match=r"^broken\.rules: "):
+        with pytest.raises(InputError, match=r"^broken\.rules: "):
             sim.read_rulebase(rules)
 
     def test_empty_rulebase_falls_back_to_default(self):
