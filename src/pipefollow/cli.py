@@ -43,7 +43,7 @@ def _number(kind, accept, what: str):
     return parse
 
 
-_tolerance = _number(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number")
+_tolerance = _number(float, lambda v: 0 < v < math.inf, "a positive finite number")
 _seed = _number(int, lambda v: v >= 0, "a whole number >= 0")
 
 

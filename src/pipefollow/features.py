@@ -61,7 +61,7 @@ def split_bands(width: int, height: int) -> list:
     floor(size/2), so every one holds at least one pixel only when a band
     has 2 rows or more.
     """
-    if height < 2 * NUM_BANDS or width < 2:
+    if not (height >= 2 * NUM_BANDS and width >= 2):
         raise ValueError(f"image too small to band: {width}x{height} (needs at least "
                          f"2 columns and {2 * NUM_BANDS} rows)")
     base = height // NUM_BANDS
@@ -110,7 +110,7 @@ def object_mask(pixels: np.ndarray, band: ThresholdBand, min_area: int) -> np.nd
     NoObjectError unless that region holds at least min_area pixels, which is
     also the outcome of first dropping every region below min_area.
     """
-    if min_area < 0:
+    if not min_area >= 0:
         raise ValueError("min_area must be >= 0")
     fg = threshold_band(pixels, band)
     labels, count = label_regions(fg)

@@ -58,11 +58,11 @@ def eval_s(x: float, a: float, b: float, c: float) -> float:
     """S-shaped ramp: 0 below a, 1 above c, quadratic blend between.
 
     The midpoint b is pinned to (a+c)/2, which makes the two quadratic
-    branches meet continuously at 0.5.
+    branches meet continuously at 0.5.  c - a must be positive and finite.
     """
-    if a >= c:
-        raise ValueError(f"S-shape requires a < c, got a={a}, c={c}")
-    if abs(b - (a + c) / 2.0) > 1e-9 * max(1.0, c - a, abs(a), abs(c)):
+    if not 0 < c - a < math.inf:
+        raise ValueError(f"S-shape requires a < c with c - a finite, got a={a}, c={c}")
+    if not abs(b - (a / 2.0 + c / 2.0)) <= 1e-9 * max(1.0, c - a, abs(a), abs(c)):
         raise ValueError(f"S-shape midpoint must be (a+c)/2, got b={b}")
     if x <= a:
         return 0.0
@@ -76,8 +76,8 @@ def eval_s(x: float, a: float, b: float, c: float) -> float:
 
 
 def eval_pi(x: float, b: float, c: float) -> float:
-    """Pi-shaped bump with peak 1 at c and feet at c-b and c+b."""
-    if not c - b < c - b / 2 < c < c + b / 2 < c + b:   # false for b <= 0, inf or too small
+    """Pi-shaped bump with peak 1 at c and finite feet c-b < c-b/2 < c < c+b/2 < c+b."""
+    if not -math.inf < c - b < c - b / 2 < c < c + b / 2 < c + b < math.inf:
         raise ValueError(f"pi half-width must be > 0 with feet c-b < c-b/2 < c < c+b/2 < c+b, "
                          f"got b={b}, c={c}")
     if x <= c:
@@ -94,7 +94,7 @@ class MembershipFunction:
     def __post_init__(self):
         if self.kind not in ("gaussian", "pi"):
             raise ValueError(f"unknown membership kind {self.kind!r}")
-        if not (math.isfinite(self.width) and self.width > 0):
+        if not 0 < self.width < math.inf:
             raise ValueError(f"membership width must be finite and > 0, got {self.width}")
         if not math.isfinite(self.center):
             raise ValueError(f"membership center must be finite, got {self.center}")

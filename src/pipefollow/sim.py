@@ -59,8 +59,10 @@ class World:
 
     def __post_init__(self):
         ex, ey = self.envelope
-        if not all(math.isfinite(v) and v > 0 for v in (ex, ey)):
-            raise ValueError("envelope dimensions must be positive and finite")
+        # bounds the waypoints and the start too, which lie in the envelope
+        if not all(0 < v <= MAX_WORLD_CM for v in (ex, ey)):
+            raise ValueError(f"envelope dimensions must be positive and at most "
+                             f"{MAX_WORLD_CM:.0f} cm")
         if len(self.pipeline) < 2:
             raise ValueError("pipeline needs at least 2 waypoints")
         for x, y in self.pipeline:
@@ -73,14 +75,10 @@ class World:
         if any((b - a) * (b - a) == 0.0 for a, b in zip(ys, ys[1:])):
             raise ValueError("consecutive waypoints are too close: a squared segment "
                              "length underflows to 0")
-        if not (math.isfinite(self.pipe_width) and self.pipe_width > 0):
-            raise ValueError("pipe width must be positive and finite")
-        # bounds the waypoints and the start too, which lie in the envelope
-        if max(ex, ey, self.pipe_width) > MAX_WORLD_CM:
-            raise ValueError(f"envelope dimensions and pipe width must be at most "
-                             f"{MAX_WORLD_CM:.0f} cm")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 < self.pipe_width <= MAX_WORLD_CM:
+            raise ValueError(f"pipe width must be positive and at most {MAX_WORLD_CM:.0f} cm")
+        if not 0 <= self.seed < math.inf:
+            raise ValueError("seed must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,17 +102,15 @@ class CameraModel:
             v = getattr(self, name)
             if not 0 <= v <= 255:
                 raise ValueError(f"{name} must be in 0-255")
-        if not (math.isfinite(self.height_cm) and self.height_cm > 0):
-            raise ValueError("camera height must be positive and finite")
-        if self.height_cm > MAX_WORLD_CM:
-            raise ValueError(f"camera height must be at most {MAX_WORLD_CM:.0f} cm")
+        if not 0 < self.height_cm <= MAX_WORLD_CM:
+            raise ValueError(f"camera height must be positive and at most {MAX_WORLD_CM:.0f} cm")
         if not 0 <= self.speckle_density < 1:
             raise ValueError("speckle density must be in [0, 1)")
         if not 0 <= self.noise_amplitude <= MAX_NOISE_AMPLITUDE:
             raise ValueError(f"noise amplitude must be in 0-{MAX_NOISE_AMPLITUDE}")
-        if self.image_width < 1 or self.image_height < 1:
+        if not (self.image_width >= 1 and self.image_height >= 1):
             raise ValueError("image dimensions must be >= 1")
-        if self.image_width * self.image_height > MAX_IMAGE_PIXELS:
+        if not self.image_width * self.image_height <= MAX_IMAGE_PIXELS:
             raise ValueError(f"a {self.image_width}x{self.image_height} image has more than "
                              f"{MAX_IMAGE_PIXELS} pixels")
 
@@ -223,16 +219,14 @@ class Scenario:
     start: AuvState = AuvState(0.0, 0.0, 90.0)
 
     def __post_init__(self):
-        if not (math.isfinite(self.step_length) and self.step_length > 0):
+        if not 0 < self.step_length < math.inf:
             raise ValueError("step length must be positive and finite")
-        if not math.isfinite(self.steering_gain):
-            raise ValueError("steering gain must be finite")
-        if abs(self.steering_gain) > MAX_STEERING_GAIN:
+        if not abs(self.steering_gain) <= MAX_STEERING_GAIN:
             raise ValueError(f"steering gain must be at most {MAX_STEERING_GAIN:.0f} in magnitude")
-        if self.steps_per_image < 1:
-            raise ValueError("steps per image must be >= 1")
-        if self.min_area < 0:
-            raise ValueError("minimum region area must be >= 0")
+        if not 1 <= self.steps_per_image < math.inf:
+            raise ValueError("steps per image must be finite and >= 1")
+        if not 0 <= self.min_area < math.inf:
+            raise ValueError("minimum region area must be finite and >= 0")
         split_bands(self.camera.image_width, self.camera.image_height)   # rejects too small
         ex, ey = self.world.envelope
         if not (0 <= self.start.x <= ex and 0 <= self.start.y <= ey):
@@ -253,7 +247,7 @@ def _step_bound(scenario: Scenario) -> int:
     mission ends after a bounded number of steps.
     """
     steps = 2.0 * (scenario.world.pipeline[-1][1] - scenario.start.y) / scenario.step_length
-    if steps > MAX_MISSION_STEPS:
+    if not steps <= MAX_MISSION_STEPS:
         raise ValueError(f"a {scenario.step_length:g} cm step allows {steps:.6g} steps to "
                          f"the pipeline end, more than {MAX_MISSION_STEPS}")
     return math.ceil(steps)
@@ -429,7 +423,7 @@ def pipeline_x_at(world: World, y: float) -> float:
     """Pipeline centerline x at the given y, linearly interpolated."""
     ys = np.array([wy for _, wy in world.pipeline])
     xs = np.array([wx for wx, _ in world.pipeline])
-    if y < ys[0] - 1e-9 or y > ys[-1] + 1e-9:
+    if not ys[0] - 1e-9 <= y <= ys[-1] + 1e-9:
         raise ValueError(f"y={y:.2f} outside pipeline span [{ys[0]:.2f}, {ys[-1]:.2f}]")
     return float(np.interp(y, ys, xs))
 
@@ -441,7 +435,7 @@ def _round1(value: Decimal) -> float:
 
 def pct_of_drift(drift: float, tolerance: float) -> float:
     """100*|drift|/tolerance rounded half-up to one decimal."""
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     return _round1(Decimal(repr(abs(drift))) * 100 / Decimal(repr(tolerance)))
 
@@ -582,7 +576,7 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
     evaluation flew reuses its band feature vectors instead of being rendered
     again.  Results are identical to re-flying every evaluation.
     """
-    if budget < 1:
+    if not budget >= 1:
         raise ValueError("budget must be >= 1")
     if not scenarios:
         raise ValueError("tune needs at least one scenario")

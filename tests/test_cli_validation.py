@@ -194,9 +194,10 @@ def test_camera_rejected_when_scenario_is_built(capsys, tmp_path, line, command,
      "a 4611686018427387904x240 image has more than 4194304 pixels"),
     ("camera.image.width = 100000\ncamera.image.height = 100000",
      "a 100000x100000 image has more than 4194304 pixels"),
-    ("pipe.width = 1e200", "envelope dimensions and pipe width must be at most 1000000 cm"),
-    ("envelope.x = 1e160", "envelope dimensions and pipe width must be at most 1000000 cm"),
-    ("camera.height = 1.7976931348623157e308", "camera height must be at most 1000000 cm"),
+    ("pipe.width = 1e200", "pipe width must be positive and at most 1000000 cm"),
+    ("envelope.x = 1e160", "envelope dimensions must be positive and at most 1000000 cm"),
+    ("camera.height = 1.7976931348623157e308",
+     "camera height must be positive and at most 1000000 cm"),
     ("steering.gain = -1e300", "steering gain must be at most 1000000 in magnitude"),
 ])
 def test_scenario_past_a_run_time_limit_exits_two(capsys, tmp_path, line, message):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from pipefollow.features import (UNIVERSE_HI, UNIVERSE_LO, band_vectors,
-                                 extract_features, split_bands)
+                                 extract_features, object_mask, split_bands)
 from pipefollow.imgproc import GrayImage, NoObjectError, ThresholdBand
 
 mask_16x20 = arrays(np.uint8, (20, 16), elements=st.integers(0, 1))
@@ -78,6 +80,16 @@ class TestSplitBands:
             split_bands(1, 100)
         with pytest.raises(ValueError):
             band_vectors(np.ones((9, 10), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: split_bands(math.nan, 240),
+    lambda: split_bands(320, math.nan),
+    lambda: object_mask(np.ones((4, 4), dtype=np.uint8), ThresholdBand(0, 255), math.nan),
+], ids=["split-bands-width", "split-bands-height", "object-mask-min-area"])
+def test_function_call_with_nan_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestCoverageFractions:

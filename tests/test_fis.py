@@ -83,6 +83,15 @@ class TestSShape:
         with pytest.raises(ValueError):
             eval_s(0.5, 0.0, 0.3, 1.0)     # midpoint not (a+c)/2
 
+    @pytest.mark.parametrize("x, a, b, c, got", [
+        (0.5, math.nan, math.nan, math.nan, "a=nan, c=nan"),
+        (0.0, -1e308, 0.0, 1e308, "a=-1e+308, c=1e+308"),   # c - a overflows to inf
+    ], ids=["nan", "span-overflows"])
+    def test_nan_or_overflowing_span_rejected(self, x, a, b, c, got):
+        form = re.escape(f"S-shape requires a < c with c - a finite, got {got}")
+        with pytest.raises(ValueError, match=f"^{form}$"):
+            eval_s(x, a, b, c)
+
 
 class TestPiShape:
     def test_peak(self):
@@ -115,14 +124,22 @@ class TestPiShape:
         with pytest.raises(ValueError):
             eval_pi(0.5, 0.0, 0.5)
 
-    # past about 9e307 the midpoint check's a + c overflows
-    @given(st.floats(-1e300, 1e300), st.floats(0, 1e300, exclude_min=True),
-           st.floats(-1e300, 1e300))
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(0, exclude_min=True, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
     @example(0.0, 5.5805267802281075e-05, 1e10)   # c - b/2 is one ulp of c from (a+c)/2
     @example(1e10, 5.5805267802281075e-05, 1e10)
+    @example(-1e308, 1.79e308, -1e307)   # the left foot overflows, so the chain rejects it
+    @example(1.1e308, 5e307, 1e308)      # (a + c) / 2 of the right S-shape would overflow
     def test_strictly_ordered_feet_are_accepted(self, x, b, c):
-        assume(c - b < c - b / 2 < c < c + b / 2 < c + b)
+        assume(-math.inf < c - b < c - b / 2 < c < c + b / 2 < c + b < math.inf)
         assert 0.0 <= eval_pi(x, b, c) <= 1.0
+
+    def test_feet_at_the_edge_of_the_float_range(self):
+        form = re.escape("pi half-width must be > 0 with feet c-b < c-b/2 < c < c+b/2 < c+b")
+        with pytest.raises(ValueError, match=rf"^{form}, got b=1\.79e\+308, c=-1e\+307$"):
+            eval_pi(-1e308, 1.79e308, -1e307)
+        assert eval_pi(1.1e308, 5e307, 1e308) == pytest.approx(0.92)
 
     @pytest.mark.parametrize("b", [1e-20, 5e-324, -1.0, math.inf, math.nan])
     def test_width_that_collapses_or_loses_the_feet_rejected(self, b):

@@ -1,4 +1,5 @@
-"""No module of the package or the scripts imports a name it never uses."""
+"""No module of the package, the scripts or the tests imports a name it never uses, and no
+line of theirs is longer than 99 characters."""
 
 import ast
 
@@ -6,7 +7,9 @@ import pytest
 
 from conftest import ROOT
 
-MODULES = sorted([*(ROOT / "src" / "pipefollow").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+MODULES = sorted([*(ROOT / "src" / "pipefollow").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
+MAX_LINE = 99
 
 
 def unused_imports(source: str) -> list:
@@ -41,9 +44,16 @@ def test_the_check_finds_an_unused_import():
 
 def test_the_check_covers_the_package_and_the_scripts():
     assert {path.name for path in MODULES} >= {"__init__.py", "cli.py", "sim.py",
-                                               "run_experiment.py", "tune_rules.py"}
+                                               "run_experiment.py", "tune_rules.py",
+                                               "conftest.py", "test_imports.py"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_line_is_too_long(path):
+    long = [n for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > MAX_LINE]
+    assert long == [], f"lines longer than {MAX_LINE} characters"

@@ -108,12 +108,44 @@ class TestWorldValidation:
         lambda v: small_scenario(step_length=v),
         lambda v: small_scenario(steering_gain=v),
         lambda v: small_scenario(start=AuvState(36.5, 0.0, v)),
+        lambda v: World(pipeline=((10.0, 0.0), (10.0, 50.0)), seed=v),
+        lambda v: World(pipeline=((v, 0.0), (10.0, 50.0))),
+        lambda v: World(pipeline=((10.0, 0.0), (10.0, v))),
+        lambda v: CameraModel(tilt_deg=v),
+        lambda v: CameraModel(fov_deg=v),
+        lambda v: CameraModel(image_width=v),
+        lambda v: CameraModel(image_height=v),
+        lambda v: CameraModel(pipe_intensity=v),
+        lambda v: CameraModel(seabed_intensity=v),
+        lambda v: CameraModel(noise_amplitude=v),
+        lambda v: CameraModel(speckle_density=v),
+        lambda v: ThresholdBand(v, 255),
+        lambda v: ThresholdBand(180, v),
+        lambda v: small_scenario(steps_per_image=v),
+        lambda v: small_scenario(min_area=v),
+        lambda v: small_scenario(start=AuvState(v, 0.0, 116.0)),
+        lambda v: small_scenario(start=AuvState(36.5, v, 116.0)),
     ], ids=["camera.height_cm", "world.pipe_width", "world.envelope.x",
             "world.envelope.y", "scenario.step_length", "scenario.steering_gain",
-            "scenario.start.heading"])
+            "scenario.start.heading", "world.seed", "world.pipeline.x", "world.pipeline.y",
+            "camera.tilt_deg", "camera.fov_deg", "camera.image_width", "camera.image_height",
+            "camera.pipe_intensity", "camera.seabed_intensity", "camera.noise_amplitude",
+            "camera.speckle_density", "thresholds.t1", "thresholds.t2",
+            "scenario.steps_per_image", "scenario.min_area", "scenario.start.x",
+            "scenario.start.y"])
     def test_non_finite_field_rejected(self, build, bad):
         with pytest.raises(ValueError):
             build(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pipeline_x_at(TABLE_WORLD, math.nan),
+    lambda: pct_of_drift(1.0, math.nan),
+    lambda: tune([small_scenario()], fis.term_parameters(fis.default_rulebase()), math.nan),
+], ids=["pipeline-x-at", "pct-of-drift", "tune"])
+def test_function_call_with_nan_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestStepAuv:
