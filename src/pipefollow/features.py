@@ -23,6 +23,7 @@ sum of their column indices, and one np.add.reduceat adds those up over the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,8 @@ def split_bands(width: int, height: int) -> list:
     if not (height >= 2 * NUM_BANDS and width >= 2):
         raise ValueError(f"image too small to band: {width}x{height} (needs at least "
                          f"2 columns and {2 * NUM_BANDS} rows)")
+    if not (width < math.inf and height < math.inf):
+        raise ValueError(f"image sides must be finite to band, got {width}x{height}")
     base = height // NUM_BANDS
     # band k occupies the k-th block of rows counted from the bottom
     return [(0 if k == NUM_BANDS else height - k * base, height - (k - 1) * base - 1)

@@ -5,7 +5,9 @@ all on [0.1, 1.0].  The single output y1 is a steering set point on [0, 180]
 degrees where 90 means "go straight", smaller turns left, larger turns right.
 
 Rule conjunction is minimum; defuzzification is the weighted mean of the
-consequent term centers by rule firing strength.  A rule base can be edited
+consequent term centers by rule firing strength.  A RuleBase is compiled
+once when it is built, so inference grades each distinct antecedent term
+once per call, however many rules share it.  A rule base can be edited
 as a small text DSL, one rule per line:
 
     IF <var> IS <Term> [AND <var> IS <Term>]... THEN y1 IS <Term>
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 INPUT_VARIABLES = ("x1", "x2", "x3", "x4", "x5", "x6")
 OUTPUT_VARIABLE = "y1"
@@ -50,6 +52,10 @@ def eval_gaussian(x: float, sigma: float, c: float) -> float:
     den = 2.0 * sigma * sigma
     if not (sigma > 0 and den > 0):   # a tiny sigma underflows den to 0
         raise ValueError(f"gaussian sigma must be > 0 with 2*sigma*sigma > 0, got {sigma}")
+    if not sigma < math.inf:
+        raise ValueError(f"gaussian sigma must be finite, got {sigma}")
+    if not -math.inf < c < math.inf:
+        raise ValueError(f"gaussian center must be finite, got {c}")
     d = x - c
     return math.exp(-(d * d) / den)
 
@@ -164,12 +170,40 @@ def _check_rule(variables: dict, rule: Rule) -> None:
     _check_term(variables, var, term)
 
 
+def _compile(variables: dict, rules: tuple) -> tuple:
+    """(terms, antecedents, centers): the rules laid out for inference.
+
+    terms holds each distinct antecedent pair once, in first-use order over
+    the rules, as (variable, mf, den), den being the gaussian's 2*sigma*sigma
+    or None for a pi term; antecedents holds each rule's indices into terms
+    and centers each rule's consequent center.
+    """
+    index = {}
+    for rule in rules:
+        for pair in rule.antecedents:
+            index.setdefault(pair, len(index))
+    terms = []
+    for var, term in index:
+        mf = variables[var].terms[term]
+        terms.append((var, mf, 2.0 * mf.width * mf.width if mf.kind == "gaussian" else None))
+    return (tuple(terms),
+            tuple(tuple(index[pair] for pair in rule.antecedents) for rule in rules),
+            tuple(variables[var].terms[term].center
+                  for var, term in (rule.consequent for rule in rules)))
+
+
 @dataclass(frozen=True)
 class RuleBase:
-    """Linguistic variables and an ordered tuple of rules that fit them."""
+    """Linguistic variables and an ordered tuple of rules that fit them.
+
+    Both are compiled for inference once, when the rule base is built, so
+    they must not be mutated afterwards.  The compiled form takes no part in
+    equality or repr.
+    """
 
     variables: dict       # variable name -> LinguisticVariable
     rules: tuple          # (Rule, ...)
+    _compiled: tuple = field(init=False, repr=False, compare=False)   # see _compile
 
     def __post_init__(self):
         for i, rule in enumerate(self.rules, start=1):
@@ -177,15 +211,8 @@ class RuleBase:
                 _check_rule(self.variables, rule)
             except ValueError as exc:
                 raise ValueError(f"rule {i}: {exc}") from None
-
-
-def fire_rules(rb: RuleBase, values) -> list:
-    """Per-rule firing strength: minimum of the antecedent memberships."""
-    try:   # rb's names were checked when it was built, so a KeyError is a missing value
-        return [min(rb.variables[var].terms[term](values[var]) for var, term in rule.antecedents)
-                for rule in rb.rules]
-    except KeyError as exc:
-        raise ValueError(f"no value supplied for variable {exc.args[0]}") from None
+        # built here, not on first use, so threads that share the rule base never race
+        object.__setattr__(self, "_compiled", _compile(self.variables, self.rules))
 
 
 def defuzzify(alphas, rb: RuleBase) -> float:
@@ -197,9 +224,9 @@ def defuzzify(alphas, rb: RuleBase) -> float:
     """
     num = 0.0
     den = 0.0
-    for alpha, rule in zip(alphas, rb.rules):
-        var, term = rule.consequent
-        num += alpha * rb.variables[var].terms[term].center
+    _, _, centers = rb._compiled
+    for alpha, center in zip(alphas, centers):
+        num += alpha * center
         den += alpha
     if den == 0.0:
         return NEUTRAL_STEER
@@ -208,16 +235,31 @@ def defuzzify(alphas, rb: RuleBase) -> float:
 
 
 def infer(rb: RuleBase, values) -> InferenceResult:
-    """Validate inputs against their universes, fire all rules and defuzzify."""
+    """Validate inputs against their universes, fire all rules and defuzzify.
+
+    A rule's firing strength is the minimum of its antecedent memberships;
+    each distinct antecedent term is graded once.
+    """
     for var in INPUT_VARIABLES:
         if var in rb.variables and var in values:
             lo, hi = rb.variables[var].universe
             v = values[var]
             if not (lo - 1e-9 <= v <= hi + 1e-9):   # false for nan too
                 raise ValueError(f"{var}={v} outside universe [{lo}, {hi}]")
-    alphas = fire_rules(rb, values)
-    no_fire = sum(alphas) == 0.0
-    return InferenceResult(tuple(alphas), defuzzify(alphas, rb), no_fire)
+    terms, antecedents, _ = rb._compiled
+    grades = []
+    for var, mf, den in terms:
+        try:
+            x = values[var]
+        except KeyError:
+            raise ValueError(f"no value supplied for variable {var}") from None
+        if den is None:
+            grades.append(eval_pi(x, mf.width, mf.center))
+        else:   # eval_gaussian's arithmetic, its checks made when mf was built
+            d = x - mf.center
+            grades.append(math.exp(-(d * d) / den))
+    alphas = tuple(min([grades[i] for i in rule]) for rule in antecedents)
+    return InferenceResult(alphas, defuzzify(alphas, rb), sum(alphas) == 0.0)
 
 
 # --- default variables and rules -------------------------------------------

@@ -419,13 +419,24 @@ def step_auv(state: AuvState, steer: float, scenario: Scenario) -> AuvState:
 
 # --- drift accounting ---------------------------------------------------------
 
+def _pipeline_xs(world: World, ys) -> list:
+    """Pipeline centerline x at each of the ys, linearly interpolated.
+
+    Raises ValueError naming the first y outside the waypoints' span.
+    """
+    wys = np.array([wy for _, wy in world.pipeline])
+    wxs = np.array([wx for wx, _ in world.pipeline])
+    ys = np.array(ys, dtype=float)
+    outside = ~((wys[0] - 1e-9 <= ys) & (ys <= wys[-1] + 1e-9))   # true for nan too
+    if outside.any():
+        raise ValueError(f"y={ys[outside.argmax()]:.2f} outside pipeline span "
+                         f"[{wys[0]:.2f}, {wys[-1]:.2f}]")
+    return np.interp(ys, wys, wxs).tolist()
+
+
 def pipeline_x_at(world: World, y: float) -> float:
     """Pipeline centerline x at the given y, linearly interpolated."""
-    ys = np.array([wy for _, wy in world.pipeline])
-    xs = np.array([wx for wx, _ in world.pipeline])
-    if not ys[0] - 1e-9 <= y <= ys[-1] + 1e-9:
-        raise ValueError(f"y={y:.2f} outside pipeline span [{ys[0]:.2f}, {ys[-1]:.2f}]")
-    return float(np.interp(y, ys, xs))
+    return _pipeline_xs(world, [y])[0]
 
 
 def _round1(value: Decimal) -> float:
@@ -441,10 +452,10 @@ def pct_of_drift(drift: float, tolerance: float) -> float:
 
 
 def drift_metrics(path, world: World, tolerance: float = DEFAULT_TOLERANCE_CM) -> PathRecord:
-    """Per-point drift (signed, 1 decimal) and percentage-of-tolerance."""
+    """Per-point drift (signed, 1 decimal) and percentage-of-tolerance of a sequence of states."""
     points = []
-    for i, state in enumerate(path, start=1):
-        actual = pipeline_x_at(world, state.y)
+    actuals = _pipeline_xs(world, [state.y for state in path])
+    for i, (state, actual) in enumerate(zip(path, actuals), start=1):
         drift = _round1(Decimal(repr(state.x - actual)))
         points.append(PathPoint(i, actual, state.x, drift, pct_of_drift(drift, tolerance)))
     return PathRecord(tuple(points), tolerance)

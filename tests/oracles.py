@@ -196,6 +196,24 @@ def render_reference(world, auv, cam, frame: int = 0) -> np.ndarray:
     return img.astype(np.uint8)
 
 
+def fire_rules(rb, values) -> list:
+    """Per-rule firing strength of a fuzzy rule base, rule by rule.
+
+    Each rule's strength is the minimum of its antecedent memberships, every
+    membership graded afresh by calling its function.  Raises ValueError
+    naming the first variable, in rule order, that values does not supply.
+    """
+    alphas = []
+    for rule in rb.rules:
+        grades = []
+        for var, term in rule.antecedents:
+            if var not in values:
+                raise ValueError(f"no value supplied for variable {var}")
+            grades.append(rb.variables[var].terms[term](values[var]))
+        alphas.append(min(grades))
+    return alphas
+
+
 def pnm_header_tokens(data: bytes, count: int = 4):
     """The first count netpbm header tokens and the offset of the raster, byte by byte.
 

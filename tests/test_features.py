@@ -92,6 +92,13 @@ def test_function_call_with_nan_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("width, height", [(320, math.inf), (math.inf, 240)])
+def test_infinite_side_rejected(width, height):
+    with pytest.raises(ValueError, match=rf"^image sides must be finite to band, "
+                                         rf"got {width}x{height}$"):
+        split_bands(width, height)
+
+
 class TestCoverageFractions:
     def test_full_quadrant(self):
         (r0, r1), _ = halves(split_bands(8, 10)[0])

@@ -6,11 +6,12 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import fire_rules
 from pipefollow import fis
 from pipefollow.fis import (InferenceResult, LinguisticVariable,
                             MembershipFunction, Rule, RuleBase, ParseError,
                             default_rulebase, defuzzify, eval_gaussian,
-                            eval_pi, eval_s, fire_rules, format_rulebase,
+                            eval_pi, eval_s, format_rulebase,
                             infer, parse_rulebase, term_parameters,
                             with_term_parameters)
 
@@ -50,6 +51,15 @@ class TestGaussian:
         with pytest.raises(ValueError, match=rf"^gaussian sigma must be > 0 with "
                                              rf"2\*sigma\*sigma > 0, got {sigma}$"):
             eval_gaussian(0.5, sigma, 0.5)
+
+    def test_infinite_sigma_rejected(self):
+        with pytest.raises(ValueError, match=r"^gaussian sigma must be finite, got inf$"):
+            eval_gaussian(0.5, math.inf, 0.5)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_rejected(self, c):
+        with pytest.raises(ValueError, match=rf"^gaussian center must be finite, got {c}$"):
+            eval_gaussian(0.5, 0.2, c)
 
 
 class TestSShape:
@@ -671,3 +681,73 @@ class TestTermParameterViews:
         assert out.variables["x5"].terms["Center"].width == 0.25
         assert out.variables["x6"] == rb.variables["x6"]
         assert out.rules == rb.rules
+
+
+# --- compiled inference against the rule-by-rule oracle -----------------------
+
+DEFAULT_RULES = default_rulebase().rules
+# the universe ends and the 1e-9 slack past them that infer accepts
+edge_unit = st.one_of(unit, st.sampled_from([0.1, 1.0, 0.1 - 1e-9, 1.0 + 1e-9]))
+
+
+def parses(line):
+    try:
+        parse_rulebase(line)
+    except ParseError:
+        return False
+    return True
+
+
+@example(["term.x5.Left = pi(0.3, 0.1)", "term.x6.Center = pi(0.45, 0.55)"],
+         list(DEFAULT_RULES), [1.0 + 1e-9, 0.1 - 1e-9, 0.1, 1.0, 0.1, 0.55])
+@given(st.lists(term_override, unique_by=lambda line: line.partition(" =")[0], max_size=6),
+       st.lists(st.sampled_from(DEFAULT_RULES), unique=True),
+       st.lists(edge_unit, min_size=6, max_size=6))
+def test_infer_equals_the_rule_by_rule_oracle(overrides, rules, values):
+    """Firing strengths, output and no_fire equal the oracle's bit for bit, over subsets
+    of the default rules in any order with gaussian and pi term overrides."""
+    lines = [line for line in overrides if parses(line)] + [fis.format_rule(r) for r in rules]
+    rb = parse_rulebase("\n".join(lines))
+    values = dict(zip(fis.INPUT_VARIABLES, values))
+    alphas = fire_rules(rb, values)
+    expected = InferenceResult(tuple(alphas), defuzzify(alphas, rb), sum(alphas) == 0.0)
+    assert repr(infer(rb, values)) == repr(expected)
+
+
+@given(st.lists(st.sampled_from(DEFAULT_RULES), unique=True),
+       st.sets(st.sampled_from(fis.INPUT_VARIABLES)))
+def test_a_missing_value_is_named_as_the_oracle_names_it(rules, supplied):
+    rb = RuleBase(fis.default_variables(), tuple(rules))
+    values = {var: 0.55 for var in supplied}
+    try:
+        fire_rules(rb, values)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            infer(rb, values)
+    else:
+        infer(rb, values)
+
+
+class TestCompiledRuleBase:
+    def test_equality_and_repr_ignore_the_compiled_form(self):
+        rb = default_rulebase()
+        other = default_rulebase()
+        object.__setattr__(other, "_compiled", None)
+        assert other == rb
+        assert repr(other) == repr(rb) == (f"RuleBase(variables={rb.variables!r}, "
+                                           f"rules={rb.rules!r})")
+
+    @given(st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(0.0, 1.0)), min_size=21,
+                    max_size=21),
+           st.lists(edge_unit, min_size=6, max_size=6))
+    def test_a_retuned_base_infers_as_its_reparse(self, scales, values):
+        """with_term_parameters builds a fresh compiled form, not a stale copy."""
+        rb = default_rulebase()
+        params = {}
+        for ((var, term), (width, _)), (k, t) in zip(term_parameters(rb).items(), scales):
+            lo, hi = rb.variables[var].universe
+            params[(var, term)] = (width * k, lo + t * (hi - lo))
+        retuned = with_term_parameters(rb, params)
+        values = dict(zip(fis.INPUT_VARIABLES, values))
+        assert repr(infer(retuned, values)) == repr(
+            infer(parse_rulebase(format_rulebase(retuned)), values))

@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -326,6 +327,8 @@ class TestDriftMetrics:
         assert pipeline_x_at(world, 50.0) == pytest.approx(50.0)
         assert pipeline_x_at(world, 0.0) == 40.0
         assert pipeline_x_at(world, 100.0) == 60.0
+        assert pipeline_x_at(world, -1e-9) == 40.0   # the slack past each end
+        assert pipeline_x_at(world, 100.0 + 1e-9) == 60.0
 
     def test_out_of_span_rejected(self):
         world = World(pipeline=((40.0, 10.0), (60.0, 100.0)))
@@ -343,6 +346,38 @@ class TestDriftMetrics:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             pct_of_drift(1.0, 0.0)
+
+
+def drift_reference(path, world):
+    """drift_metrics as a loop of scalar pipeline_x_at calls, one per point."""
+    points = []
+    for i, state in enumerate(path, start=1):
+        actual = pipeline_x_at(world, state.y)
+        drift = sim._round1(Decimal(repr(state.x - actual)))
+        points.append(sim.PathPoint(i, actual, state.x, drift,
+                                    pct_of_drift(drift, sim.DEFAULT_TOLERANCE_CM)))
+    return PathRecord(tuple(points), sim.DEFAULT_TOLERANCE_CM)
+
+
+def record_or_error(drift, path, world):
+    try:
+        return drift(path, world).to_csv().encode()
+    except ValueError as exc:
+        return str(exc)
+
+
+# SURVEY_BEND spans y 0-200: its ends, the 1e-9 slack past them, and just beyond that
+span_y = st.one_of(st.floats(-20.0, 220.0), st.sampled_from(
+    [0.0, 200.0, -1e-9, 200.0 + 1e-9, -2e-9, 200.0 + 2e-9, 100.0, math.nan]))
+
+
+@example([(60.0, 10.0), (61.0, -5.0), (62.0, 250.0)])
+@given(st.lists(st.tuples(st.floats(0.0, 150.0), span_y), max_size=12))
+def test_drift_metrics_equals_the_per_point_reference(points):
+    """Same CSV bytes, or the same message naming the first y outside the span."""
+    path = [AuvState(x, y, 90.0) for x, y in points]
+    assert (record_or_error(drift_metrics, path, SURVEY_BEND)
+            == record_or_error(drift_reference, path, SURVEY_BEND))
 
 
 class TestPathRecordCsv:
