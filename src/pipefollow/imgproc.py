@@ -6,13 +6,20 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
 class NoObjectError(Exception):
     """Raised when no foreground region survives to act as object of interest."""
+
+
+class InvariantError(ValueError):
+    """A dataclass value that breaks an invariant; fields names the fields it involves."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
 
 
 @dataclass(frozen=True, eq=False)   # == on the array field would be ambiguous
@@ -31,9 +38,10 @@ class ThresholdBand:
 
     def __post_init__(self):
         if not (0 <= self.t1 <= 255 and 0 <= self.t2 <= 255):
-            raise ValueError("thresholds must lie in 0-255")
+            raise InvariantError("thresholds must lie in 0-255", "t1", "t2")
         if self.t1 >= self.t2:
-            raise ValueError(f"invalid threshold band: t1={self.t1} must be < t2={self.t2}")
+            raise InvariantError(f"invalid threshold band: t1={self.t1} must be < t2={self.t2}",
+                                 "t1", "t2")
 
 
 class LabelMap(NamedTuple):
@@ -67,6 +75,7 @@ def label_regions(mask: np.ndarray) -> LabelMap:
     is scipy's own: ndimage.label numbers regions as its raster scan first
     meets them, and tests/oracles.py::flood_fill_labels pins it.
     """
+    from scipy import ndimage   # here, so a command that never labels never loads scipy
     return LabelMap(*ndimage.label(mask, structure=EIGHT_CONNECTED))
 
 

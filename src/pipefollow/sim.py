@@ -22,7 +22,7 @@ import numpy as np
 
 from . import features, fis
 from .features import NUM_BANDS, split_bands
-from .imgproc import GrayImage, NoObjectError, ThresholdBand
+from .imgproc import GrayImage, InvariantError, NoObjectError, ThresholdBand
 
 DEFAULT_TOLERANCE_CM = 8.0
 MAX_MISSION_STEPS = 10_000          # shipped and benchmark scenarios need at most 18
@@ -61,13 +61,13 @@ class World:
         ex, ey = self.envelope
         # bounds the waypoints and the start too, which lie in the envelope
         if not all(0 < v <= MAX_WORLD_CM for v in (ex, ey)):
-            raise ValueError(f"envelope dimensions must be positive and at most "
-                             f"{MAX_WORLD_CM:.0f} cm")
+            raise InvariantError(f"envelope dimensions must be positive and at most "
+                                 f"{MAX_WORLD_CM:.0f} cm", "envelope")
         if len(self.pipeline) < 2:
             raise ValueError("pipeline needs at least 2 waypoints")
         for x, y in self.pipeline:
             if not (0 <= x <= ex and 0 <= y <= ey):
-                raise ValueError(f"waypoint ({x}, {y}) outside envelope")
+                raise InvariantError(f"waypoint ({x}, {y}) outside envelope", "envelope")
         ys = [y for _, y in self.pipeline]
         if any(b <= a for a, b in zip(ys, ys[1:])):
             raise ValueError("waypoint y coordinates must be strictly increasing")
@@ -76,9 +76,10 @@ class World:
             raise ValueError("consecutive waypoints are too close: a squared segment "
                              "length underflows to 0")
         if not 0 < self.pipe_width <= MAX_WORLD_CM:
-            raise ValueError(f"pipe width must be positive and at most {MAX_WORLD_CM:.0f} cm")
+            raise InvariantError(f"pipe width must be positive and at most {MAX_WORLD_CM:.0f} cm",
+                                 "pipe_width")
         if not 0 <= self.seed < math.inf:
-            raise ValueError("seed must be finite and >= 0")
+            raise InvariantError("seed must be finite and >= 0", "seed")
 
 
 @dataclass(frozen=True)
@@ -95,24 +96,26 @@ class CameraModel:
 
     def __post_init__(self):
         if not 0 < self.tilt_deg < 90:
-            raise ValueError("tilt must be in (0, 90) degrees")
+            raise InvariantError("tilt must be in (0, 90) degrees", "tilt_deg")
         if not 10 < self.fov_deg < 170:
-            raise ValueError("fov must be in (10, 170) degrees")
+            raise InvariantError("fov must be in (10, 170) degrees", "fov_deg")
         for name in ("pipe_intensity", "seabed_intensity"):
             v = getattr(self, name)
             if not 0 <= v <= 255:
-                raise ValueError(f"{name} must be in 0-255")
+                raise InvariantError(f"{name} must be in 0-255", name)
         if not 0 < self.height_cm <= MAX_WORLD_CM:
-            raise ValueError(f"camera height must be positive and at most {MAX_WORLD_CM:.0f} cm")
+            raise InvariantError(f"camera height must be positive and at most "
+                                 f"{MAX_WORLD_CM:.0f} cm", "height_cm")
         if not 0 <= self.speckle_density < 1:
-            raise ValueError("speckle density must be in [0, 1)")
+            raise InvariantError("speckle density must be in [0, 1)", "speckle_density")
         if not 0 <= self.noise_amplitude <= MAX_NOISE_AMPLITUDE:
-            raise ValueError(f"noise amplitude must be in 0-{MAX_NOISE_AMPLITUDE}")
+            raise InvariantError(f"noise amplitude must be in 0-{MAX_NOISE_AMPLITUDE}",
+                                 "noise_amplitude")
         if not (self.image_width >= 1 and self.image_height >= 1):
-            raise ValueError("image dimensions must be >= 1")
+            raise InvariantError("image dimensions must be >= 1", "image_width", "image_height")
         if not self.image_width * self.image_height <= MAX_IMAGE_PIXELS:
-            raise ValueError(f"a {self.image_width}x{self.image_height} image has more than "
-                             f"{MAX_IMAGE_PIXELS} pixels")
+            raise InvariantError(f"a {self.image_width}x{self.image_height} image has more "
+                                 f"than {MAX_IMAGE_PIXELS} pixels", "image_width", "image_height")
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,9 @@ class PathPoint:
 class PathRecord:
     points: tuple
     tolerance: float
+
+    def __post_init__(self):
+        _check_tolerance(self.tolerance)
 
     def max_abs_drift(self) -> float:
         return max((abs(p.drift) for p in self.points), default=0.0)
@@ -220,23 +226,27 @@ class Scenario:
 
     def __post_init__(self):
         if not 0 < self.step_length < math.inf:
-            raise ValueError("step length must be positive and finite")
+            raise InvariantError("step length must be positive and finite", "step_length")
         if not abs(self.steering_gain) <= MAX_STEERING_GAIN:
-            raise ValueError(f"steering gain must be at most {MAX_STEERING_GAIN:.0f} in magnitude")
+            raise InvariantError(f"steering gain must be at most {MAX_STEERING_GAIN:.0f} in "
+                                 f"magnitude", "steering_gain")
         if not 1 <= self.steps_per_image < math.inf:
-            raise ValueError("steps per image must be finite and >= 1")
+            raise InvariantError("steps per image must be finite and >= 1", "steps_per_image")
         if not 0 <= self.min_area < math.inf:
-            raise ValueError("minimum region area must be finite and >= 0")
-        split_bands(self.camera.image_width, self.camera.image_height)   # rejects too small
+            raise InvariantError("minimum region area must be finite and >= 0", "min_area")
+        try:
+            split_bands(self.camera.image_width, self.camera.image_height)   # rejects too small
+        except ValueError as exc:
+            raise InvariantError(str(exc), "image_width", "image_height") from None
         ex, ey = self.world.envelope
         if not (0 <= self.start.x <= ex and 0 <= self.start.y <= ey):
-            raise ValueError("start position outside envelope")
+            raise InvariantError("start position outside envelope", "x", "y", "envelope")
         # drift is measured against the pipeline, which begins at the first waypoint
         if self.start.y < self.world.pipeline[0][1]:
-            raise ValueError(f"start y={self.start.y} lies below the first waypoint's "
-                             f"y={self.world.pipeline[0][1]}")
+            raise InvariantError(f"start y={self.start.y} lies below the first waypoint's "
+                                 f"y={self.world.pipeline[0][1]}", "y")
         if not math.isfinite(self.start.heading):
-            raise ValueError("start heading must be finite")
+            raise InvariantError("start heading must be finite", "heading")
         _step_bound(self)   # rejects a bound above MAX_MISSION_STEPS
 
 
@@ -248,8 +258,9 @@ def _step_bound(scenario: Scenario) -> int:
     """
     steps = 2.0 * (scenario.world.pipeline[-1][1] - scenario.start.y) / scenario.step_length
     if not steps <= MAX_MISSION_STEPS:
-        raise ValueError(f"a {scenario.step_length:g} cm step allows {steps:.6g} steps to "
-                         f"the pipeline end, more than {MAX_MISSION_STEPS}")
+        raise InvariantError(f"a {scenario.step_length:g} cm step allows {steps:.6g} steps to "
+                             f"the pipeline end, more than {MAX_MISSION_STEPS}",
+                             "step_length", "y")
     return math.ceil(steps)
 
 
@@ -444,10 +455,16 @@ def _round1(value: Decimal) -> float:
     return float(value.scaleb(1).to_integral_value(ROUND_HALF_UP).scaleb(-1))
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+
+
 def pct_of_drift(drift: float, tolerance: float) -> float:
     """100*|drift|/tolerance rounded half-up to one decimal."""
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tolerance)
+    if not -math.inf < drift < math.inf:
+        raise ValueError(f"drift must be finite, got {drift}")
     return _round1(Decimal(repr(abs(drift))) * 100 / Decimal(repr(tolerance)))
 
 
@@ -641,6 +658,7 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
 # Each scenario key and the (part, field) it sets.  The part holds the default, and a value
 # parses as an int when that default is one, else as a float (rulebase, a path, stays text).
 # envelope.x/.y are the items of World.envelope; start.x/.y default to the first waypoint.
+# No two parts share a field name, so the fields of an InvariantError name its keys.
 _SCENARIO_PARTS = {"world": World, "camera": Scenario.camera, "thresholds": Scenario.thresholds,
                    "scenario": Scenario, "start": Scenario.start}
 _SCENARIO_KEYS = {
@@ -687,7 +705,7 @@ def _parse_waypoints(value):
 
 def parse_scenario(text: str, base_dir=".") -> Scenario:
     """The Scenario a scenario file's text states; a bad line raises fis.ParseError, a
-    missing pipe.waypoints or a broken invariant a ValueError."""
+    missing pipe.waypoints or a broken invariant a ValueError (naming the lines of its keys)."""
     values = {}
     waypoints = ()
     key_lines = {}
@@ -728,10 +746,17 @@ def parse_scenario(text: str, base_dir=".") -> Scenario:
         fields[part][field] = value
     fields["world"]["envelope"] = (values.get("envelope.x", World.envelope[0]),
                                    values.get("envelope.y", World.envelope[1]))
-    return Scenario(World(pipeline=waypoints, **fields["world"]),
-                    camera=replace(Scenario.camera, **fields["camera"]),
-                    thresholds=replace(Scenario.thresholds, **fields["thresholds"]),
-                    start=replace(Scenario.start, **fields["start"]), **fields["scenario"])
+    try:
+        return Scenario(World(pipeline=waypoints, **fields["world"]),
+                        camera=replace(Scenario.camera, **fields["camera"]),
+                        thresholds=replace(Scenario.thresholds, **fields["thresholds"]),
+                        start=replace(Scenario.start, **fields["start"]), **fields["scenario"])
+    except InvariantError as exc:   # name the lines of the keys that set its fields
+        lines = [str(line_no) for key, line_no in key_lines.items()
+                 if key in _SCENARIO_KEYS and _SCENARIO_KEYS[key][1] in exc.fields]
+        if not lines:   # the file sets none of them
+            raise
+        raise ValueError(f"line{'s' * (len(lines) > 1)} {', '.join(lines)}: {exc}") from None
 
 
 def read_file(path, parse):

@@ -321,18 +321,25 @@ RULE = "IF x5 IS Left THEN y1 IS TurnLeft\n"
      {"my.rules": RULE + "term.x5.Left = pi(1e-20, 0.5)\n"}),
     ("my.scenario: line 2: non-finite value for camera.height",
      ["run", "--scenario", "my.scenario"], {"my.scenario": WAYPOINTS + "camera.height = nan\n"}),
-    ("my.scenario: a 100000x100000 image has more than 4194304 pixels",
+    ("my.scenario: lines 2, 3: a 100000x100000 image has more than 4194304 pixels",
      ["run", "--scenario", "my.scenario"],
      {"my.scenario": WAYPOINTS + "camera.image.width = 100000\ncamera.image.height = 100000\n"}),
-    ("my.scenario: pipe width must be positive and at most 1000000 cm",
+    ("my.scenario: line 2: pipe width must be positive and at most 1000000 cm",
      ["run", "--scenario", "my.scenario"], {"my.scenario": WAYPOINTS + "pipe.width = 1e200\n"}),
+    ("low.scenario: line 2: start y=10.0 lies below the first waypoint's y=20.0",
+     ["run", "--scenario", "low.scenario"],
+     {"low.scenario": "pipe.waypoints = 36.5:20; 47.5:42.5; 58.5:65\nstart.y = 10\n"}),
+    ("band.scenario: lines 2, 3: invalid threshold band: t1=200 must be < t2=100",
+     ["run", "--scenario", "band.scenario"],
+     {"band.scenario": WAYPOINTS + "threshold.t1 = 200\nthreshold.t2 = 100\n"}),
     ("bad.csv: missing CSV header ...", ["plot", "bad.csv"], {"bad.csv": "step,x\n1,2\n"}),
     ("view.pgm: truncated raster data", ["features", "view.pgm"],
      {"view.pgm": "P5\n4 4\n255\n" + "\0" * 7}),
     ("argument --tolerance: must be a positive finite number, not 'abc'",
      ["run", "--scenario", "my.scenario", "--tolerance", "abc"], {"my.scenario": WAYPOINTS}),
 ], ids=["unknown-term", "duplicate-term", "gaussian-width", "pi-width", "scenario-line",
-        "scenario-bound", "scenario-width-bound", "record-header", "image", "tolerance"])
+        "scenario-bound", "scenario-width-bound", "scenario-invariant", "scenario-invariant-pair",
+        "record-header", "image", "tolerance"])
 def test_readme_diagnostics_are_printed_verbatim(capsys, tmp_path, monkeypatch, quote, argv,
                                                  files):
     """Each diagnostic the README quotes is in its text and in the command's stderr, after

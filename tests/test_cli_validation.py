@@ -163,7 +163,41 @@ def test_scenario_invariant_exits_two(capsys, tmp_path, line, message):
     path.write_text(f"pipe.waypoints = 36.5:20; 47.5:42.5; 58.5:65\n{line}\n")
     assert main(["run", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "bad.scenario: " in err and message in err and "Traceback" not in err
+    assert "bad.scenario: line 2: " in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("seed = 3\nstart.y = 10", "line 3: start y=10.0 lies below the first waypoint's y=20.0"),
+    ("seed = 3\ncamera.tilt = 95", "line 3: tilt must be in (0, 90) degrees"),
+    ("camera.image.height = 7",
+     "line 2: image too small to band: 320x7 (needs at least 2 columns and 10 rows)"),
+    ("envelope.y = 50", "line 2: waypoint (58.5, 65.0) outside envelope"),
+    ("threshold.t1 = 200\nthreshold.t2 = 100",
+     "lines 2, 3: invalid threshold band: t1=200 must be < t2=100"),
+    ("threshold.t2 = 100\nseed = 3\nthreshold.t1 = 200",
+     "lines 2, 4: invalid threshold band: t1=200 must be < t2=100"),
+    ("envelope.x = 100\nstart.x = 120", "lines 2, 3: start position outside envelope"),
+    ("start.y = 20\nstep.length = 0.001",
+     "lines 2, 3: a 0.001 cm step allows 90000 steps to the pipeline end, more than 10000"),
+], ids=["start-below", "unrelated-line-skipped", "too-small-to-band", "waypoint-outside",
+        "threshold-pair", "threshold-pair-apart", "start-outside", "step-bound"])
+def test_broken_invariant_names_the_lines_of_its_keys(capsys, tmp_path, lines, message):
+    path = tmp_path / "low.scenario"
+    path.write_text(f"pipe.waypoints = 36.5:20; 47.5:42.5; 58.5:65\n{lines}\n")
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"pipefollow: low.scenario: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("pipe.waypoints = 10:0; 10:300\n", "waypoint (10.0, 300.0) outside envelope"),
+    ("envelope.y = 1000000\npipe.waypoints = 0:0; 0:1000000\n",
+     "a 22.5 cm step allows 88888.9 steps to the pipeline end, more than 10000"),
+], ids=["waypoint-outside-default-envelope", "default-step-length"])
+def test_invariant_broken_by_defaults_names_the_file_only(capsys, tmp_path, text, message):
+    path = tmp_path / "far.scenario"
+    path.write_text(text)
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"pipefollow: far.scenario: {message}\n"
 
 
 @pytest.mark.parametrize("line, command, message", [
@@ -181,7 +215,7 @@ def test_camera_rejected_when_scenario_is_built(capsys, tmp_path, line, command,
     out = ["--out", str(tmp_path / "view.pgm")] if command == "render" else []
     assert main([command, "--scenario", str(path), *out]) == 2
     err = capsys.readouterr().err
-    assert "cam.scenario: " in err and message in err and "Traceback" not in err
+    assert "cam.scenario: line 2: " in err and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("line, message", [
@@ -204,7 +238,8 @@ def test_scenario_past_a_run_time_limit_exits_two(capsys, tmp_path, line, messag
     path = tmp_path / "huge.scenario"
     path.write_text(f"pipe.waypoints = 36.5:0; 47.5:22.5; 58.5:45\n{line}\n")
     assert main(["run", "--scenario", str(path)]) == 2
-    assert capsys.readouterr().err == f"pipefollow: huge.scenario: {message}\n"
+    named = "lines 2, 3" if "\n" in line else "line 2"
+    assert capsys.readouterr().err == f"pipefollow: huge.scenario: {named}: {message}\n"
 
 
 @pytest.mark.parametrize("height", [7, 9])

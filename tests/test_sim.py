@@ -347,6 +347,30 @@ class TestDriftMetrics:
         with pytest.raises(ValueError):
             pct_of_drift(1.0, 0.0)
 
+    @pytest.mark.parametrize("drift, tolerance, message", [
+        (math.nan, 8.0, "drift must be finite, got nan"),
+        (math.inf, 8.0, "drift must be finite, got inf"),
+        (-math.inf, 8.0, "drift must be finite, got -inf"),
+        (1.0, math.inf, "tolerance must be positive and finite, got inf"),
+        (1.0, math.nan, "tolerance must be positive and finite, got nan"),
+        (1.0, -8.0, "tolerance must be positive and finite, got -8.0"),
+    ])
+    def test_pct_of_drift_rejects_non_finite_values(self, drift, tolerance, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pct_of_drift(drift, tolerance)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0])
+    def test_record_tolerance_must_be_positive_and_finite(self, tolerance):
+        with pytest.raises(ValueError,
+                           match=f"^tolerance must be positive and finite, got {tolerance}$"):
+            PathRecord((), tolerance)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pose_rejected(self, x):
+        world = World(pipeline=((40.0, 0.0), (60.0, 100.0)))
+        with pytest.raises(ValueError, match=f"^drift must be finite, got {x}$"):
+            drift_metrics([AuvState(40.0, 0.0, 90.0), AuvState(x, 50.0, 90.0)], world)
+
 
 def drift_reference(path, world):
     """drift_metrics as a loop of scalar pipeline_x_at calls, one per point."""
