@@ -64,17 +64,18 @@ class World:
             raise InvariantError(f"envelope dimensions must be positive and at most "
                                  f"{MAX_WORLD_CM:.0f} cm", "envelope")
         if len(self.pipeline) < 2:
-            raise ValueError("pipeline needs at least 2 waypoints")
+            raise InvariantError("pipeline needs at least 2 waypoints", "pipeline")
         for x, y in self.pipeline:
             if not (0 <= x <= ex and 0 <= y <= ey):
-                raise InvariantError(f"waypoint ({x}, {y}) outside envelope", "envelope")
+                raise InvariantError(f"waypoint ({x}, {y}) outside envelope",
+                                     "envelope", "pipeline")
         ys = [y for _, y in self.pipeline]
         if any(b <= a for a, b in zip(ys, ys[1:])):
-            raise ValueError("waypoint y coordinates must be strictly increasing")
+            raise InvariantError("waypoint y coordinates must be strictly increasing", "pipeline")
         # the render divides by each segment's squared length
         if any((b - a) * (b - a) == 0.0 for a, b in zip(ys, ys[1:])):
-            raise ValueError("consecutive waypoints are too close: a squared segment "
-                             "length underflows to 0")
+            raise InvariantError("consecutive waypoints are too close: a squared segment "
+                                 "length underflows to 0", "pipeline")
         if not 0 < self.pipe_width <= MAX_WORLD_CM:
             raise InvariantError(f"pipe width must be positive and at most {MAX_WORLD_CM:.0f} cm",
                                  "pipe_width")
@@ -289,31 +290,69 @@ def image_center(cam: CameraModel) -> tuple:
     return (cam.image_width - 1) / 2.0, (cam.image_height - 1) / 2.0
 
 
-RENDER_TILE = 16   # side in pixels of the square tiles segments are culled by
+def _spans(starts, lengths) -> np.ndarray:
+    """Positions start, start + 1, ..., start + length - 1 of each span, span after span."""
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+
+
+def _slab(base, rate, lo, hi) -> tuple:
+    """Bounds of the lam with lo <= base + rate*lam <= hi (start > end when there is none)."""
+    lam_lo, lam_hi = (lo - base) / rate, (hi - base) / rate
+    return np.fmin(lam_lo, lam_hi), np.fmax(lam_lo, lam_hi)
+
+
+def _chord(along, across, r2) -> tuple:
+    """Bounds of the lam with (lam - along)**2 + across**2 <= r2 (inf, -inf when none)."""
+    c2 = r2 - across * across
+    c = np.sqrt(np.maximum(c2, 0.0))
+    return np.where(c2 < 0.0, np.inf, along - c), np.where(c2 < 0.0, -np.inf, along + c)
 
 
 def _pipe_mask(world: World, auv: AuvState, cam: CameraModel) -> np.ndarray:
     """Pixels whose ray meets the seabed within half a pipe width of the polyline.
 
-    Tiles are culled by the ground points of their 4 corner pixels.  The ray
-    terms a and b are monotone in the column and the row, so a tile's rays
-    lie in the rectangle of its corner rays.  Below the horizon the map from
-    (a, b) to the seabed is projective with a denominator that keeps its
-    sign, so in exact arithmetic every ground point of a tile lies in the
-    convex quad of its corners' ground points.
+    Each ground row is tested segment by segment along one run of columns,
+    at the run's ends only.  Exact arithmetic first: right[2] is 0, so a
+    row's ray length t is one number, and its exact ground points
+    E(c) = O + t*((F + a_c*R) + b*U), evaluated from the computed t, a_c, b
+    and basis, lie on one line along (right[0], right[1]), in column order,
+    since a_c rises with c.  The distance d(c) from such a point to a
+    segment is convex along the line: for c1 < c2 < c3,
+    d(c2) <= max(d(c1), d(c3)).
 
-    The computed points differ from exact ones by rounding.  With unit
-    roundoff u and per tile the largest ray length T, |a|, |b| at most amax,
-    bmax and M = 1 + amax + bmax (every basis component is at most 1):
-    - the ray's vertical component cancels near the horizon, so the computed
-      T carries a relative error of at most (k + 2)u, where
-      k = bmax * T / height is the cancellation factor;
-    - (forward + a*right) + b*up is off by at most 3uM, the product with t
-      and the addition of the origin add u(T*M + |origin|).
-    A computed ground point is thus within u(|origin| + T*M*(k + 7)) of the
-    exact one.  A tile's pixels lie within twice that of the corners' box,
-    which the widening 32u(|origin| + T*M*(1 + k)), 32u = 2**-48, exceeds
-    with room for second-order terms, so a culled tile holds no pixel the full raster would mark.
+    Rounding.  With unit roundoff u, |a| at most amax and M = 1 + amax + |b|
+    (every basis component is at most 1), the computed ground point S(c) is
+    off E(c) by at most u(|ox| + |oy| + 5tM) per coordinate: the two sums,
+    the product with t and the addition of the origin, in the reference's
+    order.  The row's slack g = 2**-48 (|ox| + |oy| + tM) exceeds that 6
+    times over.  The clamped projection and the squared distance q(c) add a
+    few u of |S| (which g covers) and of |P| + |W| and half (segment start
+    P, direction W; which e = 1e-9 (half + the largest waypoint coordinate)
+    covers many times over, as it covers the rounding of the thresholds
+    below).  So sqrt(q(c)) lies within B = 2g + e of d(c): d(c) <= half - B
+    makes the reference test q(c) <= half**2 pass, and d(c) > half + B
+    makes it fail.
+
+    Per (row, segment) pair, with m = 2B:
+    - Cull.  The offsets across the row's line of the segment's two ends,
+      computed from the computed a = 0 ground point (within g of the exact
+      one, as above), are within B of the exact offsets.  A pair whose two
+      ends both lie more than half + m from the line, on one side, has every
+      point of its segment farther than half + B from every E(c): no pixel
+      of the row is tested against it.
+    - Guess.  The run's ends come in closed form from the capsule around the
+      segment (a strip and two end discs) met by the row's line, in floating
+      point.  Nothing below trusts the guess.
+    - Ends.  Columns [cl, sl] and [sh, ch] around the guessed ends get the
+      exact test; qmin is the least q among them.  If sqrt(q) < half - m at
+      sl and at sh, then d < half - B there, so by convexity every column
+      between them passes, and the interior (sl, sh) is set untested.  If
+      cl is column 0, or sqrt(q(cl)) > max(half, sqrt(qmin)) + m, then
+      d(cl) > half + B, and d(cl) exceeds d at the tested column that holds
+      qmin, right of cl; by convexity every column left of cl has
+      d >= d(cl), and fails.  Likewise right of ch.
+    - A pair without a guessed run, or failing a check, has its whole row
+      tested.
     """
     origin, right, up, forward = _camera_basis(auv, cam)
     h, w = cam.image_height, cam.image_width
@@ -325,50 +364,92 @@ def _pipe_mask(world: World, auv: AuvState, cam: CameraModel) -> np.ndarray:
     # ray length depend on the row alone
     dz = forward[2] + b * up[2]
     rows = np.flatnonzero(dz < -1e-12)   # rays above the horizon never hit the seabed
-    # Ray terms tile by tile, shape (tile rows or tile columns, tile).  The
-    # last ground row and last column repeat up to whole tiles, which leaves
-    # every tile's ground points as they are.
-    tile = RENDER_TILE
-    nty, ntx = -(-rows.size // tile), -(-w // tile)
-    r = rows[np.minimum(np.arange(nty * tile), rows.size - 1)].reshape(nty, tile)
-    c = np.minimum(np.arange(ntx * tile), w - 1).reshape(ntx, tile)
-    t = -origin[2] / dz[r]
-    col_x, col_y = forward[0] + a[c] * right[0], forward[1] + a[c] * right[1]
-    row_x, row_y = b[r] * up[0], b[r] * up[1]
-    ends = [0, -1]
-    t_end = t[:, ends, None, None]
-    gx = origin[0] + t_end * (col_x[None, None, :, ends] + row_x[:, ends, None, None])
-    gy = origin[1] + t_end * (col_y[None, None, :, ends] + row_y[:, ends, None, None])
-    big_t = t.max(axis=1)[:, None]
-    amax, bmax = float(np.abs(a).max()), float(np.abs(b).max())
-    slack = 2.0 ** -48 * (abs(origin[0]) + abs(origin[1])
-                          + big_t * (1.0 + amax + bmax) * (1.0 + bmax * big_t / origin[2]))
-    x_lo, x_hi = (gx.min(axis=(1, 3)) - slack).ravel(), (gx.max(axis=(1, 3)) + slack).ravel()
-    y_lo, y_hi = (gy.min(axis=(1, 3)) - slack).ravel(), (gy.max(axis=(1, 3)) + slack).ravel()
+    pipe = np.zeros((h, w), dtype=bool)
+    b, t = b[rows], -origin[2] / dz[rows]
+    col_x, col_y = forward[0] + a * right[0], forward[1] + a * right[1]
+    row_x, row_y = b * up[0], b * up[1]
+    points = np.array(world.pipeline)
+    px, py = points[:-1, 0], points[:-1, 1]
+    wx, wy = points[1:, 0] - px, points[1:, 1] - py
+    length2 = wx * wx + wy * wy
     half = world.pipe_width / 2.0
     r2 = half ** 2
-    # Rounding moves a computed distance by a few ulps of the coordinates; a
-    # culled tile lies farther than that beyond the pipe's half width.
-    reach = half + 1e-9 * (half + max(abs(v) for point in world.pipeline for v in point))
-    hit = np.zeros((nty * ntx, tile, tile), dtype=bool)
-    for (px, py), (qx, qy) in zip(world.pipeline, world.pipeline[1:]):
-        near = np.flatnonzero((x_lo <= max(px, qx) + reach) & (x_hi >= min(px, qx) - reach)
-                              & (y_lo <= max(py, qy) + reach) & (y_hi >= min(py, qy) - reach))
-        if near.size == 0:
-            continue
-        ty, tx = np.divmod(near, ntx)
-        tn = t[ty, :, None]
-        sx = origin[0] + tn * (col_x[tx, None, :] + row_x[ty, :, None])
-        sy = origin[1] + tn * (col_y[tx, None, :] + row_y[ty, :, None])
-        wx, wy = qx - px, qy - py
-        length2 = wx * wx + wy * wy
-        s = np.clip(((sx - px) * wx + (sy - py) * wy) / length2, 0.0, 1.0)
-        dx = sx - (px + s * wx)
-        dy = sy - (py + s * wy)
-        hit[near] |= dx * dx + dy * dy <= r2
-    pipe = np.zeros((h, w), dtype=bool)
-    pipe[rows] = hit.reshape(nty, ntx, tile, tile).transpose(0, 2, 1, 3).reshape(
-        nty * tile, ntx * tile)[:rows.size, :w]
+    slack = 2.0 ** -48 * (abs(origin[0]) + abs(origin[1])
+                          + t * (1.0 + np.abs(a).max() + np.abs(b)))
+    m = 2.0 * (2.0 * slack + 1e-9 * (half + np.abs(points).max()))   # 2B, row by row
+    flat = pipe.reshape(-1)
+
+    def test(i, c, k) -> np.ndarray:
+        """q of ground row i, column c against segment k; marks the pixels it passes."""
+        ti = t[i]
+        sx = origin[0] + ti * (col_x[c] + row_x[i])
+        sy = origin[1] + ti * (col_y[c] + row_y[i])
+        pxk, pyk, wxk, wyk = px[k], py[k], wx[k], wy[k]
+        s = np.clip(((sx - pxk) * wxk + (sy - pyk) * wyk) / length2[k], 0.0, 1.0)
+        dx = sx - (pxk + s * wxk)
+        dy = sy - (pyk + s * wyk)
+        q = dx * dx + dy * dy
+        flat[(rows[i] * w + c)[q <= r2]] = True
+        return q
+
+    # Each row's line, through its a = 0 ground point along (ux, uy), and the
+    # waypoints, in coordinates along that line and across it.
+    ux, uy = right[0], right[1]
+    lx, ly = origin[0] + t * (forward[0] + row_x), origin[1] + t * (forward[1] + row_y)
+    row_along, row_across = ux * lx + uy * ly, ux * ly - uy * lx
+    pt_along = ux * points[:, 0] + uy * points[:, 1]
+    pt_across = ux * points[:, 1] - uy * points[:, 0]
+    reach = (half + m)[:, None]
+    i, k = np.divmod(np.flatnonzero(
+        (row_across[:, None] >= np.minimum(pt_across[:-1], pt_across[1:]) - reach)
+        & (row_across[:, None] <= np.maximum(pt_across[:-1], pt_across[1:]) + reach)), len(px))
+    p_along, p_across = pt_along[k] - row_along[i], pt_across[k] - row_across[i]
+    q_along, q_across = pt_along[k + 1] - row_along[i], pt_across[k + 1] - row_across[i]
+    w_along, w_across = q_along - p_along, q_across - p_across
+    length2_k = length2[k]
+    width_k = half * np.sqrt(length2_k)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        along_lo, along_hi = _slab(-p_along * w_along - p_across * w_across, w_along,
+                                   0.0, length2_k)
+        across_lo, across_hi = _slab(p_along * w_across - p_across * w_along, -w_across,
+                                     -width_k, width_k)
+        p_lo, p_hi = _chord(p_along, p_across, r2)
+        q_lo, q_hi = _chord(q_along, q_across, r2)
+        strip_lo, strip_hi = np.maximum(along_lo, across_lo), np.minimum(along_hi, across_hi)
+        strip = strip_lo <= strip_hi
+        lam_lo = np.minimum(np.minimum(p_lo, q_lo), np.where(strip, strip_lo, np.inf))
+        lam_hi = np.maximum(np.maximum(p_hi, q_hi), np.where(strip, strip_hi, -np.inf))
+        scale = f / t[i]
+        run_lo = np.clip(cx + scale * lam_lo, -2.0, w + 1.0)
+        run_hi = np.clip(cx + scale * lam_hi, -2.0, w + 1.0)
+    guessed = lam_lo <= lam_hi
+    whole_i, whole_k = i[~guessed], k[~guessed]
+    # Ends: [cl, sl] and [sh, ch], at least 2 columns when the image has them,
+    # or [cl, ch] alone (sl = ch, sh = ch + 1) when no column lies between.
+    i, k, run_lo, run_hi = i[guessed], k[guessed], run_lo[guessed], run_hi[guessed]
+    cl = np.clip(np.floor(run_lo - 0.5).astype(np.intp), 0, max(w - 2, 0))
+    ch = np.clip(np.ceil(run_hi + 0.5).astype(np.intp), min(w - 1, 1), w - 1)
+    sl = np.clip(np.ceil(run_lo + 0.5).astype(np.intp), cl, ch)
+    sh = np.clip(np.floor(run_hi - 0.5).astype(np.intp), cl, ch)
+    inner = sh - sl > 1
+    sl, sh = np.where(inner, sl, ch), np.where(inner, sh, ch + 1)
+    n_left, n_right = sl - cl + 1, ch - sh + 1
+    n = n_left + n_right
+    owner = np.repeat(np.arange(n.size), n)
+    q = test(i[owner], _spans(np.stack([cl, sh], axis=1).ravel(),
+                              np.stack([n_left, n_right], axis=1).ravel()), k[owner])
+    first = np.cumsum(n) - n
+    last = first + n - 1
+    beyond = np.square(np.maximum(half, np.sqrt(np.minimum.reduceat(q, first))) + m[i])
+    ok = (((cl == 0) | (q[first] > beyond)) & ((ch == w - 1) | (q[last] > beyond))
+          & (~inner | (np.maximum(q[first + n_left - 1], q[np.minimum(first + n_left, last)])
+                       < np.square(np.maximum(half - m[i], 0.0)))))
+    fill = ok & inner
+    flat[_spans(rows[i[fill]] * w + sl[fill] + 1, sh[fill] - sl[fill] - 1)] = True
+    # pairs no proof settles: every column of the row
+    i, k = np.concatenate([whole_i, i[~ok]]), np.concatenate([whole_k, k[~ok]])
+    if i.size:
+        test(np.repeat(i, w), np.tile(np.arange(w), i.size), np.repeat(k, w))
     return pipe
 
 
@@ -380,17 +461,18 @@ def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0) -
     Uniform intensity noise and pipe-bright speckle are then drawn from a
     generator seeded by (world.seed, frame).
 
-    Each segment's ground points and distances are computed only on the
-    RENDER_TILE-square tiles whose ground bounding box, bounded from the
-    tile's corner pixels (see _pipe_mask), comes within reach of the
-    segment's bounding box, yet the pixels equal a full-raster pass
-    (tests/oracles.py) bit for bit, because:
+    Each segment's ground points and distances are computed only at the
+    two ends of its column run in each ground row it can reach; the run's
+    interior is set untested (see _pipe_mask).  Yet the pixels equal a
+    full-raster pass (tests/oracles.py) bit for bit, because:
     - a pixel is pipe when the minimum of its squared segment distances is
       at most the squared half width, which is the OR of the per-segment
       tests, since a minimum returns one of its operands (none is NaN:
       ground points are finite and World keeps segment lengths positive);
     - IEEE elementwise operations give the same bits on a gathered subset
       of pixels as on the full raster, in the same operation order;
+    - _pipe_mask proves, for every (row, segment) pair, the outcome of each
+      per-segment test it does not run;
     - the noise and speckle draws come from the generator in the same order;
       an int32 noise draw returns the same values as an int64 one and leaves
       the generator in the same state, and intensities stay within int32
@@ -752,8 +834,8 @@ def parse_scenario(text: str, base_dir=".") -> Scenario:
                         thresholds=replace(Scenario.thresholds, **fields["thresholds"]),
                         start=replace(Scenario.start, **fields["start"]), **fields["scenario"])
     except InvariantError as exc:   # name the lines of the keys that set its fields
-        lines = [str(line_no) for key, line_no in key_lines.items()
-                 if key in _SCENARIO_KEYS and _SCENARIO_KEYS[key][1] in exc.fields]
+        keys = {**_SCENARIO_KEYS, "pipe.waypoints": ("world", "pipeline")}
+        lines = [str(line_no) for key, line_no in key_lines.items() if keys[key][1] in exc.fields]
         if not lines:   # the file sets none of them
             raise
         raise ValueError(f"line{'s' * (len(lines) > 1)} {', '.join(lines)}: {exc}") from None

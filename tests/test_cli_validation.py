@@ -171,7 +171,7 @@ def test_scenario_invariant_exits_two(capsys, tmp_path, line, message):
     ("seed = 3\ncamera.tilt = 95", "line 3: tilt must be in (0, 90) degrees"),
     ("camera.image.height = 7",
      "line 2: image too small to band: 320x7 (needs at least 2 columns and 10 rows)"),
-    ("envelope.y = 50", "line 2: waypoint (58.5, 65.0) outside envelope"),
+    ("envelope.y = 50", "lines 1, 2: waypoint (58.5, 65.0) outside envelope"),
     ("threshold.t1 = 200\nthreshold.t2 = 100",
      "lines 2, 3: invalid threshold band: t1=200 must be < t2=100"),
     ("threshold.t2 = 100\nseed = 3\nthreshold.t1 = 200",
@@ -189,10 +189,27 @@ def test_broken_invariant_names_the_lines_of_its_keys(capsys, tmp_path, lines, m
 
 
 @pytest.mark.parametrize("text, message", [
-    ("pipe.waypoints = 10:0; 10:300\n", "waypoint (10.0, 300.0) outside envelope"),
+    ("pipe.waypoints = 10:0\n", "line 1: pipeline needs at least 2 waypoints"),
+    ("pipe.waypoints = 10:0; 10:300\n", "line 1: waypoint (10.0, 300.0) outside envelope"),
+    ("envelope.x = 100\nseed = 3\npipe.waypoints = 10:0; 120:50\n",
+     "lines 1, 3: waypoint (120.0, 50.0) outside envelope"),
+    ("seed = 3\npipe.waypoints = 10:50; 10:0\n",
+     "line 2: waypoint y coordinates must be strictly increasing"),
+    ("pipe.waypoints = 10:0; 10:1e-200; 10:50\n",
+     "line 1: consecutive waypoints are too close: a squared segment length underflows to 0"),
+], ids=["one-waypoint", "outside-default-envelope", "outside-set-envelope", "y-decreasing",
+        "underflowing-segment"])
+def test_waypoint_invariant_names_its_lines(capsys, tmp_path, text, message):
+    path = tmp_path / "wp.scenario"
+    path.write_text(text)
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"pipefollow: wp.scenario: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
     ("envelope.y = 1000000\npipe.waypoints = 0:0; 0:1000000\n",
      "a 22.5 cm step allows 88888.9 steps to the pipeline end, more than 10000"),
-], ids=["waypoint-outside-default-envelope", "default-step-length"])
+], ids=["default-step-length"])
 def test_invariant_broken_by_defaults_names_the_file_only(capsys, tmp_path, text, message):
     path = tmp_path / "far.scenario"
     path.write_text(text)
@@ -279,7 +296,7 @@ def test_features_reads_its_scenario_before_its_image(capsys, tmp_path):
     assert main(["features", str(tmp_path / "text.pgm"),
                  "--scenario", str(tmp_path / "bad.scenario")]) == 2
     assert capsys.readouterr().err == \
-        "pipefollow: bad.scenario: pipeline needs at least 2 waypoints\n"
+        "pipefollow: bad.scenario: line 1: pipeline needs at least 2 waypoints\n"
 
 
 INT_EXTREMES = ["0", "1", "-1", "2147483392", "2147483648", "9" * 400]

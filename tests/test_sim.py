@@ -237,12 +237,52 @@ class TestRenderView:
         assert img.pixels.max() <= cam.seabed_intensity + 30
 
 
+def ground_row_y(auv, cam, row) -> float:
+    """Seabed y of image row row's rays, for a heading of 90 (rows then run along x)."""
+    origin, _, up, forward, f, (_, cy) = oracles.camera_geometry(auv, cam)
+    b = (cy - row) / f
+    return origin[1] - origin[2] / (forward[2] + b * up[2]) * (forward[1] + b * up[1])
+
+
+def run_stress_cases() -> dict:
+    """Frames whose column runs are tangent, grazing, whole-row or a pixel or two wide."""
+    small, ahead = CameraModel(image_width=96, image_height=72), AuvState(75.0, 10.0, 90.0)
+    low, edge, high = (ground_row_y(ahead, small, row) for row in (60, 40, 30))
+    cases = {
+        # rows cross the pipe's edges at a shallow angle
+        "near-parallel": (World(pipeline=((0.0, 50.0), (150.0, 50.01))), ahead, small),
+        # row 40 runs along the pipe's edge, a billionth of a cm away: no
+        # margin settles it, so the whole row is tested
+        "edge-on-a-row": (World(pipeline=((0.0, edge - 5.0), (150.0, edge - 5.0 + 1e-9))),
+                          ahead, small),
+        # row 60 touches the first waypoint's end disc; row 30 misses the last
+        # one's by a billionth of a cm, too little for the cull
+        "tangent-end-discs": (World(pipeline=((70.0, low + 5.0), (80.0, high - 5.0 - 1e-9))),
+                              ahead, small),
+        # every ground row lies inside the pipe: one run spans the row
+        "pipe-wider-than-rows": (World(pipeline=((75.0, 0.0), (80.0, 200.0)), pipe_width=60.0),
+                                 ahead, replace(small, height_cm=5.0)),
+        # near-vertical segments up to the horizon
+        "grazing-near-vertical": (World(pipeline=((75.0, 0.0), (75.5, 100.0), (76.0, 200.0))),
+                                  AuvState(75.0, 0.0, 90.0),
+                                  replace(small, tilt_deg=5.0, fov_deg=150.0)),
+    }
+    wide = World(pipeline=((75.0, 0.0), (78.0, 200.0)), pipe_width=40.0)
+    for width, height in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 40), (2, 40), (40, 1), (40, 2)):
+        cases[f"{width}x{height}"] = (wide, AuvState(75.0, 0.0, 90.0),
+                                     replace(small, image_width=width, image_height=height))
+    return cases
+
+
+RUN_STRESS_CASES = run_stress_cases()
+
+
 @st.composite
 def render_cases(draw):
     """World, pose and camera for one render, small enough for the oracle.
 
-    Image sides run from 1 pixel to a few RENDER_TILEs, mostly not tile
-    multiples.  Poses and headings span the whole envelope, so the pipe is
+    Image sides run from 1 to 53 pixels, so column runs often end at an
+    image edge.  Poses and headings span the whole envelope, so the pipe is
     often partly or wholly out of view or behind the camera.
     """
     n = draw(st.integers(2, 8))
@@ -255,8 +295,8 @@ def render_cases(draw):
                    draw(st.floats(-180.0, 360.0)))
     cam = CameraModel(height_cm=draw(st.floats(5.0, 150.0)), tilt_deg=draw(st.floats(5.0, 85.0)),
                       fov_deg=draw(st.floats(20.0, 150.0)),
-                      image_width=draw(st.integers(1, 3 * sim.RENDER_TILE + 5)),
-                      image_height=draw(st.integers(1, 3 * sim.RENDER_TILE + 5)),
+                      image_width=draw(st.integers(1, 53)),
+                      image_height=draw(st.integers(1, 53)),
                       noise_amplitude=draw(st.sampled_from([0, 30])),
                       speckle_density=draw(st.sampled_from([0.0, 0.05])))
     return world, auv, cam, draw(st.integers(0, 5))
@@ -271,7 +311,7 @@ class TestRenderOracle:
             oracles.render_reference(world, auv, cam, frame).tobytes()
 
     # tilt 5 with fov 150 grazes the horizon: the longest rays, the widest
-    # rounding slack on a tile's corner bound
+    # per-row rounding bound
     @pytest.mark.parametrize("tilt, fov", [(5.0, 60.0), (30.0, 60.0), (85.0, 60.0),
                                            (5.0, 150.0)],
                              ids=["5.0", "30.0", "85.0", "5.0-fov150"])
@@ -282,6 +322,27 @@ class TestRenderOracle:
                     AuvState(75.0, 190.0, 270.0)):
             assert np.array_equal(render_view(world, auv, cam, 1).pixels,
                                   oracles.render_reference(world, auv, cam, 1))
+
+    @pytest.mark.parametrize("case", list(RUN_STRESS_CASES), ids=list(RUN_STRESS_CASES))
+    def test_run_stress_frames_match(self, case):
+        world, auv, cam = RUN_STRESS_CASES[case]
+        assert np.array_equal(render_view(world, auv, cam, 2).pixels,
+                              oracles.render_reference(world, auv, cam, 2))
+
+    def test_survey_mission_frames_match(self, monkeypatch):
+        """Every frame one benchmark survey mission captures equals the reference."""
+        scenario = sim.load_scenario(ROOT / "bench" / "data" / "survey.scenario")
+        real, frames = sim.render_view, []
+
+        def captured(*args):
+            frames.append((args, real(*args)))
+            return frames[-1][1]
+
+        monkeypatch.setattr(sim, "render_view", captured)
+        run_mission(scenario, sim.read_rulebase(scenario.rulebase_file))
+        assert len(frames) == 9
+        for args, img in frames:
+            assert img.pixels.tobytes() == oracles.render_reference(*args).tobytes()
 
     def test_render_allocates_no_full_raster_float_temporaries(self):
         """Peak traced memory of one 320x240 survey-bend render.
@@ -850,14 +911,13 @@ class TestScenarioFiles:
 
     def test_invariant_violations_become_scenario_errors(self, tmp_path):
         text = "pipe.waypoints = 10:0; 10:300\n"   # outside envelope
-        with pytest.raises(ValueError, match=r"^waypoint \(10\.0, 300\.0\) outside envelope$") \
-                as raised:
+        message = r"line 1: waypoint \(10\.0, 300\.0\) outside envelope$"
+        with pytest.raises(ValueError, match="^" + message) as raised:
             parse_scenario(text)
-        assert not isinstance(raised.value, fis.ParseError)   # names no line
+        assert not isinstance(raised.value, fis.ParseError)   # the line parsed
         path = tmp_path / "far.scenario"
         path.write_text(text)
-        with pytest.raises(InputError,
-                           match=r"^far\.scenario: waypoint \(10\.0, 300\.0\) outside envelope$"):
+        with pytest.raises(InputError, match=r"^far\.scenario: " + message):
             sim.load_scenario(path)
 
     def test_rulebase_resolved_relative_to_file(self, tmp_path):
