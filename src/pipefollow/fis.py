@@ -218,9 +218,10 @@ class RuleBase:
 def defuzzify(alphas, rb: RuleBase) -> float:
     """Weighted mean of consequent term centers by firing strength.
 
-    Returns the neutral set point 90 when nothing fires.  The exact mean lies
-    in OUTPUT_UNIVERSE, so clamping to it removes only rounding, such as
-    a * 180.0 / a > 180.
+    Returns the neutral set point 90 when nothing fires.  Raises ValueError
+    for a negative or non-finite strength or an overflowing sum, so the
+    exact mean lies in OUTPUT_UNIVERSE and clamping to it removes only
+    rounding, such as a * 180.0 / a > 180.
     """
     num = 0.0
     den = 0.0
@@ -228,6 +229,10 @@ def defuzzify(alphas, rb: RuleBase) -> float:
     for alpha, center in zip(alphas, centers):
         num += alpha * center
         den += alpha
+    if not (min(alphas, default=0.0) >= 0.0 and den < math.inf):   # false for nan too
+        bad = next((a for a in alphas if not 0.0 <= a < math.inf), None)
+        raise ValueError("firing strengths sum to inf" if bad is None
+                         else f"firing strength must be finite and >= 0, got {bad}")
     if den == 0.0:
         return NEUTRAL_STEER
     lo, hi = OUTPUT_UNIVERSE

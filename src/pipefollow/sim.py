@@ -342,17 +342,19 @@ def _pipe_mask(world: World, auv: AuvState, cam: CameraModel) -> np.ndarray:
       of the row is tested against it.
     - Guess.  The run's ends come in closed form from the capsule around the
       segment (a strip and two end discs) met by the row's line, in floating
-      point.  Nothing below trusts the guess.
-    - Ends.  Columns [cl, sl] and [sh, ch] around the guessed ends get the
-      exact test; qmin is the least q among them.  If sqrt(q) < half - m at
-      sl and at sh, then d < half - B there, so by convexity every column
-      between them passes, and the interior (sl, sh) is set untested.  If
-      cl is column 0, or sqrt(q(cl)) > max(half, sqrt(qmin)) + m, then
-      d(cl) > half + B, and d(cl) exceeds d at the tested column that holds
-      qmin, right of cl; by convexity every column left of cl has
-      d >= d(cl), and fails.  Likewise right of ch.
-    - A pair without a guessed run, or failing a check, has its whole row
-      tested.
+      point, else the whole row.  Nothing below trusts the guess.
+    - Ends.  cl and ch lie half a column beyond the guessed ends, clipped
+      into [0, w - 3] and [2, w - 1] within the image.  Columns cl, cl+1,
+      cl+2 and ch-2, ch-1, ch, each clipped into [cl, ch], get the exact
+      test; qmin is the least q among them.  If ch - cl >= 6 (else the
+      windows cover [cl, ch]) and sqrt(q) < half - m at cl+2 and ch-2, then
+      d < half - B there, so by convexity every column between them passes,
+      and the interior [cl+3, ch-3] is set untested.  If cl is column 0, or
+      sqrt(q(cl)) > max(half, sqrt(qmin)) + m, then d(cl) > half + B, and
+      d(cl) exceeds d at the tested column holding qmin, which lies in
+      [cl, ch] and so right of cl; by convexity every column left of cl
+      has d >= d(cl), and fails.  Likewise right of ch.
+    - A pair failing a check has its whole row tested.
     """
     origin, right, up, forward = _camera_basis(auv, cam)
     h, w = cam.image_height, cam.image_width
@@ -422,34 +424,24 @@ def _pipe_mask(world: World, auv: AuvState, cam: CameraModel) -> np.ndarray:
         scale = f / t[i]
         run_lo = np.clip(cx + scale * lam_lo, -2.0, w + 1.0)
         run_hi = np.clip(cx + scale * lam_hi, -2.0, w + 1.0)
+    # a pair without a guessed run (nan included) starts from the whole row
     guessed = lam_lo <= lam_hi
-    whole_i, whole_k = i[~guessed], k[~guessed]
-    # Ends: [cl, sl] and [sh, ch], at least 2 columns when the image has them,
-    # or [cl, ch] alone (sl = ch, sh = ch + 1) when no column lies between.
-    i, k, run_lo, run_hi = i[guessed], k[guessed], run_lo[guessed], run_hi[guessed]
-    cl = np.clip(np.floor(run_lo - 0.5).astype(np.intp), 0, max(w - 2, 0))
-    ch = np.clip(np.ceil(run_hi + 0.5).astype(np.intp), min(w - 1, 1), w - 1)
-    sl = np.clip(np.ceil(run_lo + 0.5).astype(np.intp), cl, ch)
-    sh = np.clip(np.floor(run_hi - 0.5).astype(np.intp), cl, ch)
-    inner = sh - sl > 1
-    sl, sh = np.where(inner, sl, ch), np.where(inner, sh, ch + 1)
-    n_left, n_right = sl - cl + 1, ch - sh + 1
-    n = n_left + n_right
-    owner = np.repeat(np.arange(n.size), n)
-    q = test(i[owner], _spans(np.stack([cl, sh], axis=1).ravel(),
-                              np.stack([n_left, n_right], axis=1).ravel()), k[owner])
-    first = np.cumsum(n) - n
-    last = first + n - 1
-    beyond = np.square(np.maximum(half, np.sqrt(np.minimum.reduceat(q, first))) + m[i])
-    ok = (((cl == 0) | (q[first] > beyond)) & ((ch == w - 1) | (q[last] > beyond))
-          & (~inner | (np.maximum(q[first + n_left - 1], q[np.minimum(first + n_left, last)])
-                       < np.square(np.maximum(half - m[i], 0.0)))))
+    run_lo, run_hi = np.where(guessed, run_lo, -2.0), np.where(guessed, run_hi, w + 1.0)
+    cl = np.clip(np.floor(run_lo - 0.5).astype(np.intp), 0, max(w - 3, 0))
+    ch = np.clip(np.ceil(run_hi + 0.5).astype(np.intp), min(2, w - 1), w - 1)
+    ends = np.clip(np.stack([cl, cl + 1, cl + 2, ch - 2, ch - 1, ch], axis=1),
+                   cl[:, None], ch[:, None])
+    q = test(i[:, None], ends, k[:, None])
+    beyond = np.square(np.maximum(half, np.sqrt(q.min(axis=1))) + m[i])
+    inner = ch - cl >= 6   # else the two windows cover [cl, ch]
+    ok = (((cl == 0) | (q[:, 0] > beyond)) & ((ch == w - 1) | (q[:, 5] > beyond))
+          & (~inner | (np.maximum(q[:, 2], q[:, 3]) < np.square(np.maximum(half - m[i], 0.0)))))
     fill = ok & inner
-    flat[_spans(rows[i[fill]] * w + sl[fill] + 1, sh[fill] - sl[fill] - 1)] = True
+    flat[_spans(rows[i[fill]] * w + cl[fill] + 3, ch[fill] - cl[fill] - 5)] = True
     # pairs no proof settles: every column of the row
-    i, k = np.concatenate([whole_i, i[~ok]]), np.concatenate([whole_k, k[~ok]])
+    i, k = i[~ok], k[~ok]
     if i.size:
-        test(np.repeat(i, w), np.tile(np.arange(w), i.size), np.repeat(k, w))
+        test(i[:, None], np.arange(w), k[:, None])
     return pipe
 
 

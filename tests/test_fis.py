@@ -229,6 +229,24 @@ class TestDefuzzify:
     def test_no_fire_returns_neutral(self):
         rb = default_rulebase()
         assert defuzzify([0.0] * 13, rb) == 90.0
+        assert defuzzify((), rb) == 90.0
+
+    @pytest.mark.parametrize("alphas, message", [
+        ([math.nan] * 13, "firing strength must be finite and >= 0, got nan"),
+        ([0.0, math.nan] + [0.0] * 11, "firing strength must be finite and >= 0, got nan"),
+        ([math.inf] + [0.0] * 12, "firing strength must be finite and >= 0, got inf"),
+        ([-1.0] + [0.0] * 12, "firing strength must be finite and >= 0, got -1.0"),
+        ([1.0, -0.5] + [0.0] * 11, "firing strength must be finite and >= 0, got -0.5"),
+        ([1e308] * 13, "firing strengths sum to inf"),
+    ], ids=["nan", "nan-after-zero", "inf", "negative", "negative-after-positive", "overflow"])
+    def test_bad_strength_rejected(self, alphas, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            defuzzify(alphas, default_rulebase())
+
+    def test_strengths_above_one_accepted(self):
+        alphas = [0.0] * 13
+        alphas[0] = 10.0   # TurnLeft, center 30
+        assert defuzzify(alphas, default_rulebase()) == 30.0
 
     # alpha of exactly 0 or >= 1e-6: scaling a subnormal by 0.1 would
     # underflow to zero and legitimately change the no-fire outcome

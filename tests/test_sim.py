@@ -237,17 +237,18 @@ class TestRenderView:
         assert img.pixels.max() <= cam.seabed_intensity + 30
 
 
-def ground_row_y(auv, cam, row) -> float:
-    """Seabed y of image row row's rays, for a heading of 90 (rows then run along x)."""
-    origin, _, up, forward, f, (_, cy) = oracles.camera_geometry(auv, cam)
-    b = (cy - row) / f
-    return origin[1] - origin[2] / (forward[2] + b * up[2]) * (forward[1] + b * up[1])
+def ground_point(auv, cam, row, col) -> tuple:
+    """Seabed (x, y) that the ray of pixel (row, col) meets."""
+    origin, right, up, forward, f, (cx, cy) = oracles.camera_geometry(auv, cam)
+    ray = forward + (col - cx) / f * right + (cy - row) / f * up
+    return tuple((origin[:2] - origin[2] / ray[2] * ray[:2]).tolist())
 
 
 def run_stress_cases() -> dict:
     """Frames whose column runs are tangent, grazing, whole-row or a pixel or two wide."""
     small, ahead = CameraModel(image_width=96, image_height=72), AuvState(75.0, 10.0, 90.0)
-    low, edge, high = (ground_row_y(ahead, small, row) for row in (60, 40, 30))
+    # at heading 90 a row's rays all meet the seabed at one y
+    low, edge, high = (ground_point(ahead, small, row, 0)[1] for row in (60, 40, 30))
     cases = {
         # rows cross the pipe's edges at a shallow angle
         "near-parallel": (World(pipeline=((0.0, 50.0), (150.0, 50.01))), ahead, small),
@@ -271,6 +272,18 @@ def run_stress_cases() -> dict:
     for width, height in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 40), (2, 40), (40, 1), (40, 2)):
         cases[f"{width}x{height}"] = (wide, AuvState(75.0, 0.0, 90.0),
                                      replace(small, image_width=width, image_height=height))
+    # widths where the end windows' clamps and the interior threshold change
+    # behaviour: a pipe wider than every row, and a thin pipe along the ground
+    # line of the first column (even widths) or the last (odd widths)
+    above = AuvState(75.0, 50.0, 90.0)
+    for width in range(3, 9):
+        cam = replace(small, image_width=width, image_height=40)
+        cases[f"{width}x40-wider-than-rows"] = (
+            World(pipeline=((75.0, 0.0), (76.0, 200.0)), pipe_width=400.0), above, cam)
+        col = 0 if width % 2 == 0 else width - 1
+        cases[f"{width}x40-thin-at-column-{col}"] = (
+            World(pipeline=(ground_point(above, cam, 39, col), ground_point(above, cam, 20, col)),
+                  pipe_width=0.5), above, cam)
     return cases
 
 
@@ -302,6 +315,25 @@ def render_cases(draw):
     return world, auv, cam, draw(st.integers(0, 5))
 
 
+def small_render_cases(count) -> list:
+    """Seeded worlds and cameras like render_cases draws, flown from the first waypoint."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(count):
+        ys = np.sort(rng.choice(201, size=int(rng.integers(2, 6)), replace=False)).astype(float)
+        world = World(pipeline=tuple(zip(rng.uniform(0.0, 150.0, ys.size).tolist(), ys.tolist())),
+                      pipe_width=float(rng.uniform(0.5, 60.0)))
+        x, y = world.pipeline[0]
+        auv = AuvState(x, y, float(rng.uniform(45.0, 135.0)))
+        cam = CameraModel(height_cm=float(rng.uniform(5.0, 150.0)),
+                          tilt_deg=float(rng.uniform(5.0, 85.0)),
+                          fov_deg=float(rng.uniform(20.0, 150.0)),
+                          image_width=int(rng.integers(1, 54)),
+                          image_height=int(rng.integers(1, 54)))
+        cases.append((world, auv, cam))
+    return cases
+
+
 class TestRenderOracle:
     @settings(max_examples=150, deadline=None)
     @given(render_cases())
@@ -328,6 +360,32 @@ class TestRenderOracle:
         world, auv, cam = RUN_STRESS_CASES[case]
         assert np.array_equal(render_view(world, auv, cam, 2).pixels,
                               oracles.render_reference(world, auv, cam, 2))
+
+    @pytest.mark.parametrize("spoil", ["empty", "midpoint", "shifted"])
+    def test_frames_match_whatever_runs_are_guessed(self, spoil, monkeypatch):
+        """The mask checks every guessed run, so a wrong guess costs time, never pixels.
+
+        Empty intervals leave no pair a guess, collapsed ones guess a point
+        (or nan, from an empty interval's midpoint), and shifted ones move
+        each guess by up to 100 cm.
+        """
+        rng = np.random.default_rng(23)
+
+        def spoiled(bounds):
+            lo, hi = bounds
+            if spoil == "empty":
+                return np.full_like(lo, np.inf), np.full_like(hi, -np.inf)
+            if spoil == "midpoint":
+                return (lo + hi) / 2.0, (lo + hi) / 2.0
+            shift = rng.uniform(-1.0, 1.0, lo.shape) * 10.0 ** rng.uniform(-3.0, 2.0, lo.shape)
+            return lo + shift, hi + shift
+
+        slab, chord = sim._slab, sim._chord
+        monkeypatch.setattr(sim, "_slab", lambda *args: spoiled(slab(*args)))
+        monkeypatch.setattr(sim, "_chord", lambda *args: spoiled(chord(*args)))
+        for world, auv, cam in [*RUN_STRESS_CASES.values(), *small_render_cases(30)]:
+            assert np.array_equal(render_view(world, auv, cam, 3).pixels,
+                                  oracles.render_reference(world, auv, cam, 3))
 
     def test_survey_mission_frames_match(self, monkeypatch):
         """Every frame one benchmark survey mission captures equals the reference."""
