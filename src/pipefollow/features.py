@@ -84,8 +84,14 @@ def band_vectors(pixels) -> list:
     is its mean object column over width-1, so columns 0 and width-1 map to
     exactly 0.1 and 1.0 and a mirrored mask maps to exactly 1.1-x; an empty
     half yields the neutral 0.55, so a partially visible object still
-    produces usable inputs.  Every value is a Python float.
+    produces usable inputs.  Every value is a Python float.  Raises
+    ValueError for a non-bool mask holding anything but 0 and 1, naming the
+    first such value in raster order.
     """
+    if pixels.dtype != bool:
+        bad = pixels[(pixels != 0) & (pixels != 1)]   # nan too
+        if bad.size:
+            raise ValueError(f"object mask must hold only 0 and 1, got {bad[0].item()}")
     height, width = pixels.shape
     mid_col = width // 2
     # top band first, so that the half-band starts ascend

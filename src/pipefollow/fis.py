@@ -6,9 +6,13 @@ degrees where 90 means "go straight", smaller turns left, larger turns right.
 
 Rule conjunction is minimum; defuzzification is the weighted mean of the
 consequent term centers by rule firing strength.  A RuleBase is compiled
-once when it is built, so inference grades each distinct antecedent term
-once per call, however many rules share it.  A rule base can be edited
-as a small text DSL, one rule per line:
+once when it is built, into the input variables' universe bounds, each
+distinct antecedent term once with its evaluation constants, one
+itemgetter per rule that picks that rule's grades, and the consequent
+centers.  So inference grades each term once per call, however many rules
+share it, and re-checks nothing the build already checked.
+with_term_parameters rebuilds only the terms it moves.  A rule base can be
+edited as a small text DSL, one rule per line:
 
     IF <var> IS <Term> [AND <var> IS <Term>]... THEN y1 IS <Term>
     IF x5 IS Left AND x6 IS Center THEN y1 IS TurnLeft
@@ -25,6 +29,7 @@ and any other line is a parse error that names its line.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -171,12 +176,16 @@ def _check_rule(variables: dict, rule: Rule) -> None:
 
 
 def _compile(variables: dict, rules: tuple) -> tuple:
-    """(terms, antecedents, centers): the rules laid out for inference.
+    """(bounds, terms, strengths, centers): the rules laid out for inference.
 
-    terms holds each distinct antecedent pair once, in first-use order over
-    the rules, as (variable, mf, den), den being the gaussian's 2*sigma*sigma
-    or None for a pi term; antecedents holds each rule's indices into terms
-    and centers each rule's consequent center.
+    bounds holds (variable, lo, hi) for each input variable present, its
+    universe widened by the 1e-9 slack infer accepts.  terms holds each
+    distinct antecedent pair once, in first-use order over the rules, as
+    (variable, width, center, den), den being the gaussian's -2*sigma*sigma
+    or None for a pi term.  strengths holds per rule an itemgetter of its
+    grades, by index into terms, whose minimum is the rule's firing strength
+    (a one-antecedent rule's gets its grade twice, so that it too returns a
+    tuple).  centers holds each rule's consequent center.
     """
     index = {}
     for rule in rules:
@@ -185,11 +194,20 @@ def _compile(variables: dict, rules: tuple) -> tuple:
     terms = []
     for var, term in index:
         mf = variables[var].terms[term]
-        terms.append((var, mf, 2.0 * mf.width * mf.width if mf.kind == "gaussian" else None))
-    return (tuple(terms),
-            tuple(tuple(index[pair] for pair in rule.antecedents) for rule in rules),
-            tuple(variables[var].terms[term].center
-                  for var, term in (rule.consequent for rule in rules)))
+        den = -2.0 * mf.width * mf.width if mf.kind == "gaussian" else None
+        terms.append((var, mf.width, mf.center, den))
+    bounds = []
+    for var in INPUT_VARIABLES:
+        if var in variables:
+            lo, hi = variables[var].universe
+            bounds.append((var, lo - 1e-9, hi + 1e-9))
+    strengths = []
+    for rule in rules:
+        ids = [index[pair] for pair in rule.antecedents]
+        strengths.append(operator.itemgetter(*(ids * 2 if len(ids) == 1 else ids)))
+    centers = tuple(variables[var].terms[term].center for var, term in
+                    (rule.consequent for rule in rules))
+    return tuple(bounds), tuple(terms), tuple(strengths), centers
 
 
 @dataclass(frozen=True)
@@ -215,56 +233,67 @@ class RuleBase:
         object.__setattr__(self, "_compiled", _compile(self.variables, self.rules))
 
 
+def _weighted_mean(alphas, centers) -> tuple:
+    """(num, den, mean): the strength-weighted sum of the centers, the strengths' sum
+    and their ratio clamped to OUTPUT_UNIVERSE, or NEUTRAL_STEER when den is 0."""
+    num = 0.0
+    den = 0.0
+    for alpha, center in zip(alphas, centers):
+        num += alpha * center
+        den += alpha
+    if den == 0.0:
+        return num, den, NEUTRAL_STEER
+    lo, hi = OUTPUT_UNIVERSE
+    return num, den, min(max(num / den, lo), hi)
+
+
 def defuzzify(alphas, rb: RuleBase) -> float:
     """Weighted mean of consequent term centers by firing strength.
 
     Returns the neutral set point 90 when nothing fires.  Raises ValueError
-    for a negative or non-finite strength or an overflowing sum, so the
-    exact mean lies in OUTPUT_UNIVERSE and clamping to it removes only
-    rounding, such as a * 180.0 / a > 180.
+    for a negative or non-finite strength, or when the strengths' sum or
+    their weighted sum of centers overflows, so the exact mean lies in
+    OUTPUT_UNIVERSE and clamping to it removes only rounding, such as
+    a * 180.0 / a > 180.
     """
-    num = 0.0
-    den = 0.0
-    _, _, centers = rb._compiled
-    for alpha, center in zip(alphas, centers):
-        num += alpha * center
-        den += alpha
-    if not (min(alphas, default=0.0) >= 0.0 and den < math.inf):   # false for nan too
-        bad = next((a for a in alphas if not 0.0 <= a < math.inf), None)
-        raise ValueError("firing strengths sum to inf" if bad is None
-                         else f"firing strength must be finite and >= 0, got {bad}")
-    if den == 0.0:
-        return NEUTRAL_STEER
-    lo, hi = OUTPUT_UNIVERSE
-    return min(max(num / den, lo), hi)
+    alphas = tuple(alphas)   # read twice below, so an iterator is checked too
+    *_, centers = rb._compiled
+    num, den, mean = _weighted_mean(alphas, centers)
+    if not (min(alphas, default=0.0) >= 0.0 and den < math.inf and -math.inf < num < math.inf):
+        bad = next((a for a in alphas if not 0.0 <= a < math.inf), None)   # nan too
+        if bad is not None:
+            raise ValueError(f"firing strength must be finite and >= 0, got {bad}")
+        raise ValueError("firing strengths sum to inf" if den == math.inf
+                         else "weighted sum of the consequent centers overflows")
+    return mean
 
 
 def infer(rb: RuleBase, values) -> InferenceResult:
     """Validate inputs against their universes, fire all rules and defuzzify.
 
     A rule's firing strength is the minimum of its antecedent memberships;
-    each distinct antecedent term is graded once.
+    each distinct antecedent term is graded once.  The strengths lie in
+    [0, 1], so their weighted mean skips defuzzify's checks.
     """
-    for var in INPUT_VARIABLES:
-        if var in rb.variables and var in values:
+    bounds, terms, strengths, centers = rb._compiled
+    for var, lo, hi in bounds:
+        if var in values and not lo <= values[var] <= hi:   # false for nan too
             lo, hi = rb.variables[var].universe
-            v = values[var]
-            if not (lo - 1e-9 <= v <= hi + 1e-9):   # false for nan too
-                raise ValueError(f"{var}={v} outside universe [{lo}, {hi}]")
-    terms, antecedents, _ = rb._compiled
+            raise ValueError(f"{var}={values[var]} outside universe [{lo}, {hi}]")
     grades = []
-    for var, mf, den in terms:
+    for var, width, center, den in terms:
         try:
             x = values[var]
         except KeyError:
             raise ValueError(f"no value supplied for variable {var}") from None
         if den is None:
-            grades.append(eval_pi(x, mf.width, mf.center))
-        else:   # eval_gaussian's arithmetic, its checks made when mf was built
-            d = x - mf.center
-            grades.append(math.exp(-(d * d) / den))
-    alphas = tuple(min([grades[i] for i in rule]) for rule in antecedents)
-    return InferenceResult(alphas, defuzzify(alphas, rb), sum(alphas) == 0.0)
+            grades.append(eval_pi(x, width, center))
+        else:   # eval_gaussian's arithmetic, its checks made when the term was built
+            d = x - center
+            grades.append(math.exp(d * d / den))
+    alphas = tuple([min(get(grades)) for get in strengths])
+    _, den, mean = _weighted_mean(alphas, centers)
+    return InferenceResult(alphas, mean, den == 0.0)
 
 
 # --- default variables and rules -------------------------------------------
@@ -409,12 +438,19 @@ def term_parameters(rb: RuleBase) -> dict:
 
 
 def with_term_parameters(rb: RuleBase, params: dict) -> RuleBase:
-    """Copy of rb with membership widths/centers replaced from the flat view."""
-    variables = {}
+    """Copy of rb with membership widths/centers replaced from the flat view.
+
+    Only the terms params names, and their variables, are rebuilt; every
+    other term and variable object is rb's own.  Keys that name no term of
+    rb are ignored.
+    """
+    variables = dict(rb.variables)
     for name, var in rb.variables.items():
-        terms = {}
+        moved = {}
         for term, mf in var.terms.items():
-            width, center = params.get((name, term), (mf.width, mf.center))
-            terms[term] = MembershipFunction(mf.kind, width, center)
-        variables[name] = LinguisticVariable(var.name, var.universe, terms)
+            if (name, term) in params:
+                width, center = params[(name, term)]
+                moved[term] = MembershipFunction(mf.kind, width, center)
+        if moved:
+            variables[name] = LinguisticVariable(var.name, var.universe, {**var.terms, **moved})
     return RuleBase(variables, rb.rules)

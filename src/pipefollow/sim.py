@@ -125,6 +125,13 @@ class AuvState:
     y: float
     heading: float   # degrees; 90 points along +y, larger values lean toward +x
 
+    def __post_init__(self):
+        # one chain: x, y and heading each lie strictly between -inf and inf (nan fails)
+        if not -math.inf < self.x < math.inf > self.y > -math.inf < self.heading < math.inf:
+            name = next(name for name in ("x", "y", "heading")
+                        if not -math.inf < getattr(self, name) < math.inf)
+            raise InvariantError(f"pose {name} must be finite, got {getattr(self, name)}", name)
+
 
 @dataclass(frozen=True)
 class PathPoint:
@@ -246,8 +253,6 @@ class Scenario:
         if self.start.y < self.world.pipeline[0][1]:
             raise InvariantError(f"start y={self.start.y} lies below the first waypoint's "
                                  f"y={self.world.pipeline[0][1]}", "y")
-        if not math.isfinite(self.start.heading):
-            raise InvariantError("start heading must be finite", "heading")
         _step_bound(self)   # rejects a bound above MAX_MISSION_STEPS
 
 
@@ -676,7 +681,9 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
     Evaluations only change the rule parameters, so they share one captures
     dict for the duration of the call: a capture identical to one an earlier
     evaluation flew reuses its band feature vectors instead of being rendered
-    again.  Results are identical to re-flying every evaluation.
+    again.  Results are identical to re-flying every evaluation.  Each
+    candidate is the best rule base so far with only the moved term rebuilt,
+    which equals rebuilding every term from the candidate's parameters.
     """
     if not budget >= 1:
         raise ValueError("budget must be >= 1")
@@ -686,13 +693,14 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
     captures = {}
     evals = 0
 
-    def evaluate(params):
+    def evaluate(rb):
         nonlocal evals
         evals += 1
-        return mission_objective(scenarios, fis.with_term_parameters(rb0, params), captures)
+        return mission_objective(scenarios, rb, captures)
 
     best = dict(init)
-    best_obj = evaluate(best)
+    best_rb = fis.with_term_parameters(rb0, best)
+    best_obj = evaluate(best_rb)
     initial_obj = best_obj
 
     spans = {var: v.universe[1] - v.universe[0] for var, v in rb0.variables.items()}
@@ -710,13 +718,15 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
                         while evals < budget:
                             point = list(best[(var, term)])
                             point[k] = min(max(point[k] + sign * 0.05 * span * scale, low), high)
-                            if tuple(point) == best[(var, term)]:
+                            point = tuple(point)
+                            if point == best[(var, term)]:
                                 break
-                            cand = {**best, (var, term): tuple(point)}
+                            cand = fis.with_term_parameters(best_rb, {(var, term): point})
                             obj = evaluate(cand)
                             if not obj < best_obj:
                                 break
-                            best, best_obj = cand, obj
+                            best[(var, term)] = point
+                            best_rb, best_obj = cand, obj
                             improved = moved = True
                         if moved:
                             break

@@ -92,6 +92,17 @@ def test_function_call_with_nan_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("mask, bad", [
+    (np.full((20, 20), np.nan), "nan"),
+    (np.full((20, 20), np.inf), "inf"),
+    (np.full((20, 20), 2, dtype=np.uint8), "2"),
+    (np.pad([[0.5, 0.0], [0.0, -1.0]], ((3, 15), (18, 0))), "0.5"),   # first in raster order
+], ids=["nan", "inf", "two", "first-of-several"])
+def test_mask_of_other_values_rejected(mask, bad):
+    with pytest.raises(ValueError, match=rf"^object mask must hold only 0 and 1, got {bad}$"):
+        band_vectors(mask)
+
+
 @pytest.mark.parametrize("width, height", [(320, math.inf), (math.inf, 240)])
 def test_infinite_side_rejected(width, height):
     with pytest.raises(ValueError, match=rf"^image sides must be finite to band, "

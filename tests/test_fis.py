@@ -238,7 +238,10 @@ class TestDefuzzify:
         ([-1.0] + [0.0] * 12, "firing strength must be finite and >= 0, got -1.0"),
         ([1.0, -0.5] + [0.0] * 11, "firing strength must be finite and >= 0, got -0.5"),
         ([1e308] * 13, "firing strengths sum to inf"),
-    ], ids=["nan", "nan-after-zero", "inf", "negative", "negative-after-positive", "overflow"])
+        ([1e307] + [0.0] * 12, "weighted sum of the consequent centers overflows"),
+        (iter([-1.0] + [0.0] * 12), "firing strength must be finite and >= 0, got -1.0"),
+    ], ids=["nan", "nan-after-zero", "inf", "negative", "negative-after-positive", "overflow",
+            "weighted-overflow", "negative-from-an-iterator"])
     def test_bad_strength_rejected(self, alphas, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             defuzzify(alphas, default_rulebase())
@@ -716,20 +719,80 @@ def parses(line):
     return True
 
 
-@example(["term.x5.Left = pi(0.3, 0.1)", "term.x6.Center = pi(0.45, 0.55)"],
-         list(DEFAULT_RULES), [1.0 + 1e-9, 0.1 - 1e-9, 0.1, 1.0, 0.1, 0.55])
-@given(st.lists(term_override, unique_by=lambda line: line.partition(" =")[0], max_size=6),
-       st.lists(st.sampled_from(DEFAULT_RULES), unique=True),
-       st.lists(edge_unit, min_size=6, max_size=6))
-def test_infer_equals_the_rule_by_rule_oracle(overrides, rules, values):
-    """Firing strengths, output and no_fire equal the oracle's bit for bit, over subsets
-    of the default rules in any order with gaussian and pi term overrides."""
-    lines = [line for line in overrides if parses(line)] + [fis.format_rule(r) for r in rules]
-    rb = parse_rulebase("\n".join(lines))
-    values = dict(zip(fis.INPUT_VARIABLES, values))
+@st.composite
+def rule_bases_and_values(draw):
+    """A rule base over the default variables with gaussian and pi overrides, some input
+    variables left out, and up to 8 rules of 1-6 antecedents each; with values inside the
+    universes for the variables it has and any floats, nan too, for those it lacks."""
+    overrides = draw(st.lists(term_override, unique_by=lambda line: line.partition(" =")[0],
+                              max_size=6))
+    variables = parse_rulebase("\n".join(line for line in overrides if parses(line))).variables
+    kept = draw(st.lists(st.sampled_from(fis.INPUT_VARIABLES), unique=True, min_size=1))
+    variables = {var: v for var, v in variables.items()
+                 if var in kept or var == fis.OUTPUT_VARIABLE}
+    rules = []
+    for _ in range(draw(st.integers(0, 8))):
+        names = draw(st.lists(st.sampled_from(kept), unique=True, min_size=1))
+        rules.append(Rule(tuple((var, draw(st.sampled_from(list(variables[var].terms))))
+                                for var in names),
+                          (fis.OUTPUT_VARIABLE, draw(st.sampled_from(fis.OUTPUT_TERMS)))))
+    values = {var: draw(edge_unit if var in kept else st.floats())
+              for var in fis.INPUT_VARIABLES}
+    return RuleBase(variables, tuple(rules)), values
+
+
+@example((parse_rulebase("term.x5.Left = pi(0.3, 0.1)\nterm.x6.Center = pi(0.45, 0.55)\n"
+                         + fis.DEFAULT_RULES_TEXT),
+          dict(zip(fis.INPUT_VARIABLES, [1.0 + 1e-9, 0.1 - 1e-9, 0.1, 1.0, 0.1, 0.55]))))
+@example((RuleBase({var: v for var, v in fis.default_variables().items() if var in ("x5", "y1")},
+                   (Rule((("x5", "Left"),), ("y1", "TurnLeft")),
+                    Rule((("x5", "Right"),), ("y1", "TurnRight")))),
+          {"x1": math.nan, "x2": math.inf, "x3": -5.0, "x4": 2.0, "x5": 0.3, "x6": 1e308}))
+@example((parse_rulebase("IF x6 IS Left AND x5 IS Left AND x4 IS Small AND x3 IS Small "
+                         "AND x2 IS Large AND x1 IS Large THEN y1 IS TurnLeft"),
+          dict(zip(fis.INPUT_VARIABLES, [0.9, 0.8, 0.2, 0.3, 0.1 - 1e-9, 0.15]))))
+@given(rule_bases_and_values())
+def test_infer_equals_the_rule_by_rule_oracle(rb_and_values):
+    """Firing strengths, output and no_fire equal the oracle's bit for bit, over rules of
+    1-6 antecedents in any order, gaussian and pi term overrides and variable sets that
+    lack some inputs, whose values infer then ignores."""
+    rb, values = rb_and_values
     alphas = fire_rules(rb, values)
     expected = InferenceResult(tuple(alphas), defuzzify(alphas, rb), sum(alphas) == 0.0)
     assert repr(infer(rb, values)) == repr(expected)
+
+
+def scaled_moves(rb, moves) -> dict:
+    """Term parameters from (width scale, center fraction of the universe) per term."""
+    params = {}
+    for (var, term), (k, t) in moves.items():
+        lo, hi = rb.variables[var].universe
+        params[(var, term)] = (rb.variables[var].terms[term].width * k, lo + t * (hi - lo))
+    return params
+
+
+term_moves = st.dictionaries(st.sampled_from(list(term_parameters(default_rulebase()))),
+                             st.tuples(st.floats(0.5, 2.0), st.floats(0.0, 1.0)), max_size=5)
+
+
+@given(term_moves, term_moves, st.lists(edge_unit, min_size=6, max_size=6))
+def test_retuning_in_two_steps_equals_one_step_and_its_reparse(first, second, values):
+    """with_term_parameters rebuilds only the terms it is given and shares the rest, yet
+    builds the same rule base, inferring the same, as one full rebuild and a reparse."""
+    rb = default_rulebase()
+    first, second = scaled_moves(rb, first), scaled_moves(rb, second)
+    moved = {**first, **second}
+    once = with_term_parameters(rb, moved)
+    twice = with_term_parameters(with_term_parameters(rb, first), second)
+    reparsed = parse_rulebase(format_rulebase(once))
+    assert once == twice == reparsed
+    values = dict(zip(fis.INPUT_VARIABLES, values))
+    assert repr(infer(once, values)) == repr(infer(twice, values)) == \
+        repr(infer(reparsed, values))
+    for var, v in rb.variables.items():
+        assert (twice.variables[var] is v) == all(name != var for name, _ in moved)
+        for term, mf in v.terms.items():
+            assert (twice.variables[var].terms[term] is mf) == ((var, term) not in moved)
 
 
 @given(st.lists(st.sampled_from(DEFAULT_RULES), unique=True),

@@ -3,6 +3,7 @@ import re
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from pipefollow import features, fis, sim
-from pipefollow.imgproc import ThresholdBand
+from pipefollow.imgproc import InvariantError, ThresholdBand
 from pipefollow.sim import (AuvState, CameraModel, MissionFailure, PathRecord, Scenario,
                             InputError, World, drift_metrics,
                             heading_vector, image_center, mission_objective,
@@ -174,6 +175,22 @@ class TestStepAuv:
             step_auv(ALIGNED_START, -1.0, sc)
         with pytest.raises(ValueError, match=r"^steering set point 180\.5 outside \[0, 180\]$"):
             step_auv(ALIGNED_START, 180.5, sc)
+
+    @pytest.mark.parametrize("pose, field, message", [
+        ((0, 0, math.nan), "heading", "pose heading must be finite, got nan"),
+        ((0.0, 0.0, math.inf), "heading", "pose heading must be finite, got inf"),
+        ((math.inf, 0.0, 90.0), "x", "pose x must be finite, got inf"),
+        ((0.0, -math.inf, 90.0), "y", "pose y must be finite, got -inf"),
+        ((math.nan, math.inf, math.nan), "x", "pose x must be finite, got nan"),
+    ], ids=["nan-heading", "inf-heading", "inf-x", "minus-inf-y", "first-named"])
+    def test_non_finite_pose_rejected(self, pose, field, message):
+        """No nan or infinite pose reaches step_auv or render_view."""
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$") as exc:
+            AuvState(*pose)
+        assert exc.value.fields == (field,)
+
+    def test_extreme_finite_pose_accepted(self):
+        assert AuvState(-1.7976931348623157e308, 5e-324, -0.0).y == 5e-324
 
     def test_heading_vector_convention(self):
         dx, dy = heading_vector(90.0)
@@ -486,9 +503,13 @@ class TestDriftMetrics:
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_pose_rejected(self, x):
+        """AuvState rejects the pose first; drift_metrics, which reads only .x and .y,
+        still rejects such a state of another type."""
+        with pytest.raises(InvariantError, match=f"^pose x must be finite, got {x}$"):
+            AuvState(x, 50.0, 90.0)
         world = World(pipeline=((40.0, 0.0), (60.0, 100.0)))
         with pytest.raises(ValueError, match=f"^drift must be finite, got {x}$"):
-            drift_metrics([AuvState(40.0, 0.0, 90.0), AuvState(x, 50.0, 90.0)], world)
+            drift_metrics([AuvState(40.0, 0.0, 90.0), SimpleNamespace(x=x, y=50.0)], world)
 
 
 def drift_reference(path, world):
@@ -517,8 +538,9 @@ span_y = st.one_of(st.floats(-20.0, 220.0), st.sampled_from(
 @example([(60.0, 10.0), (61.0, -5.0), (62.0, 250.0)])
 @given(st.lists(st.tuples(st.floats(0.0, 150.0), span_y), max_size=12))
 def test_drift_metrics_equals_the_per_point_reference(points):
-    """Same CSV bytes, or the same message naming the first y outside the span."""
-    path = [AuvState(x, y, 90.0) for x, y in points]
+    """Same CSV bytes, or the same message naming the first y outside the span.  The
+    states are plain (x, y) records, since AuvState rejects the nan y drawn here."""
+    path = [SimpleNamespace(x=x, y=y) for x, y in points]
     assert (record_or_error(drift_metrics, path, SURVEY_BEND)
             == record_or_error(drift_reference, path, SURVEY_BEND))
 
@@ -838,6 +860,25 @@ class TestTune:
         result = tune([small_scenario()], detuned(0.1), budget=10**6)
         assert result.evaluations == 1348
         assert result.best_objective == (0.5, 0.42000000000000004)
+
+    def test_each_later_evaluation_rebuilds_one_term(self, monkeypatch):
+        """A candidate is the best rule base with only the moved term built afresh."""
+        built, before_each = [], []
+        post_init, objective = fis.MembershipFunction.__post_init__, sim.mission_objective
+
+        def counted_post_init(mf):
+            built.append(mf)
+            post_init(mf)
+
+        def counted_objective(*args):
+            before_each.append(len(built))
+            return objective(*args)
+
+        monkeypatch.setattr(fis.MembershipFunction, "__post_init__", counted_post_init)
+        monkeypatch.setattr(sim, "mission_objective", counted_objective)
+        result = tune([small_scenario()], detuned(0.1), budget=4)
+        assert result.evaluations == len(before_each) == 4
+        assert np.diff(before_each + [len(built)]).tolist() == [1, 1, 1, 0]
 
     def test_objective_counts_failures_as_infinite(self):
         world = World(pipeline=((10.0, 0.0), (10.0, 100.0)), seed=1)
