@@ -117,7 +117,7 @@ def cmd_infer(args) -> int:
 def cmd_tune(args) -> int:
     scenarios = [sim.load_scenario(p) for p in args.scenario]
     rb = sim.read_rulebase(args.rules)
-    result = sim.tune(scenarios, fis.term_parameters(rb), args.budget, rulebase=rb)
+    result = sim.tune(scenarios, {}, args.budget, rulebase=rb)
     _diag(f"objective: max|drift| {result.initial_objective[0]:.2f} -> "
           f"{result.best_objective[0]:.2f} cm in {result.evaluations} evaluations")
     tuned = fis.with_term_parameters(rb, result.params)

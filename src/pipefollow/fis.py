@@ -22,8 +22,10 @@ plus optional term parameter overrides:
     term.<var>.<Term> = gaussian(<sigma>, <center>) | pi(<half_width>, <center>)
     term.x5.Left = gaussian(0.19, 0.1)
 
-`#` starts a comment, blank lines are ignored, everything is case-sensitive,
-and any other line is a parse error that names its line.
+read_lines reads this DSL and scenario files alike (`#` starts a comment,
+blank lines are ignored, a key before `=` is set at most once) and
+read_numbers their numbers, rejecting nan and inf.  Everything is
+case-sensitive, and any other line is a parse error that names its line.
 """
 
 from __future__ import annotations
@@ -343,12 +345,40 @@ _TERM_LINE = re.compile(r"term\.([A-Za-z0-9_]+)\.([A-Za-z0-9_]+)\s*=\s*"
 _RULE_LINE = re.compile(r"IF((?: \S+ IS \S+(?: AND \S+ IS \S+)*)?) THEN (\S+) IS (\S+)")
 
 
-def strip_comment(line: str) -> str:
-    """The line without its '#' comment and surrounding whitespace."""
-    hash_pos = line.find("#")
-    if hash_pos >= 0:
-        line = line[:hash_pos]
-    return line.strip()
+def read_lines(text: str, parse_line) -> dict:
+    """Call parse_line on each line of text, cut at its first '#' and stripped, unless blank.
+
+    A line holding '=' has a key, the stripped text before the first '='.  A
+    key an earlier line set is an error, and a ValueError is raised again as
+    a ParseError naming the line.  Returns each key's line number.
+    """
+    key_lines = {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.partition("#")[0].strip()
+        if not line:
+            continue
+        key = line.partition("=")[0].strip() if "=" in line else None
+        try:
+            if key in key_lines:
+                raise ValueError(f"duplicate key {key!r} (first set on line {key_lines[key]})")
+            parse_line(line)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
+        if key is not None:
+            key_lines[key] = line_no
+    return key_lines
+
+
+def read_numbers(texts, kinds, what: str) -> list:
+    """Each text read by its kind (int or float); raises ValueError "non-numeric <what>"
+    unless all read, then "non-finite <what>" for a nan or infinite float."""
+    try:
+        values = [kind(text) for kind, text in zip(kinds, texts)]
+    except ValueError:
+        raise ValueError(f"non-numeric {what}") from None
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        raise ValueError(f"non-finite {what}")
+    return values
 
 
 def _parse_rule_line(line: str, variables) -> Rule:
@@ -357,7 +387,8 @@ def _parse_rule_line(line: str, variables) -> Rule:
     if not m:
         raise ValueError("expected a rule 'IF <var> IS <Term> [AND <var> IS <Term>]... "
                          "THEN y1 IS <Term>'")
-    rule = Rule(tuple(re.findall(r"(?:^| AND) (\S+) IS (\S+)", m[1])), (m[2], m[3]))
+    words = m[1].split()   # <var> IS <Term> [AND <var> IS <Term>]..., as the match checked
+    rule = Rule(tuple(zip(words[0::4], words[2::4])), (m[2], m[3]))
     _check_rule(variables, rule)
     return rule
 
@@ -370,11 +401,8 @@ def _parse_term_line(line: str, variables) -> None:
     if not (m and m[4]):
         raise ValueError("malformed term definition, expected "
                          "'term.<var>.<Term> = gaussian|pi(<width>, <center>)'")
-    var, term, value, kind, width_s, center_s = m.groups()
-    try:
-        width, center = float(width_s), float(center_s)
-    except ValueError:
-        raise ValueError(f"non-numeric term parameters {value!r}") from None
+    var, term, value, kind, *numbers = m.groups()
+    width, center = read_numbers(numbers, (float, float), f"term parameters {value!r}")
     old = variables[var]
     terms = {**old.terms, term: MembershipFunction(kind, width, center)}
     variables[var] = LinguisticVariable(old.name, old.universe, terms)
@@ -388,23 +416,14 @@ def parse_rulebase(text: str) -> RuleBase:
     """
     variables = default_variables()
     rules = []
-    term_lines = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw)
-        if not line:
-            continue
-        try:
-            if line.startswith("term."):
-                name = line.partition("=")[0].strip()
-                if name in term_lines:
-                    raise ValueError(f"duplicate term {name.removeprefix('term.')} "
-                                     f"(first set on line {term_lines[name]})")
-                term_lines[name] = line_no
-                _parse_term_line(line, variables)
-            else:
-                rules.append(_parse_rule_line(line, variables))
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
+
+    def parse_line(line):
+        if line.startswith("term."):
+            _parse_term_line(line, variables)
+        else:
+            rules.append(_parse_rule_line(line, variables))
+
+    read_lines(text, parse_line)
     return RuleBase(variables, tuple(rules))
 
 

@@ -172,8 +172,8 @@ class PathRecord:
             parts = ln.split(",")
             if len(parts) != 5:
                 raise ValueError(f"malformed CSV row: {ln!r}")
-            point = PathPoint(*_numbers(parts, (int, float, float, float, float),
-                                        f"CSV row: {ln!r}"))
+            point = PathPoint(*fis.read_numbers(parts, (int, float, float, float, float),
+                                                f"CSV row: {ln!r}"))
             if not 1 <= point.step <= MAX_MISSION_STEPS:   # as a mission numbers its steps
                 raise ValueError(f"step outside 1-{MAX_MISSION_STEPS} in CSV row: {ln!r}")
             points.append(point)
@@ -272,13 +272,13 @@ def _step_bound(scenario: Scenario) -> int:
 
 # --- geometry ----------------------------------------------------------------
 
-def heading_vector(heading_deg: float) -> tuple:
+def _heading_vector(heading_deg: float) -> tuple:
     rad = math.radians(heading_deg - 90.0)
     return math.sin(rad), math.cos(rad)
 
 
 def _camera_basis(auv: AuvState, cam: CameraModel):
-    dx, dy = heading_vector(auv.heading)
+    dx, dy = _heading_vector(auv.heading)
     t = math.radians(cam.tilt_deg)
     right = np.array([dy, -dx, 0.0])
     forward = np.array([dx * math.cos(t), dy * math.cos(t), -math.sin(t)])
@@ -502,7 +502,7 @@ def step_auv(state: AuvState, steer: float, scenario: Scenario) -> AuvState:
     if not lo <= steer <= hi:
         raise ValueError(f"steering set point {steer} outside [{lo:g}, {hi:g}]")
     heading = state.heading + scenario.steering_gain * (steer - fis.NEUTRAL_STEER)
-    dx, dy = heading_vector(heading)
+    dx, dy = _heading_vector(heading)
     return AuvState(state.x + scenario.step_length * dx, state.y + scenario.step_length * dy,
                     heading)
 
@@ -670,6 +670,7 @@ def mission_objective(scenarios, rb, captures: dict | None = None) -> tuple:
 def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
     """Coordinate-descent search over term centers and widths.
 
+    init overrides any terms of rulebase (else the default); params hold all terms.
     Each coordinate is probed one step up and down and then walked greedily
     while the objective keeps improving; a step is 5% of its variable's span
     times one scale, which halves after a sweep without progress.  The search
@@ -698,8 +699,7 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
         evals += 1
         return mission_objective(scenarios, rb, captures)
 
-    best = dict(init)
-    best_rb = fis.with_term_parameters(rb0, best)
+    best_rb = fis.with_term_parameters(rb0, init)
     best_obj = evaluate(best_rb)
     initial_obj = best_obj
 
@@ -716,16 +716,15 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
                     for sign in (1.0, -1.0):
                         # walk this direction while it keeps paying off
                         while evals < budget:
-                            point = list(best[(var, term)])
+                            mf = best_rb.variables[var].terms[term]
+                            point = [mf.width, mf.center]
                             point[k] = min(max(point[k] + sign * 0.05 * span * scale, low), high)
-                            point = tuple(point)
-                            if point == best[(var, term)]:
+                            if point == [mf.width, mf.center]:
                                 break
-                            cand = fis.with_term_parameters(best_rb, {(var, term): point})
+                            cand = fis.with_term_parameters(best_rb, {(var, term): tuple(point)})
                             obj = evaluate(cand)
                             if not obj < best_obj:
                                 break
-                            best[(var, term)] = point
                             best_rb, best_obj = cand, obj
                             improved = moved = True
                         if moved:
@@ -734,7 +733,7 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
             if scale <= min(spans.values()) / max(spans.values()) / 8:
                 break
             scale /= 2.0
-    return TuneResult(best, initial_obj, best_obj, evals)
+    return TuneResult(fis.term_parameters(best_rb), initial_obj, best_obj, evals)
 
 
 # --- scenario files -----------------------------------------------------------
@@ -762,28 +761,13 @@ _SCENARIO_KEYS = {
 }
 
 
-def _numbers(texts, kinds, what: str) -> list:
-    """Each text read by its kind (int or float); raises ValueError "non-numeric <what>"
-    unless all read, then "non-finite <what>" for a nan or infinite float."""
-    try:
-        values = [kind(text) for kind, text in zip(kinds, texts)]
-    except ValueError:
-        raise ValueError(f"non-numeric {what}") from None
-    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
-        raise ValueError(f"non-finite {what}")
-    return values
-
-
 def _parse_waypoints(value):
     waypoints = []
-    for part in value.split(";"):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, map(str.strip, value.split(";"))):   # blank parts skipped
         bits = part.split(":")
         if len(bits) != 2:
             raise ValueError(f"waypoint {part!r} is not x:y")
-        waypoints.append(tuple(_numbers(bits, (float, float), f"waypoint {part!r}")))
+        waypoints.append(tuple(fis.read_numbers(bits, (float, float), f"waypoint {part!r}")))
     return tuple(waypoints)
 
 
@@ -791,35 +775,28 @@ def parse_scenario(text: str, base_dir=".") -> Scenario:
     """The Scenario a scenario file's text states; a bad line raises fis.ParseError, a
     missing pipe.waypoints or a broken invariant a ValueError (naming the lines of its keys)."""
     values = {}
-    waypoints = ()
-    key_lines = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = fis.strip_comment(raw)
-        if not line:
-            continue
-        try:
-            if "=" not in line:
-                raise ValueError("expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in key_lines:
-                raise ValueError(f"duplicate key {key!r} (first set on line {key_lines[key]})")
-            key_lines[key] = line_no
-            if key == "pipe.waypoints":
-                waypoints = _parse_waypoints(value)
-            elif key not in _SCENARIO_KEYS:
-                raise ValueError(f"unknown key {key!r}")
-            elif key == "rulebase":
-                try:
-                    values[key] = str((Path(base_dir) / value).resolve()) if value else ""
-                except ValueError as exc:   # a NUL byte
-                    raise ValueError(f"rulebase path: {exc}") from None
-            else:
-                part, field = _SCENARIO_KEYS[key]
-                kind = int if isinstance(getattr(_SCENARIO_PARTS[part], field), int) else float
-                values[key] = _numbers([value], [kind], f"value for {key}")[0]
-        except ValueError as exc:
-            raise fis.ParseError(line_no, str(exc)) from None
+
+    def parse_line(line):
+        key, eq, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not eq:
+            raise ValueError("expected 'key = value'")
+        if key == "pipe.waypoints":
+            values[key] = _parse_waypoints(value)
+        elif key not in _SCENARIO_KEYS:
+            raise ValueError(f"unknown key {key!r}")
+        elif key == "rulebase":
+            try:
+                values[key] = str((Path(base_dir) / value).resolve()) if value else ""
+            except ValueError as exc:   # a NUL byte
+                raise ValueError(f"rulebase path: {exc}") from None
+        else:
+            part, field = _SCENARIO_KEYS[key]
+            kind = int if isinstance(getattr(_SCENARIO_PARTS[part], field), int) else float
+            values[key] = fis.read_numbers([value], [kind], f"value for {key}")[0]
+
+    key_lines = fis.read_lines(text, parse_line)
+    waypoints = values.pop("pipe.waypoints", ())
     if not waypoints:
         raise ValueError("missing required key pipe.waypoints")
 

@@ -310,9 +310,12 @@ RULE = "IF x5 IS Left THEN y1 IS TurnLeft\n"
 @pytest.mark.parametrize("quote, argv, files", [
     ("my.rules: line 3: unknown term Huge for variable x1", ["infer", *["0.4"] * 6, "--rules",
      "my.rules"], {"my.rules": RULE * 2 + "IF x1 IS Huge THEN y1 IS TurnLeft\n"}),
-    ("my.rules: line 2: duplicate term x1.Small (first set on line 1)",
+    ("my.rules: line 2: duplicate key 'term.x1.Small' (first set on line 1)",
      ["infer", *["0.4"] * 6, "--rules", "my.rules"],
      {"my.rules": "term.x1.Small = gaussian(0.2, 0.1)\nterm.x1.Small = pi(0.2, 0.1)\n"}),
+    ("my.rules: line 2: non-finite term parameters 'gaussian(nan, 0.19)'",
+     ["infer", *["0.4"] * 6, "--rules", "my.rules"],
+     {"my.rules": RULE + "term.x5.Left = gaussian(nan, 0.19)\n"}),
     ("my.rules: line 2: gaussian sigma must be > 0 with 2*sigma*sigma > 0, got 1e-200",
      ["infer", *["0.4"] * 6, "--rules", "my.rules"],
      {"my.rules": RULE + "term.x5.Left = gaussian(1e-200, 0.5)\n"}),
@@ -337,9 +340,9 @@ RULE = "IF x5 IS Left THEN y1 IS TurnLeft\n"
      {"view.pgm": "P5\n4 4\n255\n" + "\0" * 7}),
     ("argument --tolerance: must be a positive finite number, not 'abc'",
      ["run", "--scenario", "my.scenario", "--tolerance", "abc"], {"my.scenario": WAYPOINTS}),
-], ids=["unknown-term", "duplicate-term", "gaussian-width", "pi-width", "scenario-line",
-        "scenario-bound", "scenario-width-bound", "scenario-invariant", "scenario-invariant-pair",
-        "record-header", "image", "tolerance"])
+], ids=["unknown-term", "duplicate-term", "non-finite-term", "gaussian-width", "pi-width",
+        "scenario-line", "scenario-bound", "scenario-width-bound", "scenario-invariant",
+        "scenario-invariant-pair", "record-header", "image", "tolerance"])
 def test_readme_diagnostics_are_printed_verbatim(capsys, tmp_path, monkeypatch, quote, argv,
                                                  files):
     """Each diagnostic the README quotes is in its text and in the command's stderr, after

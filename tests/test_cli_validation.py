@@ -64,7 +64,8 @@ def test_non_finite_term_parameter_exits_two(capsys, tmp_path):
     path = tmp_path / "nan.rules"
     path.write_text("\n".join(lines) + "\n")
     assert main(["infer", *["0.4"] * 6, "--rules", str(path)]) == 2
-    assert f"nan.rules: line {number}: membership width" in capsys.readouterr().err
+    assert (f"nan.rules: line {number}: non-finite term parameters 'gaussian(nan, 0.19)'"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["run", "infer"])

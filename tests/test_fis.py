@@ -429,8 +429,14 @@ class TestRuleDsl:
         ("x5.Left", "gaussian(0.19, inf)", "center must be finite"),
     ])
     def test_term_override_non_finite_rejected(self, term, value, message):
-        with pytest.raises(ParseError, match=f"line 2: membership {message}"):
+        """The number reader rejects the line; MembershipFunction, which API callers
+        build directly, still rejects those numbers itself."""
+        with pytest.raises(ParseError,
+                           match=f"^line 2: non-finite term parameters '{re.escape(value)}'$"):
             parse_rulebase(f"# header\nterm.{term} = {value}\n")
+        kind, _, numbers = value.partition("(")
+        with pytest.raises(ValueError, match=f"^membership {message}"):
+            MembershipFunction(kind, *map(float, numbers.rstrip(")").split(",")))
 
     @pytest.mark.parametrize("value, message", [
         ("gaussian(1e-200, 0.5)",
@@ -471,7 +477,8 @@ class TestRuleDsl:
                                         "term.x1.Small\t=pi(0.3, 0.2)  # again"])
     def test_term_given_twice_names_both_lines(self, second):
         with pytest.raises(ParseError,
-                           match=r"^line 2: duplicate term x1\.Small \(first set on line 1\)$"):
+                           match=r"^line 2: duplicate key 'term\.x1\.Small' "
+                                 r"\(first set on line 1\)$"):
             parse_rulebase(f"term.x1.Small = gaussian(0.2, 0.3)\n{second}\n")
 
     def test_non_numeric_term_parameters(self):
@@ -544,14 +551,19 @@ dsl_text = st.one_of(st.text(),
                      st.lists(st.one_of(rule_line, term_line, token_line)).map("\n".join))
 
 
+def uncommented(line):
+    """The line cut at its first '#' and stripped, as the line reader reads it."""
+    return line.partition("#")[0].strip()
+
+
 not_term_line = st.one_of(rule_line, token_line).filter(
-    lambda line: not fis.strip_comment(line).startswith("term."))
+    lambda line: not uncommented(line).startswith("term."))
 
 
 def word_rule(line):
     """The Rule the word-by-word oracle reads from a line, or None when it reads
     none or the rule's names do not check."""
-    tokens = oracles.rule_tokens(fis.strip_comment(line))
+    tokens = oracles.rule_tokens(uncommented(line))
     if tokens is None:
         return None
     try:
@@ -578,7 +590,7 @@ def test_rule_lines_parse_as_the_word_tokenizer_reads_them(lines):
     """parse_rulebase accepts a rule line exactly when the word-by-word oracle reads a
     rule whose names check, and a text up to the first line where it does not."""
     read = {line_no: word_rule(line)
-            for line_no, line in enumerate(lines, start=1) if fis.strip_comment(line)}
+            for line_no, line in enumerate(lines, start=1) if uncommented(line)}
     for line_no in read:
         assert_read_as_the_oracle_reads(lines[line_no - 1])
     bad = [line_no for line_no, rule in read.items() if rule is None]
@@ -640,8 +652,8 @@ def test_a_parsed_override_infers_a_steer_in_the_output_universe(line, values):
 def oracle_term(line):
     """((var, term), MembershipFunction) that the two-pattern oracle reads from a term
     line, or else the start of the error it implies: names are checked before the value,
-    then the numbers, then the membership and its center."""
-    fields = oracles.term_fields(fis.strip_comment(line))
+    then the numbers (read, then finite), then the membership and its center."""
+    fields = oracles.term_fields(uncommented(line))
     if fields is None:
         return "malformed term definition"
     var, term, value = fields
@@ -655,6 +667,8 @@ def oracle_term(line):
             width, center = float(width), float(center)
         except ValueError:
             return "non-numeric term parameters"
+        if not (math.isfinite(width) and math.isfinite(center)):
+            return "non-finite term parameters"
         membership = MembershipFunction(kind, width, center)
         LinguisticVariable(var, variables[var].universe, {term: membership})
     except ValueError as exc:

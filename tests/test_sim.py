@@ -15,7 +15,7 @@ from pipefollow import features, fis, sim
 from pipefollow.imgproc import InvariantError, ThresholdBand
 from pipefollow.sim import (AuvState, CameraModel, MissionFailure, PathRecord, Scenario,
                             InputError, World, drift_metrics,
-                            heading_vector, image_center, mission_objective,
+                            image_center, mission_objective,
                             parse_scenario, pct_of_drift, pipeline_x_at,
                             render_view, run_mission, step_auv, tune)
 from conftest import ROOT
@@ -193,9 +193,9 @@ class TestStepAuv:
         assert AuvState(-1.7976931348623157e308, 5e-324, -0.0).y == 5e-324
 
     def test_heading_vector_convention(self):
-        dx, dy = heading_vector(90.0)
+        dx, dy = sim._heading_vector(90.0)
         assert (dx, dy) == pytest.approx((0.0, 1.0))
-        dx, dy = heading_vector(135.0)
+        dx, dy = sim._heading_vector(135.0)
         assert dx > 0 and dy > 0  # right of +y leans toward +x
 
 
@@ -819,6 +819,64 @@ class TestMissionTermination:
         mission_objective([scenario], rb)     # and tune's objective raises nothing either
 
 
+@st.composite
+def noiseless_missions(draw):
+    """A noise-free scenario with an even image width of 16-48 pixels, a pipeline whose
+    segments lean at most 1 in 2, and a start near the pipe heading roughly along it."""
+    n = draw(st.integers(2, 5))
+    ys = [draw(st.floats(0.0, 40.0))]
+    for _ in range(n - 1):
+        ys.append(ys[-1] + draw(st.floats(20.0, 160.0 / (n - 1))))
+    xs = [draw(st.floats(30.0, 120.0))]
+    for a, b in zip(ys, ys[1:]):
+        xs.append(min(max(xs[-1] + draw(st.floats(-0.5, 0.5)) * (b - a), 0.0), 150.0))
+    world = World(pipeline=tuple(zip(xs, ys)), pipe_width=draw(st.floats(5.0, 40.0)))
+    cam = CameraModel(height_cm=draw(st.floats(20.0, 80.0)), tilt_deg=draw(st.floats(20.0, 70.0)),
+                      fov_deg=draw(st.floats(40.0, 120.0)),
+                      image_width=2 * draw(st.integers(8, 24)),
+                      image_height=draw(st.integers(10, 30)),
+                      noise_amplitude=0, speckle_density=0.0)
+    y = draw(st.floats(ys[0], ys[0] + 0.3 * (ys[-1] - ys[0])))
+    x = min(max(pipeline_x_at(world, y) + draw(st.floats(-15.0, 15.0)), 0.0), 150.0)
+    return Scenario(world=world, camera=cam, min_area=draw(st.sampled_from([0, 5, 25])),
+                    steering_gain=draw(st.floats(-3.0, 3.0)),
+                    step_length=draw(st.floats(5.0, 60.0)),
+                    steps_per_image=draw(st.sampled_from([1, 2, 5])),
+                    start=AuvState(x, y, draw(st.floats(75.0, 105.0))))
+
+
+def mirrored(scenario):
+    """The scenario reflected across the envelope's middle: every x to envelope.x - x and
+    the heading to 180 - heading."""
+    world, start = scenario.world, scenario.start
+    ex = world.envelope[0]
+    return replace(scenario, world=replace(world, pipeline=tuple((ex - x, y) for x, y in
+                                                                 world.pipeline)),
+                   start=AuvState(ex - start.x, start.y, 180.0 - start.heading))
+
+
+def mission_outcome(scenario, mode):
+    """The record, or the failure's (reason, step, frame)."""
+    try:
+        return run_mission(scenario, fis.default_rulebase(), mode)
+    except MissionFailure as exc:
+        return exc.reason, exc.step, exc.frame
+
+
+@settings(max_examples=40, deadline=None)
+@given(noiseless_missions())
+def test_a_mirrored_mission_ends_alike_with_every_drift_negated(scenario):
+    """The default rules are mirror-symmetric and an even-width camera samples its columns
+    symmetrically, so a noise-free mission and its mirror image fail alike or record the
+    same number of points, each drift the exact negation of its mirror's."""
+    for mode in ("sequential", "overlapped"):
+        a, b = mission_outcome(scenario, mode), mission_outcome(mirrored(scenario), mode)
+        if isinstance(a, tuple) or isinstance(b, tuple):
+            assert a == b
+        else:
+            assert [p.drift for p in a.points] == [-q.drift for q in b.points]
+
+
 def detuned(shift):
     """Default term parameters with every input center moved up by shift."""
     rb = fis.default_rulebase()
@@ -879,6 +937,18 @@ class TestTune:
         result = tune([small_scenario()], detuned(0.1), budget=4)
         assert result.evaluations == len(before_each) == 4
         assert np.diff(before_each + [len(built)]).tolist() == [1, 1, 1, 0]
+
+    def test_init_overrides_a_subset_of_the_rule_base(self):
+        """{} and a one-term init tune as the full view they override, and params always
+        hold all 21 terms."""
+        rb = fis.with_term_parameters(fis.default_rulebase(), detuned(0.1))
+        full = fis.term_parameters(rb)
+        one = {("x5", "Center"): (0.3, 0.6)}
+        for init, full_init in (({}, full), (one, {**full, **one})):
+            result = tune([small_scenario()], init, budget=12, rulebase=rb)
+            assert result == tune([small_scenario()], full_init, budget=12, rulebase=rb)
+            assert result.evaluations == 12
+            assert result.params.keys() == full.keys() and len(result.params) == 21
 
     def test_objective_counts_failures_as_infinite(self):
         world = World(pipeline=((10.0, 0.0), (10.0, 100.0)), seed=1)
@@ -1101,3 +1171,68 @@ def test_parse_scenario_raises_only_scenario_error(text):
         assert 1 <= exc.line_no <= len(text.splitlines())
     except ValueError:
         pass
+
+
+
+comment_text = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=8)
+filler_line = st.one_of(st.sampled_from(["", " ", "\t  "]),
+                        st.tuples(st.sampled_from(["", "  "]), comment_text).map("#".join))
+
+
+@st.composite
+def commented(draw, lines):
+    """lines with comment-only and blank lines inserted anywhere and a trailing comment
+    on some, and the new line number of each of them."""
+    lines = list(lines)
+    for i, text in draw(st.lists(st.tuples(st.integers(0, len(lines) - 1), comment_text),
+                                 max_size=6)):
+        lines[i] += " #" + text
+    fillers = draw(st.lists(st.tuples(st.integers(0, len(lines)), filler_line), max_size=6))
+    out, numbers = [], []
+    for i in range(len(lines) + 1):
+        out.extend(text for at, text in fillers if at == i)
+        if i < len(lines):
+            out.append(lines[i])
+            numbers.append(len(out))
+    return out, numbers
+
+
+def parse_or_error(parse, lines):
+    """parse's result for the lines, or its ParseError's (line_no, message without the line)."""
+    try:
+        return parse("\n".join(lines))
+    except fis.ParseError as exc:
+        return exc.line_no, str(exc).removeprefix(f"line {exc.line_no}: ")
+
+
+@pytest.mark.parametrize("parse, name", [(fis.parse_rulebase, "tuned.rules"),
+                                         (parse_scenario, "default.scenario")],
+                         ids=["rules", "scenario"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_comments_and_blank_lines_change_no_parse(parse, name, data):
+    """Both files go through one line reader: comments and blank lines added to a valid
+    text leave its parse as it was and move a bad line's error with the line, and a key
+    given twice is reported at its second line, naming the first, in the same words."""
+    lines = (ROOT / "scenarios" / name).read_text().splitlines()
+    edit = data.draw(st.sampled_from(["none", "break", "repeat"]))
+    if edit == "break":
+        bad = data.draw(st.sampled_from(
+            [i for i, line in enumerate(lines) if line.partition("#")[0].strip()]))
+        lines[bad] = "bogus"
+    elif edit == "repeat":
+        first = data.draw(st.sampled_from(
+            [i for i, line in enumerate(lines) if "=" in line.partition("#")[0]]))
+        second = data.draw(st.integers(first + 1, len(lines)))
+        lines.insert(second, lines[first])
+        key = lines[first].partition("=")[0].strip()
+        message = f"duplicate key {key!r} (first set on line {{}})"
+    padded, numbers = data.draw(commented(lines))
+    before, after = parse_or_error(parse, lines), parse_or_error(parse, padded)
+    if edit == "none":
+        assert not isinstance(before, tuple) and after == before
+    elif edit == "break":
+        assert before[0] == bad + 1 and after == (numbers[bad], before[1])
+    else:
+        assert before == (second + 1, message.format(first + 1))
+        assert after == (numbers[second], message.format(numbers[first]))
