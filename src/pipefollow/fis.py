@@ -54,8 +54,14 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _check_input(x: float) -> None:
+    if not -math.inf < x < math.inf:   # false for nan too
+        raise ValueError(f"membership input must be finite, got {x}")
+
+
 def eval_gaussian(x: float, sigma: float, c: float) -> float:
     """exp(-(x-c)^2 / (2 sigma^2)); peak 1 at the center."""
+    _check_input(x)
     den = 2.0 * sigma * sigma
     if not (sigma > 0 and den > 0):   # a tiny sigma underflows den to 0
         raise ValueError(f"gaussian sigma must be > 0 with 2*sigma*sigma > 0, got {sigma}")
@@ -73,6 +79,7 @@ def eval_s(x: float, a: float, b: float, c: float) -> float:
     The midpoint b is pinned to (a+c)/2, which makes the two quadratic
     branches meet continuously at 0.5.  c - a must be positive and finite.
     """
+    _check_input(x)
     if not 0 < c - a < math.inf:
         raise ValueError(f"S-shape requires a < c with c - a finite, got a={a}, c={c}")
     if not abs(b - (a / 2.0 + c / 2.0)) <= 1e-9 * max(1.0, c - a, abs(a), abs(c)):
@@ -90,6 +97,7 @@ def eval_s(x: float, a: float, b: float, c: float) -> float:
 
 def eval_pi(x: float, b: float, c: float) -> float:
     """Pi-shaped bump with peak 1 at c and finite feet c-b < c-b/2 < c < c+b/2 < c+b."""
+    _check_input(x)
     if not -math.inf < c - b < c - b / 2 < c < c + b / 2 < c + b < math.inf:
         raise ValueError(f"pi half-width must be > 0 with feet c-b < c-b/2 < c < c+b/2 < c+b, "
                          f"got b={b}, c={c}")

@@ -56,8 +56,11 @@ def rgb_to_gray(rgb: np.ndarray) -> np.ndarray:
 
     gray = (299*r + 587*g + 114*b + 500) // 1000, i.e. the weighted sum
     rounded to the nearest integer with halves rounding up.  Exact integer
-    arithmetic keeps the result platform-independent.
+    arithmetic keeps the result platform-independent.  Any other array raises ValueError.
     """
+    if not (rgb.dtype == np.uint8 and rgb.ndim == 3 and rgb.shape[2] == 3):
+        raise ValueError(f"rgb_to_gray needs an (h, w, 3) uint8 array, got a {rgb.dtype} "
+                         f"array of shape {rgb.shape}")
     p = rgb.astype(np.int64)
     gray = (299 * p[:, :, 0] + 587 * p[:, :, 1] + 114 * p[:, :, 2] + 500) // 1000
     return gray.astype(np.uint8)

@@ -141,6 +141,17 @@ class PathPoint:
     drift: float       # cm, signed, rounded half-up to 1 decimal
     pct_drift: float   # 100*|drift|/tolerance, half-up to 1 decimal
 
+    def __post_init__(self):
+        # one chain: the lengths each finite, the percentage in [0, inf] (nan fails); a
+        # finite drift over a subnormal tolerance makes an infinite percentage
+        if not (-math.inf < self.actual_x < math.inf > self.sim_x > -math.inf < self.drift
+                < math.inf >= self.pct_drift >= 0.0):
+            name = next((name for name in ("actual_x", "sim_x", "drift")
+                         if not -math.inf < getattr(self, name) < math.inf), None)
+            if name is None:
+                raise ValueError(f"path point pct_drift must be >= 0, got {self.pct_drift}")
+            raise ValueError(f"path point {name} must be finite, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class PathRecord:
@@ -172,8 +183,12 @@ class PathRecord:
             parts = ln.split(",")
             if len(parts) != 5:
                 raise ValueError(f"malformed CSV row: {ln!r}")
-            point = PathPoint(*fis.read_numbers(parts, (int, float, float, float, float),
-                                                f"CSV row: {ln!r}"))
+            numbers = fis.read_numbers(parts, (int, float, float, float, float),
+                                       f"CSV row: {ln!r}")
+            try:
+                point = PathPoint(*numbers)
+            except ValueError as exc:
+                raise ValueError(f"{exc} in CSV row: {ln!r}") from None
             if not 1 <= point.step <= MAX_MISSION_STEPS:   # as a mission numbers its steps
                 raise ValueError(f"step outside 1-{MAX_MISSION_STEPS} in CSV row: {ln!r}")
             points.append(point)
@@ -547,12 +562,18 @@ def pct_of_drift(drift: float, tolerance: float) -> float:
     return _round1(Decimal(repr(abs(drift))) * 100 / Decimal(repr(tolerance)))
 
 
+def _drifts(path, world: World) -> tuple:
+    """(centerline xs, signed drifts rounded half-up to 1 decimal) of a sequence of states."""
+    actuals = _pipeline_xs(world, [state.y for state in path])
+    return actuals, [_round1(Decimal(repr(state.x - actual)))
+                     for state, actual in zip(path, actuals)]
+
+
 def drift_metrics(path, world: World, tolerance: float = DEFAULT_TOLERANCE_CM) -> PathRecord:
     """Per-point drift (signed, 1 decimal) and percentage-of-tolerance of a sequence of states."""
     points = []
-    actuals = _pipeline_xs(world, [state.y for state in path])
-    for i, (state, actual) in enumerate(zip(path, actuals), start=1):
-        drift = _round1(Decimal(repr(state.x - actual)))
+    actuals, drifts = _drifts(path, world)
+    for i, (state, actual, drift) in enumerate(zip(path, actuals, drifts), start=1):
         points.append(PathPoint(i, actual, state.x, drift, pct_of_drift(drift, tolerance)))
     return PathRecord(tuple(points), tolerance)
 
@@ -575,28 +596,8 @@ def _capture(scenario: Scenario, auv: AuvState, frame: int, captures: dict) -> t
     return vectors
 
 
-def run_mission(scenario: Scenario, rb, mode: str = "sequential",
-                tolerance: float = DEFAULT_TOLERANCE_CM,
-                captures: dict | None = None) -> PathRecord:
-    """Fly the pipeline: capture, infer a steer per band, step steps_per_image times.
-
-    Steps past the 5th reuse band 5's steer, and only the bands a capture
-    steers are inferred.  A step is taken only while its nominal landing stays
-    within the pipeline span, so every recorded point has a defined centerline
-    reference.  In "overlapped" mode a capture's steers are inferred on worker
-    threads; outputs are identical to sequential mode by construction.
-
-    Band features come from `captures`, a dict the caller may share between
-    missions so that identical captures are rendered once; without one the
-    mission uses a fresh dict.  A mission that records no point fails with
-    "no-points".  One that takes more than twice the steps a straight run
-    along the remaining span would need (less than half a step length of
-    along-track progress per step) fails with "no-progress".  A step that
-    leaves the envelope fails with "envelope-exit" and carries the pose it
-    started from.  A step that lands below the first waypoint, where drift has
-    no reference, fails with "behind-start".  A failure carries the last
-    capture's frame and the pose.
-    """
+def _fly(scenario: Scenario, rb, mode: str, captures: dict | None) -> list:
+    """The path of states a mission flies (see run_mission); raises its MissionFailure."""
     if mode not in ("sequential", "overlapped"):
         raise ValueError(f"unknown mode {mode!r}")
     captures = {} if captures is None else captures
@@ -637,7 +638,37 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
     if not path:
         raise MissionFailure("no-points", 1, f"a {scenario.step_length:g} cm step from "
                              f"y={auv.y:g} passes the pipeline end at y={far_y:g}", 0, auv)
-    return drift_metrics(path, scenario.world, tolerance)
+    return path
+
+
+def run_mission(scenario: Scenario, rb, mode: str = "sequential",
+                tolerance: float = DEFAULT_TOLERANCE_CM,
+                captures: dict | None = None) -> PathRecord:
+    """Fly the pipeline: capture, infer a steer per band, step steps_per_image times.
+
+    Steps past the 5th reuse band 5's steer, and only the bands a capture
+    steers are inferred.  A step is taken only while its nominal landing stays
+    within the pipeline span, so every recorded point has a defined centerline
+    reference.  In "overlapped" mode a capture's steers are inferred on worker
+    threads; outputs are identical to sequential mode by construction.
+
+    Band features come from `captures`, a dict the caller may share between
+    missions so that identical captures are rendered once; without one the
+    mission uses a fresh dict.  A mission that records no point fails with
+    "no-points".  One that takes more than twice the steps a straight run
+    along the remaining span would need (less than half a step length of
+    along-track progress per step) fails with "no-progress".  A step that
+    leaves the envelope fails with "envelope-exit" and carries the pose it
+    started from.  A step that lands below the first waypoint, where drift has
+    no reference, fails with "behind-start".  A failure carries the last
+    capture's frame and the pose.
+
+    One flight (_fly), two accounts of its path: this record, through
+    drift_metrics, and mission_objective's rounded drifts alone, through
+    _drifts.  A bad tolerance is rejected before anything is flown.
+    """
+    _check_tolerance(tolerance)
+    return drift_metrics(_fly(scenario, rb, mode, captures), scenario.world, tolerance)
 
 
 # --- tuning harness -----------------------------------------------------------
@@ -653,15 +684,17 @@ class TuneResult:
 def mission_objective(scenarios, rb, captures: dict | None = None) -> tuple:
     """(max |drift|, mean |drift|) over all scenario points; failure is infinite.
 
-    `captures` is passed on to every run_mission call.
+    Each scenario is flown once, as run_mission flies it with `captures`, and
+    scored from its rounded drifts alone: the drifts of run_mission's record,
+    without the percentages, points and record that account builds.
     """
     drifts = []
     for scenario in scenarios:
         try:
-            record = run_mission(scenario, rb, captures=captures)
+            path = _fly(scenario, rb, "sequential", captures)
         except MissionFailure:
             return (math.inf, math.inf)
-        drifts.extend(abs(p.drift) for p in record.points)
+        drifts.extend(map(abs, _drifts(path, scenario.world)[1]))
     if not drifts:
         return (math.inf, math.inf)
     return (max(drifts), sum(drifts) / len(drifts))

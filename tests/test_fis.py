@@ -159,6 +159,18 @@ class TestPiShape:
                 eval_pi(x, b, 0.5)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("evaluate", [
+    lambda x: eval_gaussian(x, 0.1, 0.5),
+    lambda x: eval_s(x, 0.0, 0.5, 1.0),
+    lambda x: eval_pi(x, 0.2, 0.5),
+], ids=["gaussian", "s", "pi"])
+def test_evaluators_reject_a_non_finite_input(evaluate, x):
+    """nan once graded nan (gaussian), 1.0 (S) and 0.0 (pi)."""
+    with pytest.raises(ValueError, match=f"^membership input must be finite, got {x}$"):
+        evaluate(x)
+
+
 class TestFireRules:
     def _two_antecedent_base(self):
         variables = fis.default_variables()

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,22 @@ class TestRgbToGray:
     def test_dimensions_preserved(self):
         gray = rgb_to_gray(np.zeros((3, 7, 3), dtype=np.uint8))
         assert (gray.shape, gray.dtype) == ((3, 7), np.uint8)
+
+    @pytest.mark.parametrize("rgb", [
+        np.full((2, 2, 3), np.nan), np.full((2, 2, 3), np.inf), np.full((2, 2, 3), -np.inf),
+        np.full((2, 2, 3), 1e308), np.full((2, 2, 3), -1e308),
+        np.zeros((2, 2, 3), dtype=np.int64), np.zeros((2, 2), dtype=np.uint8),
+        np.zeros((2, 2, 4), dtype=np.uint8),
+    ], ids=["nan", "inf", "-inf", "1e308", "-1e308", "int64", "2-d", "4-channel"])
+    def test_other_arrays_rejected(self, rgb):
+        """A float array once warned of an invalid cast; now any array but (h, w, 3) uint8
+        raises, naming its dtype and shape."""
+        message = f"rgb_to_gray needs an (h, w, 3) uint8 array, got a {rgb.dtype} array " \
+                  f"of shape {rgb.shape}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                rgb_to_gray(rgb)
 
 
 class TestThresholdBand:

@@ -501,6 +501,25 @@ class TestDriftMetrics:
                            match=f"^tolerance must be positive and finite, got {tolerance}$"):
             PathRecord((), tolerance)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("actual_x", math.nan, "path point actual_x must be finite, got nan"),
+        ("actual_x", -math.inf, "path point actual_x must be finite, got -inf"),
+        ("sim_x", math.inf, "path point sim_x must be finite, got inf"),
+        ("drift", math.nan, "path point drift must be finite, got nan"),
+        ("pct_drift", math.nan, "path point pct_drift must be >= 0, got nan"),
+        ("pct_drift", -0.1, "path point pct_drift must be >= 0, got -0.1"),
+    ])
+    def test_path_point_rejects_non_finite_values(self, field, value, message):
+        values = dict(step=1, actual_x=46.4, sim_x=46.4, drift=0.0, pct_drift=0.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sim.PathPoint(**{**values, field: value})
+
+    def test_path_point_keeps_an_infinite_percentage(self):
+        """A finite drift over a subnormal tolerance: see test_tiny_tolerance_ends_in_a_record."""
+        point = drift_metrics([AuvState(86.1, 50.0, 90.0)],
+                              World(pipeline=((86.2, 0.0), (86.2, 100.0))), 5e-324).points[0]
+        assert (point.drift, point.pct_drift) == (-0.1, math.inf)
+
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_pose_rejected(self, x):
         """AuvState rejects the pose first; drift_metrics, which reads only .x and .y,
@@ -580,6 +599,7 @@ class TestPathRecordCsv:
         ("0,2,3,4,5", "step outside 1-10000 in"),
         ("10001,2,3,4,5", "step outside 1-10000 in"),
         ("9" * 400 + ",2,3,4,5", "step outside 1-10000 in"),   # overflowed the plot
+        ("1,2,3,4,-5", "path point pct_drift must be >= 0, got -5.0 in"),
     ])
     def test_bad_number_names_the_row(self, row, message):
         with pytest.raises(ValueError, match=f"^{message} CSV row: {re.escape(repr(row))}$"):
@@ -614,6 +634,17 @@ class TestRunMission:
         a = run_mission(default_scenario, rb, mode="sequential")
         b = run_mission(default_scenario, rb, mode="overlapped")
         assert a.to_csv() == b.to_csv()
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, 0.0])
+    def test_bad_tolerance_is_rejected_before_flying(self, tolerance, monkeypatch):
+        """Once the whole mission was flown, or a failing one reported its failure, first."""
+        renders = count_renders(monkeypatch)
+        for heading in (116.0, 170.0):   # a record, and a no-object failure
+            with pytest.raises(ValueError,
+                               match=f"^tolerance must be positive and finite, got {tolerance}$"):
+                run_mission(small_scenario(start=replace(ALIGNED_START, heading=heading)),
+                            fis.default_rulebase(), tolerance=tolerance)
+        assert renders == []
 
     def test_unknown_mode_rejected(self, default_scenario):
         with pytest.raises(ValueError):
@@ -1020,6 +1051,51 @@ class TestCaptureMemo:
         with pytest.raises(MissionFailure):
             run_mission(sc, fis.default_rulebase(), captures=captures)
         assert captures == {}
+
+
+@st.composite
+def objective_scenarios(draw):
+    """A noiseless_missions scenario with steps_per_image 1-7 and its noise on or off."""
+    scenario = draw(noiseless_missions())
+    camera = replace(scenario.camera, **draw(st.sampled_from(
+        [{}, {"noise_amplitude": 30, "speckle_density": 0.005}])))
+    return replace(scenario, camera=camera, steps_per_image=draw(st.integers(1, 7)))
+
+
+def records_objective(scenarios, rb) -> tuple:
+    """mission_objective as max and mean |drift| of run_mission's records, each flown afresh."""
+    drifts = []
+    for scenario in scenarios:
+        try:
+            drifts += [abs(p.drift) for p in run_mission(scenario, rb).points]
+        except MissionFailure:
+            return (math.inf, math.inf)
+    return (max(drifts), sum(drifts) / len(drifts)) if drifts else (math.inf, math.inf)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(objective_scenarios(), max_size=3))
+def test_objective_equals_the_objective_of_the_records(suite):
+    """mission_objective flies without an account, sharing one captures dict across rule
+    bases as tune does, and scores the drifts run_mission's records hold."""
+    captures = {}
+    for rb in (fis.default_rulebase(), fis.with_term_parameters(fis.default_rulebase(),
+                                                                 detuned(0.1)),
+               sim.read_rulebase(ROOT / "scenarios" / "tuned.rules")):
+        assert mission_objective(suite, rb, captures) == records_objective(suite, rb)
+
+
+def test_tune_builds_no_percentage_point_or_record(monkeypatch):
+    """The objective reads only the rounded drifts, so tune never reaches the account."""
+    suite = [small_scenario(), small_scenario(start=replace(ALIGNED_START, heading=112.0))]
+    expected = tune(suite, detuned(0.1), budget=12)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("tune built part of a drift record")
+
+    for name in ("drift_metrics", "pct_of_drift", "PathPoint", "PathRecord"):
+        monkeypatch.setattr(sim, name, refused)
+    assert tune(suite, detuned(0.1), budget=12) == expected
 
 
 class TestScenarioFiles:
