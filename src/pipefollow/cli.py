@@ -30,11 +30,12 @@ def _write_output(text: str, out_path) -> None:
 
 
 def _number(kind, accept, what: str):
-    """argparse type: text that kind (int or float) parses to a value accept() holds for."""
+    """argparse type: text that kind (int, float or a parser) reads to a value accept() holds
+    for."""
     def parse(text: str):
         try:
             value = kind(text)
-        except ValueError:
+        except (TypeError, ValueError):   # TypeError: a pose of other than three numbers
             pass
         else:
             if accept(value):
@@ -44,7 +45,11 @@ def _number(kind, accept, what: str):
 
 
 _tolerance = _number(float, lambda v: 0 < v < math.inf, "a positive finite number")
-_seed = _number(int, lambda v: v >= 0, "a whole number >= 0")
+_whole = _number(int, lambda v: v >= 0, "a whole number >= 0")
+# a pose as a failure message prints it; like every pose a mission flies, within the world
+_pose = _number(lambda text: sim.AuvState(*map(float, text.split(","))),
+                lambda pose: 0 <= pose.x <= sim.MAX_WORLD_CM and 0 <= pose.y <= sim.MAX_WORLD_CM,
+                f"X,Y,HEADING with X and Y in 0-{sim.MAX_WORLD_CM:.0f} and a finite heading")
 
 
 def _load_scenario(args) -> sim.Scenario:
@@ -127,7 +132,8 @@ def cmd_tune(args) -> int:
 
 def cmd_render(args) -> int:
     scenario = _load_scenario(args)
-    img = sim.render_view(scenario.world, scenario.start, scenario.camera, frame=0)
+    img = sim.render_view(scenario.world, args.pose or scenario.start, scenario.camera,
+                          args.frame)
     netpbm.write_pgm(args.out, img)
     return 0
 
@@ -151,9 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario file")
     p.add_argument("--rules", help="rule base DSL file (overrides the scenario's)")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--seed", type=_seed, help="override the scenario's noise seed")
+    p.add_argument("--seed", type=_whole, help="override the scenario's noise seed")
     p.add_argument("--plot", help="also write an SVG path plot here")
-    p.add_argument("--mode", choices=("sequential", "overlapped"), default="sequential")
+    p.add_argument("--mode", choices=("sequential", "overlapped"), default="sequential",
+                   help="overlapped draws each frame's noise and speckle on a worker thread "
+                        "one capture ahead; the record is the same (default sequential)")
     p.add_argument("--tolerance", type=_tolerance, default=sim.DEFAULT_TOLERANCE_CM,
                    help="drift tolerance in cm (default 8.0)")
     p.set_defaults(func=cmd_run)
@@ -180,10 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path for the tuned rule base DSL")
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("render", help="render the camera view from the start pose")
+    p = sub.add_parser("render", help="render the camera view from the start pose or --pose")
     p.add_argument("--scenario", required=True, help="scenario file")
     p.add_argument("--out", required=True, help="output PGM path")
-    p.add_argument("--seed", type=_seed, help="override the scenario's noise seed")
+    p.add_argument("--seed", type=_whole, help="override the scenario's noise seed")
+    p.add_argument("--frame", type=_whole, default=0,
+                   help="frame index that seeds the noise (default 0)")
+    p.add_argument("--pose", type=_pose, help="X,Y,HEADING to render from, as a mission "
+                   "failure prints it (default the scenario's start)")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("plot", help="plot a drift record CSV as SVG")

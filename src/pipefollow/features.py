@@ -47,6 +47,14 @@ class FeatureVector:
     x6: float
     band_index: int
 
+    def __post_init__(self):
+        # one chain: the 6 components each strictly between -inf and inf (nan fails)
+        if not (-math.inf < self.x1 < math.inf > self.x2 > -math.inf < self.x3 < math.inf
+                > self.x4 > -math.inf < self.x5 < math.inf > self.x6 > -math.inf):
+            name = next(name for name in ("x1", "x2", "x3", "x4", "x5", "x6")
+                        if not -math.inf < getattr(self, name) < math.inf)
+            raise ValueError(f"feature {name} must be finite, got {getattr(self, name)}")
+
     def as_dict(self) -> dict:
         return {"x1": self.x1, "x2": self.x2, "x3": self.x3,
                 "x4": self.x4, "x5": self.x5, "x6": self.x6}

@@ -135,6 +135,9 @@ class LinguisticVariable:
 
     def __post_init__(self):
         lo, hi = self.universe
+        if not -math.inf < lo < hi < math.inf:   # one chain: nan fails too
+            raise ValueError(f"variable {self.name} universe must have -inf < lo < hi < inf, "
+                             f"got [{lo}, {hi}]")
         for term, mf in self.terms.items():
             if not lo <= mf.center <= hi:
                 raise ValueError(f"term {self.name}.{term} center {mf.center} "

@@ -38,7 +38,7 @@ class MissionFailure(Exception):
 
     def __init__(self, reason: str, step: int, detail: str, frame: int, pose: AuvState):
         super().__init__(f"mission failed at step {step}: {reason} ({detail}); frame {frame}, "
-                         f"pose x={pose.x:.1f} y={pose.y:.1f} heading={pose.heading:.1f}")
+                         f"pose x={pose.x!r} y={pose.y!r} heading={pose.heading!r}")
         self.reason = reason
         self.step = step
         self.frame = frame
@@ -465,13 +465,51 @@ def _pipe_mask(world: World, auv: AuvState, cam: CameraModel) -> np.ndarray:
     return pipe
 
 
-def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0) -> GrayImage:
+def _draws(seed: int, frame: int, cam: CameraModel) -> list:
+    """The pose-independent part of a frame: [seabed, pipe, speckle].
+
+    seabed and pipe are each pixel's uint8 level off and on the pipe,
+    clip(intensity + noise, 0, 255), or the two intensities without noise.
+    speckle is the mask of pixels set to pipe intensity, or None without
+    speckle.  The int32 noise and then the speckle are drawn from the
+    generator seeded by (seed, frame); numpy makes both fills without the
+    GIL, so a worker thread can draw while the caller renders a pipe mask.
+    """
+    h, w = cam.image_height, cam.image_width
+    rng = np.random.default_rng((seed, frame))
+    a = cam.noise_amplitude
+    noise = rng.integers(-a, a + 1, size=(h, w), dtype=np.int32) if a > 0 else 0
+    seabed, pipe = np.empty((h, w), np.uint8), np.empty((h, w), np.uint8)
+    for level, v in ((seabed, cam.seabed_intensity), (pipe, cam.pipe_intensity)):
+        # clip(v + noise, 0, 255): the noise clipped into [-v, 255 - v], narrowed, plus v
+        np.clip(noise, -v, 255 - v, out=level, casting="unsafe")
+        level += np.uint8(v)
+    # The noise is released before the speckle draw, and that draw is made in two
+    # halves, each the size of the int32 noise, so a frame's temporaries reuse the
+    # same heap space: one whole-frame float64 draw made the allocator hand pages
+    # back and fault them in again every frame.
+    del noise
+    speckle = None
+    if cam.speckle_density > 0:
+        speckle = np.concatenate([rng.random((n, w)) < cam.speckle_density
+                                  for n in (h // 2, h - h // 2)])
+    return [seabed, pipe, speckle]
+
+
+def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0,
+                draws=None) -> GrayImage:
     """Perspective view of the pipeline on the seabed from the vehicle pose.
 
     Every pixel's ray is intersected with the seabed plane; ground points
     within half a pipe width of the polyline render at pipe intensity.
     Uniform intensity noise and pipe-bright speckle are then drawn from a
     generator seeded by (world.seed, frame).
+
+    draws is a future of _draws(world.seed, frame, cam) that the caller has
+    already started (overlapped missions draw one frame ahead); with None
+    the draws are made here.  A future serves one render: its arrays become
+    the image, and its result is emptied so that whoever keeps the future
+    keeps no raster.
 
     Each segment's ground points and distances are computed only at the
     two ends of its column run in each ground row it can reach; the run's
@@ -487,21 +525,23 @@ def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0) -
       per-segment test it does not run;
     - the noise and speckle draws come from the generator in the same order;
       an int32 noise draw returns the same values as an int64 one and leaves
-      the generator in the same state, and intensities stay within int32
-      (CameraModel bounds the noise amplitude).
+      the generator in the same state, intensities stay within int32
+      (CameraModel bounds the noise amplitude), and the speckle's two
+      row halves take the values of one (h, w) draw, one double each;
+    - clip(where(p, P, S) + n) == where(p, clip(P + n), clip(S + n))
+      elementwise, so the two levels of _draws composed by the mask equal
+      the noisy image; and for a level v in 0-255, clip(n, -v, 255 - v)
+      narrowed to uint8 (mod 256) plus v in uint8 (mod 256) is
+      clip(v + n, 0, 255), which lies in 0-255.
     """
-    h, w = cam.image_height, cam.image_width
-    pipe = _pipe_mask(world, auv, cam)
-    img = np.where(pipe, np.int32(cam.pipe_intensity), np.int32(cam.seabed_intensity))
-    rng = np.random.default_rng((world.seed, frame))
-    if cam.noise_amplitude > 0:
-        img += rng.integers(-cam.noise_amplitude, cam.noise_amplitude + 1, size=(h, w),
-                            dtype=np.int32)
-        np.clip(img, 0, 255, out=img)
-    img = img.astype(np.uint8)
-    if cam.speckle_density > 0:
-        img[rng.random((h, w)) < cam.speckle_density] = cam.pipe_intensity
-    return GrayImage(img)
+    pipe_mask = _pipe_mask(world, auv, cam)
+    parts = _draws(world.seed, frame, cam) if draws is None else draws.result()
+    seabed, pipe, speckle = parts
+    parts.clear()
+    np.copyto(seabed, pipe, where=pipe_mask)
+    if speckle is not None:
+        seabed[speckle] = cam.pipe_intensity
+    return GrayImage(seabed)
 
 
 # --- vehicle kinematics -------------------------------------------------------
@@ -580,17 +620,19 @@ def drift_metrics(path, world: World, tolerance: float = DEFAULT_TOLERANCE_CM) -
 
 # --- mission loop -------------------------------------------------------------
 
-def _capture(scenario: Scenario, auv: AuvState, frame: int, captures: dict) -> tuple:
+def _capture(scenario: Scenario, auv: AuvState, frame: int, captures: dict,
+             draws=None) -> tuple:
     """The frame's 5 band feature vectors, rendered and segmented once per captures dict.
 
     The key holds everything the vectors depend on, compared exactly, so only
     a bit-identical capture is reused.  Only the vectors are kept, and a
-    capture that raises NoObjectError is not stored.
+    capture that raises NoObjectError is not stored.  draws goes to
+    render_view; a capture served from the dict leaves it unused.
     """
     key = (scenario.world, scenario.camera, scenario.thresholds, scenario.min_area, auv, frame)
     vectors = captures.get(key)
     if vectors is None:
-        img = render_view(scenario.world, auv, scenario.camera, frame)
+        img = render_view(scenario.world, auv, scenario.camera, frame, draws)
         vectors = captures[key] = tuple(features.extract_features(img, scenario.thresholds,
                                                                    scenario.min_area))
     return vectors
@@ -605,16 +647,22 @@ def _fly(scenario: Scenario, rb, mode: str, captures: dict | None) -> list:
     first_y, far_y = scenario.world.pipeline[0][1], scenario.world.pipeline[-1][1]
     ex, ey = scenario.world.envelope
     max_steps = _step_bound(scenario)
-    pool = ThreadPoolExecutor(max_workers=NUM_BANDS) if mode == "overlapped" else None
-    steer_all = map if pool is None else pool.map
+    pool = ThreadPoolExecutor(max_workers=1) if mode == "overlapped" else None
+
+    def draws_of(frame):   # overlapped mode draws each frame's noise one capture ahead
+        return None if pool is None else pool.submit(_draws, scenario.world.seed, frame,
+                                                     scenario.camera)
+
     path = []
     try:
+        pending = draws_of(0)
         while auv.y + scenario.step_length <= far_y + 1e-9:
             frame, i = divmod(len(path), scenario.steps_per_image)
             if i == 0:
-                vectors = _capture(scenario, auv, frame, captures)
-                steers = list(steer_all(lambda v: fis.infer(rb, v.as_dict()).output,
-                                        vectors[:scenario.steps_per_image]))
+                draws, pending = pending, draws_of(frame + 1)
+                vectors = _capture(scenario, auv, frame, captures, draws)
+                steers = [fis.infer(rb, v.as_dict()).output
+                          for v in vectors[:scenario.steps_per_image]]
             if len(path) == max_steps:
                 raise MissionFailure("no-progress", len(path) + 1,
                                      f"after {max_steps} steps y={auv.y:.1f} is still short "
@@ -634,7 +682,7 @@ def _fly(scenario: Scenario, rb, mode: str, captures: dict | None) -> list:
         raise MissionFailure("no-object", len(path) + 1, str(exc), frame, auv) from exc
     finally:
         if pool is not None:
-            pool.shutdown(wait=True)
+            pool.shutdown(wait=True, cancel_futures=True)
     if not path:
         raise MissionFailure("no-points", 1, f"a {scenario.step_length:g} cm step from "
                              f"y={auv.y:g} passes the pipeline end at y={far_y:g}", 0, auv)
@@ -649,8 +697,10 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
     Steps past the 5th reuse band 5's steer, and only the bands a capture
     steers are inferred.  A step is taken only while its nominal landing stays
     within the pipeline span, so every recorded point has a defined centerline
-    reference.  In "overlapped" mode a capture's steers are inferred on worker
-    threads; outputs are identical to sequential mode by construction.
+    reference.  In "overlapped" mode one worker thread draws each frame's
+    noise and speckle (_draws) one capture ahead, while this thread renders
+    the pipe masks, segments and infers; outputs are identical to sequential
+    mode by construction, since the draws depend on the frame alone.
 
     Band features come from `captures`, a dict the caller may share between
     missions so that identical captures are rendered once; without one the

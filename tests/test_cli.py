@@ -236,6 +236,18 @@ class TestRender:
         run_cli(capsys, "render", "--scenario", small_scenario_file, "--out", b, "--seed", 2)
         assert a.read_bytes() != b.read_bytes()
 
+    def test_frame_and_pose_choose_the_view(self, capsys, small_scenario_file, tmp_path):
+        from pipefollow import sim
+        scenario = sim.load_scenario(small_scenario_file)
+        pose = sim.AuvState(40.1, 20.000000000000004, 100.5)
+        pgm = tmp_path / "view.pgm"
+        assert run_cli(capsys, "render", "--scenario", small_scenario_file, "--out", pgm,
+                       "--frame", 3, "--pose", "40.1,20.000000000000004,100.5")[0] == 0
+        expected = sim.render_view(scenario.world, pose, scenario.camera, 3).pixels
+        assert np.array_equal(netpbm.read_pgm(pgm).pixels, expected)
+        assert not np.array_equal(
+            expected, sim.render_view(scenario.world, pose, scenario.camera, 0).pixels)
+
 
 class TestPlot:
     CSV = ("step,actual_x_cm,sim_x_cm,drift_cm,pct_drift\n"

@@ -52,6 +52,23 @@ def test_seed_must_be_a_non_negative_whole_number(capsys, tmp_path, command, val
     assert "--seed" in err and ">= 0" in err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--frame", "-1"), ("--frame", "1.5"), ("--frame", "many"),
+    ("--pose", "1,2"), ("--pose", "1,2,3,4"), ("--pose", ""), ("--pose", "a,b,c"),
+    ("--pose", "nan,2,3"), ("--pose", "1,inf,3"), ("--pose", "1,2,-inf"),
+    ("--pose", "-0.5,2,3"), ("--pose", "1,1e308,3"),
+])
+def test_render_frame_and_pose_are_checked(capsys, tmp_path, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["render", "--scenario", str(SCENARIO_DIR / "default.scenario"),
+              "--out", str(tmp_path / "out"), f"{option}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert option in err and repr(value) in err
+    assert (">= 0" if option == "--frame" else "X,Y,HEADING with X and Y in 0-1000000") in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_nan_feature_value_exits_two(capsys):
     assert main(["infer", "nan", "0.4", "0.4", "0.4", "0.4", "0.4"]) == 2
     assert "x1=nan outside universe [0.1, 1.0]" in capsys.readouterr().err
@@ -477,7 +494,10 @@ command_lines = st.one_of(
     st.builds(lambda changes, seed: (["render", "--scenario", "{tmp}/x.scenario",
                                       "--out", "{tmp}/view.pgm", *seed],
                                      {"x.scenario": scenario_text(changes).encode()}),
-              one_key_mutation, st.sampled_from([[], ["--seed=0"], ["--seed=" + "9" * 400]])),
+              one_key_mutation, st.sampled_from([[], ["--seed=0"], ["--seed=" + "9" * 400],
+                                                 ["--frame=" + "9" * 400],
+                                                 ["--pose=1000000,0,1e300"],
+                                                 ["--pose=5e-324,1000000,-90"]])),
     st.builds(lambda record, scenario, tolerance: (["plot", "{tmp}/x.csv", *scenario, *tolerance,
                                                     "--out", "{tmp}/x.svg"],
                                                    {"x.csv": record.encode()}),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from pipefollow.features import (UNIVERSE_HI, UNIVERSE_LO, band_vectors,
+from pipefollow.features import (UNIVERSE_HI, UNIVERSE_LO, FeatureVector, band_vectors,
                                  extract_features, object_mask, split_bands)
 from pipefollow.imgproc import GrayImage, NoObjectError, ThresholdBand
 
@@ -101,6 +101,14 @@ def test_function_call_with_nan_rejected(call):
 def test_mask_of_other_values_rejected(mask, bad):
     with pytest.raises(ValueError, match=rf"^object mask must hold only 0 and 1, got {bad}$"):
         band_vectors(mask)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["x1", "x2", "x3", "x4", "x5", "x6"])
+def test_feature_vector_rejects_a_non_finite_component(field, value):
+    components = dict.fromkeys(("x1", "x2", "x3", "x4", "x5", "x6"), 0.55)
+    with pytest.raises(ValueError, match=rf"^feature {field} must be finite, got {value}$"):
+        FeatureVector(**{**components, field: value}, band_index=1)
 
 
 @pytest.mark.parametrize("width, height", [(320, math.inf), (math.inf, 240)])

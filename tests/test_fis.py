@@ -858,3 +858,16 @@ class TestCompiledRuleBase:
         values = dict(zip(fis.INPUT_VARIABLES, values))
         assert repr(infer(retuned, values)) == repr(
             infer(parse_rulebase(format_rulebase(retuned)), values))
+
+
+@pytest.mark.parametrize("universe", [(math.nan, 1.0), (0.1, math.nan), (-math.inf, math.inf),
+                                      (-math.inf, 1.0), (0.1, math.inf), (1.0, 1.0), (1.0, 0.1)],
+                         ids=["nan-lo", "nan-hi", "both-infinite", "lo-infinite",
+                              "hi-infinite", "empty", "reversed"])
+@pytest.mark.parametrize("terms", [{}, {"Mid": MembershipFunction("gaussian", 0.19, 0.55)}],
+                         ids=["no-term", "one-term"])
+def test_universe_must_be_a_finite_increasing_pair(universe, terms):
+    lo, hi = universe
+    with pytest.raises(ValueError, match=re.escape(f"variable x1 universe must have -inf < lo "
+                                                   f"< hi < inf, got [{lo}, {hi}]")):
+        LinguisticVariable("x1", universe, terms)

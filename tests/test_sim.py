@@ -1,6 +1,11 @@
+import contextlib
+import io
 import math
 import re
+import tempfile
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from decimal import Decimal
 from types import SimpleNamespace
@@ -12,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from pipefollow import features, fis, sim
+from pipefollow.cli import main
 from pipefollow.imgproc import InvariantError, ThresholdBand
 from pipefollow.sim import (AuvState, CameraModel, MissionFailure, PathRecord, Scenario,
                             InputError, World, drift_metrics,
@@ -332,6 +338,21 @@ def render_cases(draw):
     return world, auv, cam, draw(st.integers(0, 5))
 
 
+@st.composite
+def drawn_frames(draw):
+    """render_cases with cameras of at most 24x24 pixels whose intensities, noise and
+    speckle reach CameraModel's bounds."""
+    world, auv, cam, frame = draw(render_cases())
+    intensities = st.sampled_from([0, 255]) | st.integers(0, 255)
+    cam = replace(cam, image_width=min(cam.image_width, 24),
+                  image_height=min(cam.image_height, 24),
+                  pipe_intensity=draw(intensities), seabed_intensity=draw(intensities),
+                  noise_amplitude=draw(st.sampled_from([0, 1, sim.MAX_NOISE_AMPLITUDE])
+                                       | st.integers(0, sim.MAX_NOISE_AMPLITUDE)),
+                  speckle_density=draw(st.sampled_from([0.0, 0.999]) | st.floats(0.0, 0.999)))
+    return world, auv, cam, frame
+
+
 def small_render_cases(count) -> list:
     """Seeded worlds and cameras like render_cases draws, flown from the first waypoint."""
     rng = np.random.default_rng(11)
@@ -358,6 +379,17 @@ class TestRenderOracle:
         world, auv, cam, frame = case
         assert render_view(world, auv, cam, frame).pixels.tobytes() == \
             oracles.render_reference(world, auv, cam, frame).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn_frames())
+    def test_draws_made_inline_or_ahead_on_a_worker_match_the_reference(self, case):
+        world, auv, cam, frame = case
+        expected = oracles.render_reference(world, auv, cam, frame).tobytes()
+        assert render_view(world, auv, cam, frame).pixels.tobytes() == expected
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            draws = pool.submit(sim._draws, world.seed, frame, cam)
+            assert render_view(world, auv, cam, frame, draws).pixels.tobytes() == expected
+        assert draws.result() == []   # the arrays went to the image, not to the future
 
     # tilt 5 with fov 150 grazes the horizon: the longest rays, the widest
     # per-row rounding bound
@@ -409,8 +441,8 @@ class TestRenderOracle:
         scenario = sim.load_scenario(ROOT / "bench" / "data" / "survey.scenario")
         real, frames = sim.render_view, []
 
-        def captured(*args):
-            frames.append((args, real(*args)))
+        def captured(world, auv, cam, frame, draws=None):
+            frames.append(((world, auv, cam, frame), real(world, auv, cam, frame, draws)))
             return frames[-1][1]
 
         monkeypatch.setattr(sim, "render_view", captured)
@@ -764,6 +796,48 @@ class TestRunMission:
         assert len(run_mission(sc, fis.default_rulebase(), mode).points) == 7
         assert len(infers) == per_capture * len(renders)
 
+    @pytest.mark.parametrize("mode", ["sequential", "overlapped"])
+    def test_only_overlapped_draws_leave_the_main_thread(self, mode, monkeypatch):
+        """Overlapped mode draws each frame's noise on its worker; steers are always inferred
+        on the mission's own thread."""
+        threads = {"draws": [], "infer": []}
+
+        def on_thread(name, real):
+            def recorded(*args):
+                threads[name].append(threading.current_thread())
+                return real(*args)
+            return recorded
+
+        monkeypatch.setattr(sim, "_draws", on_thread("draws", sim._draws))
+        monkeypatch.setattr(fis, "infer", on_thread("infer", fis.infer))
+        renders = count_renders(monkeypatch)
+        sc = small_scenario(step_length=16.0, steps_per_image=1)
+        assert len(run_mission(sc, fis.default_rulebase(), mode).points) == len(renders) == 7
+        main_thread = threading.main_thread()
+        assert threads["infer"] == [main_thread] * 7
+        if mode == "sequential":
+            assert threads["draws"] == [main_thread] * 7
+        else:   # one frame is drawn ahead of the last capture, unless it was cancelled
+            assert len(threads["draws"]) in (7, 8) and main_thread not in threads["draws"]
+
+    @pytest.mark.parametrize("outcome", ["record", "no-object", "envelope-exit"])
+    def test_an_overlapped_mission_leaves_no_thread_behind(self, outcome):
+        scenario = {
+            "record": small_scenario(),
+            "no-object": Scenario(World(pipeline=((10.0, 0.0), (10.0, 100.0)), seed=1),
+                                  start=AuvState(140.0, 0.0, 90.0)),
+            "envelope-exit": Scenario(World(pipeline=((130.0, 0.0), (130.0, 200.0)), seed=1),
+                                      start=AuvState(140.0, 0.0, 120.0), steering_gain=0.0),
+        }[outcome]
+        before = threading.active_count()
+        try:
+            run_mission(scenario, fis.default_rulebase(), "overlapped")
+            ended = "record"
+        except MissionFailure as exc:
+            ended = exc.reason
+        assert ended == outcome
+        assert threading.active_count() == before
+
     def test_seed_changes_noise_but_not_success(self):
         rb = fis.default_rulebase()
         views = []
@@ -812,10 +886,47 @@ def small_missions(draw):
     return scenario, fis.with_term_parameters(rb0, params)
 
 
+def scenario_file_text(scenario) -> str:
+    """A scenario file that parse_scenario reads back as the scenario, which names no rule
+    base file: every number as repr writes it."""
+    parts = {"world": scenario.world, "camera": scenario.camera, "start": scenario.start,
+             "thresholds": scenario.thresholds, "scenario": scenario}
+    lines = ["pipe.waypoints = " + "; ".join(f"{x!r}:{y!r}" for x, y in scenario.world.pipeline)]
+    for key, (part, field) in sim._SCENARIO_KEYS.items():
+        value = getattr(parts[part], field)
+        if field == "envelope":
+            value = value[key == "envelope.y"]
+        if key != "rulebase":
+            lines.append(f"{key} = {value!r}")
+    text = "\n".join(lines) + "\n"
+    assert parse_scenario(text) == scenario
+    return text
+
+
+def reproduce_no_object(scenario, failure: MissionFailure) -> None:
+    """Render the failing capture from the frame and pose the message prints, as the CLI
+    does, and check that `features` reports the failure's NoObjectError text."""
+    frame, x, y, heading = re.search(r"; frame (\d+), pose x=(\S+) y=(\S+) heading=(\S+)$",
+                                     str(failure)).groups()
+    with tempfile.TemporaryDirectory() as tmp:
+        path, view = f"{tmp}/failed.scenario", f"{tmp}/view.pgm"
+        with open(path, "w") as f:
+            f.write(scenario_file_text(scenario))
+        assert main(["render", "--scenario", path, "--frame", frame,
+                     "--pose", f"{x},{y},{heading}", "--out", view]) == 0
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["features", view, "--scenario", path]) == 1
+    text = str(failure.__cause__)
+    assert err.getvalue() == f"pipefollow: no-object: {text}\n"
+    assert f": no-object ({text}); frame {frame}, pose " in str(failure)
+
+
 class TestMissionTermination:
     @settings(max_examples=60, deadline=None)
     @given(small_missions())
     def test_mission_ends_within_its_step_bound_in_both_modes(self, case):
+        """...and a no-object failure is drawn again from the frame and pose it prints."""
         scenario, rb = case
         max_steps = math.ceil(2.0 * (scenario.world.pipeline[-1][1] - scenario.start.y)
                               / scenario.step_length)
@@ -827,10 +938,28 @@ class TestMissionTermination:
                 assert exc.reason in MISSION_FAILURES
                 assert 1 <= exc.step <= max_steps + 1
                 outcomes.append(str(exc))
+                if exc.reason == "no-object":
+                    reproduce_no_object(scenario, exc)
             else:
                 assert 1 <= len(record.points) <= max_steps
                 outcomes.append(record.to_csv())
         assert outcomes[0] == outcomes[1]
+
+    def test_a_no_object_failure_after_frame_0_is_drawn_again_from_its_message(self):
+        """Heading 0 points along -x, so the second capture's pose has y = 5*cos(-pi/2), which
+        one decimal would print as 0.0."""
+        scenario = Scenario(World(pipeline=((0.0, 0.0), (0.0, 5.0)), pipe_width=1.0),
+                            camera=CameraModel(height_cm=5.0, tilt_deg=5.0, fov_deg=20.0,
+                                               image_width=2, image_height=10,
+                                               noise_amplitude=0, speckle_density=0.0),
+                            thresholds=ThresholdBand(80, 220), min_area=0, steering_gain=0.0,
+                            step_length=5.0, steps_per_image=1, start=AuvState(5.0, 0.0, 0.0))
+        for mode in ("sequential", "overlapped"):
+            with pytest.raises(MissionFailure) as exc:
+                run_mission(scenario, fis.default_rulebase(), mode)
+            assert str(exc.value).endswith("; frame 1, pose x=0.0 y=3.061616997868383e-16 "
+                                           "heading=0.0")
+            reproduce_no_object(scenario, exc.value)
 
     def test_steer_at_the_universe_edge_ends_in_a_record_or_failure(self):
         """All y1 centers at 180 once rounded a steer to 180.00000000000003."""
