@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,13 +23,36 @@ def halves(band):
     return (first, split - 1), (split, last)
 
 
+MASK_DTYPES = st.sampled_from([np.uint8, np.bool_, np.float64])
+
+
 @st.composite
 def masks(draw):
-    """0/1 masks 10-60 rows by 2-40 columns, as uint8 or bool."""
+    """0/1 masks 10-60 rows by 2-40 columns, as uint8, bool or float64."""
     h = draw(st.integers(10, 60))
     w = draw(st.integers(2, 40))
-    dtype = draw(st.sampled_from([np.uint8, np.bool_]))
+    dtype = draw(MASK_DTYPES)
     return draw(arrays(dtype, (h, w), elements=st.integers(0, 1).map(dtype)))
+
+
+@st.composite
+def rectangle_masks(draw):
+    """Masks of 0-4 filled rectangles, as uint8, bool or float64.
+
+    Rectangle sides fall on columns 0, w // 2 - 1, w // 2 and w - 1 half the
+    time, so row runs that touch an image side or straddle the middle column
+    come up often, and so do half-bands that no rectangle reaches.
+    """
+    h = draw(st.integers(10, 60))
+    w = draw(st.integers(2, 40))
+    mask = np.zeros((h, w), dtype=draw(MASK_DTYPES))
+    cols = st.one_of(st.sampled_from([0, max(w // 2 - 1, 0), w // 2, w - 1]),
+                     st.integers(0, w - 1))
+    for _ in range(draw(st.integers(0, 4))):
+        r0, r1 = sorted(draw(st.lists(st.integers(0, h - 1), min_size=2, max_size=2)))
+        c0, c1 = sorted(draw(st.lists(cols, min_size=2, max_size=2)))
+        mask[r0:r1 + 1, c0:c1 + 1] = 1
+    return mask
 
 
 class TestSplitBands:
@@ -219,12 +244,65 @@ class TestProperties:
             assert total == int(mask[r0:r1 + 1].sum())
 
     @settings(deadline=None)
-    @given(masks())
+    @given(st.one_of(masks(), rectangle_masks()))
     def test_band_vectors_match_oracle(self, mask):
         got = band_vectors(mask)
         assert [v.band_index for v in got] == [1, 2, 3, 4, 5]
         assert [v.as_tuple() for v in got] == oracles.band_feature_rows(mask.astype(np.uint8))
         assert all(type(x) is float for v in got for x in v.as_tuple())
+
+    @given(st.one_of(masks(), rectangle_masks()))
+    def test_mask_dtype_does_not_change_the_vectors(self, mask):
+        want = band_vectors(mask.astype(np.bool_))
+        for dtype in (np.uint8, np.float64):
+            assert band_vectors(mask.astype(dtype)) == want
+
+
+def traced_peak_per_pixel(mask) -> float:
+    """Peak bytes that band_vectors allocates beyond its input, per mask pixel."""
+    band_vectors(mask)                            # warm up numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        band_vectors(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / mask.size
+
+
+def test_band_vectors_of_a_stripe_allocate_no_int_raster():
+    """A solid stripe is one run a row, so only the bool padded copy and its
+    change mask are as large as the frame (about 2 bytes per pixel); an
+    int64 copy of the mask alone would take 8."""
+    mask = np.zeros((240, 320), dtype=bool)
+    mask[:, 120:200] = True
+    assert traced_peak_per_pixel(mask) <= 3
+
+
+def test_band_vectors_of_a_checkerboard_stay_bounded():
+    """A checkerboard has the most runs a mask can have, one per two pixels;
+    its edge positions and the three int64 sums per run stay under 40
+    bytes per pixel."""
+    mask = np.indices((512, 512)).sum(axis=0) % 2 == 1
+    assert traced_peak_per_pixel(mask) <= 40
+
+
+SHAPE_CALLS = {
+    "band-vectors": band_vectors,
+    "object-mask": lambda pixels: object_mask(pixels, ThresholdBand(100, 255), 1),
+    "extract-features": lambda pixels: extract_features(GrayImage(pixels),
+                                                        ThresholdBand(100, 255), 1),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (40,), (20, 20, 1), (20, 20, 3)],
+                         ids=["0-d", "1-d", "3-d-one-channel", "3-d-three-channels"])
+@pytest.mark.parametrize("call", SHAPE_CALLS.values(), ids=SHAPE_CALLS.keys())
+def test_array_that_is_not_2d_rejected_naming_its_shape(call, shape):
+    pixels = np.full(shape, 200, dtype=np.uint8)
+    with pytest.raises(ValueError, match=rf"^expected a 2-D \(height, width\) array, "
+                                         rf"got shape {re.escape(str(shape))}$"):
+        call(pixels)
 
 
 class TestExtractFeatures:
