@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 mission complete and inside tolerance, 1 mission failure or
-tolerance exceeded, 2 usage or file/parse errors.  Data goes to stdout when
+Exit codes: 0 mission complete and inside tolerance, 1 mission failure,
+tolerance exceeded or a tuning run no evaluation of which flew every
+scenario, 2 usage or file/parse errors.  Data goes to stdout when
 no output path is given; diagnostics go to stderr.
 """
 
@@ -125,6 +126,9 @@ def cmd_tune(args) -> int:
     result = sim.tune(scenarios, {}, args.budget, rulebase=rb)
     _diag(f"objective: max|drift| {result.initial_objective[0]:.2f} -> "
           f"{result.best_objective[0]:.2f} cm in {result.evaluations} evaluations")
+    if result.best_objective[0] == math.inf:
+        _diag("no evaluation flew every scenario to a record; no rule base written")
+        return 1
     tuned = fis.with_term_parameters(rb, result.params)
     _write_output(fis.format_rulebase(tuned), args.out)
     return 0

@@ -13,7 +13,7 @@ All randomness (seabed noise, speckle) comes from a generator seeded by
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -496,6 +496,24 @@ def _draws(seed: int, frame: int, cam: CameraModel) -> list:
     return [seabed, pipe, speckle]
 
 
+def _shared_draws(shared: dict, seed: int, frame: int, cam: CameraModel) -> Future:
+    """A completed future of _draws(seed, frame, cam), drawn at most once per shared slot.
+
+    shared holds one frame's draws under their (seed, frame, cam): a key it
+    does not hold replaces them.  Each future gets its own copy of the seabed
+    level, the one array render_view writes into; the pipe level and the
+    speckle mask are only read, so the slot's stay as drawn.
+    """
+    key = (seed, frame, cam)
+    if key not in shared:
+        shared.clear()
+        shared[key] = _draws(seed, frame, cam)
+    seabed, pipe, speckle = shared[key]
+    draws = Future()
+    draws.set_result([seabed.copy(), pipe, speckle])
+    return draws
+
+
 def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0,
                 draws=None) -> GrayImage:
     """Perspective view of the pipeline on the seabed from the vehicle pose.
@@ -506,9 +524,11 @@ def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0,
     generator seeded by (world.seed, frame).
 
     draws is a future of _draws(world.seed, frame, cam) that the caller has
-    already started (overlapped missions draw one frame ahead); with None
-    the draws are made here.  A future serves one render: its arrays become
-    the image, and its result is emptied so that whoever keeps the future
+    already started (overlapped missions draw one frame ahead) or made once
+    for several renders (_shared_draws); with None the draws are made here.
+    A future serves one render: its seabed level becomes the image, written
+    in place, while its pipe level and speckle mask are only read, so futures
+    may share them.  Its result is emptied so that whoever keeps the future
     keeps no raster.
 
     Each segment's ground points and distances are computed only at the
@@ -621,25 +641,30 @@ def drift_metrics(path, world: World, tolerance: float = DEFAULT_TOLERANCE_CM) -
 # --- mission loop -------------------------------------------------------------
 
 def _capture(scenario: Scenario, auv: AuvState, frame: int, captures: dict,
-             draws=None) -> tuple:
+             draws=None, shared: dict | None = None) -> tuple:
     """The frame's 5 band feature vectors, rendered and segmented once per captures dict.
 
     The key holds everything the vectors depend on, compared exactly, so only
     a bit-identical capture is reused.  Only the vectors are kept, and a
     capture that raises NoObjectError is not stored.  draws goes to
-    render_view; a capture served from the dict leaves it unused.
+    render_view; without it, a shared slot gives the draws (_shared_draws).
+    A capture served from the dict leaves both unused, so it draws nothing.
     """
     key = (scenario.world, scenario.camera, scenario.thresholds, scenario.min_area, auv, frame)
     vectors = captures.get(key)
     if vectors is None:
+        if draws is None and shared is not None:
+            draws = _shared_draws(shared, scenario.world.seed, frame, scenario.camera)
         img = render_view(scenario.world, auv, scenario.camera, frame, draws)
         vectors = captures[key] = tuple(features.extract_features(img, scenario.thresholds,
                                                                    scenario.min_area))
     return vectors
 
 
-def _fly(scenario: Scenario, rb, mode: str, captures: dict | None) -> list:
-    """The path of states a mission flies (see run_mission); raises its MissionFailure."""
+def _fly(scenario: Scenario, rb, mode: str, captures: dict | None,
+         shared: dict | None = None) -> list:
+    """The path of states a mission flies (see run_mission); raises its MissionFailure.
+    A frame-0 capture takes its draws from the shared slot, if given (_shared_draws)."""
     if mode not in ("sequential", "overlapped"):
         raise ValueError(f"unknown mode {mode!r}")
     captures = {} if captures is None else captures
@@ -660,7 +685,8 @@ def _fly(scenario: Scenario, rb, mode: str, captures: dict | None) -> list:
             frame, i = divmod(len(path), scenario.steps_per_image)
             if i == 0:
                 draws, pending = pending, draws_of(frame + 1)
-                vectors = _capture(scenario, auv, frame, captures, draws)
+                vectors = _capture(scenario, auv, frame, captures, draws,
+                                   shared if frame == 0 else None)
                 steers = [fis.infer(rb, v.as_dict()).output
                           for v in vectors[:scenario.steps_per_image]]
             if len(path) == max_steps:
@@ -737,11 +763,18 @@ def mission_objective(scenarios, rb, captures: dict | None = None) -> tuple:
     Each scenario is flown once, as run_mission flies it with `captures`, and
     scored from its rounded drifts alone: the drifts of run_mission's record,
     without the percentages, points and record that account builds.
+
+    Missions of one seed and camera (a suite of start offsets) share frame
+    0's draws: one slot draws them when a frame-0 capture first misses
+    `captures`, so a call that renders nothing draws nothing.  The pixels
+    are unchanged, since the draws depend on (seed, frame, camera) alone, and
+    the slot, one frame's draws, is dropped when the call returns.
     """
     drifts = []
+    shared = {}
     for scenario in scenarios:
         try:
-            path = _fly(scenario, rb, "sequential", captures)
+            path = _fly(scenario, rb, "sequential", captures, shared)
         except MissionFailure:
             return (math.inf, math.inf)
         drifts.extend(map(abs, _drifts(path, scenario.world)[1]))
@@ -765,9 +798,12 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
     Evaluations only change the rule parameters, so they share one captures
     dict for the duration of the call: a capture identical to one an earlier
     evaluation flew reuses its band feature vectors instead of being rendered
-    again.  Results are identical to re-flying every evaluation.  Each
-    candidate is the best rule base so far with only the moved term rebuilt,
-    which equals rebuilding every term from the candidate's parameters.
+    again.  The first evaluation, which renders the suite's first captures,
+    draws the frame-0 noise and speckle of each seed and camera once (see
+    mission_objective).  Results are identical to re-flying every
+    evaluation.  Each candidate is the best rule base so far with only the
+    moved term rebuilt, which equals rebuilding every term from the
+    candidate's parameters.
     """
     if not budget >= 1:
         raise ValueError("budget must be >= 1")

@@ -221,6 +221,22 @@ class TestTune:
         from pipefollow import fis
         assert len(fis.parse_rulebase(out_rules.read_text()).rules) == 13
 
+    def test_no_flyable_evaluation_exits_one_and_writes_nothing(self, capsys, tmp_path):
+        """A pipe at x=10 seen from x=140 loses the object in every evaluation: the best
+        objective is infinite, so there is no rule base to write."""
+        scenario = tmp_path / "lost.scenario"
+        scenario.write_text("pipe.waypoints = 10:0; 10:100\nseed = 1\nstart.x = 140\n"
+                            "start.heading = 90\n")
+        out_rules = tmp_path / "tuned.rules"
+        code, out, err = run_cli(capsys, "tune", "--scenario", scenario, "--budget", 5,
+                                 "--out", out_rules)
+        quote = "no evaluation flew every scenario to a record; no rule base written"
+        assert code == 1
+        assert err.splitlines() == ["pipefollow: objective: max|drift| inf -> inf cm in 5 "
+                                    "evaluations", f"pipefollow: {quote}"]
+        assert out == "" and not out_rules.exists()
+        assert f"`{quote}`" in " ".join((ROOT / "README.md").read_text().split())
+
 
 class TestRender:
     def test_writes_readable_pgm(self, capsys, small_scenario_file, tmp_path):

@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import io
 import math
 import re
 import tempfile
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from decimal import Decimal
@@ -1182,6 +1184,96 @@ class TestCaptureMemo:
         assert captures == {}
 
 
+def offset_suite(base):
+    """The five starts of bench/workloads.py's build_suite: one seed, one camera."""
+    start = base.start
+    return [base] + [replace(base, start=replace(start, **{field: getattr(start, field) + d}))
+                     for field, d in (("heading", -4.0), ("heading", 4.0), ("x", -4.0),
+                                      ("x", 4.0))]
+
+
+def count_draws(monkeypatch) -> list:
+    """Route sim._draws through a counter; the list grows by one (seed, frame) per call."""
+    calls = []
+    real = sim._draws
+
+    def counted(seed, frame, cam):
+        calls.append((seed, frame))
+        return real(seed, frame, cam)
+
+    monkeypatch.setattr(sim, "_draws", counted)
+    return calls
+
+
+class TestSharedDraws:
+    """The tuning suite: five starts of the default scenario, each flying one capture
+    with the tuned rules."""
+
+    def test_a_suite_of_start_offsets_draws_frame_0_once(self, default_scenario, monkeypatch):
+        suite, rb = offset_suite(default_scenario), sim.load_rulebase(default_scenario)
+        expected = tune(suite, {}, budget=1, rulebase=rb)
+        assert expected.best_objective < (math.inf, math.inf)
+        draws, renders = count_draws(monkeypatch), count_renders(monkeypatch)
+        assert tune(suite, {}, budget=1, rulebase=rb) == expected
+        assert len(renders) == 5
+        assert draws == [(default_scenario.world.seed, 0)]
+
+    def test_a_warm_evaluation_draws_nothing(self, default_scenario, monkeypatch):
+        suite, rb = offset_suite(default_scenario), sim.load_rulebase(default_scenario)
+        captures = {}
+        expected = mission_objective(suite, rb, captures)
+        draws = count_draws(monkeypatch)
+        assert mission_objective(suite, rb, captures) == expected
+        assert draws == []
+
+    def test_missions_of_other_seeds_or_cameras_draw_their_own(self, monkeypatch):
+        base = small_scenario()
+        suite = [base, replace(base, world=replace(TABLE_WORLD, seed=8)),
+                 replace(base, camera=replace(SMALL_CAMERA, noise_amplitude=20)), base]
+        draws = count_draws(monkeypatch)
+        mission_objective(suite, fis.default_rulebase())
+        assert draws == [(7, 0), (8, 0), (7, 0), (7, 0)]
+
+    def test_shared_arrays_are_never_written(self):
+        """Two renders from one slot each equal their pose's reference, and the slot
+        still holds what _draws draws."""
+        cam = replace(SMALL_CAMERA, speckle_density=0.05)
+        shared = {}
+        for auv in (ALIGNED_START, AuvState(45.0, 10.0, 100.0), ALIGNED_START):
+            draws = sim._shared_draws(shared, TABLE_WORLD.seed, 2, cam)
+            assert render_view(TABLE_WORLD, auv, cam, 2, draws).pixels.tobytes() == \
+                oracles.render_reference(TABLE_WORLD, auv, cam, 2).tobytes()
+        [(key, held)] = shared.items()
+        assert key == (TABLE_WORLD.seed, 2, cam)
+        for got, drawn in zip(held, sim._draws(TABLE_WORLD.seed, 2, cam)):
+            assert np.array_equal(got, drawn)
+
+    def test_the_slot_holds_one_frame(self):
+        shared = {}
+        for frame in (0, 1, 0):
+            sim._shared_draws(shared, 7, frame, SMALL_CAMERA)
+            assert list(shared) == [(7, frame, SMALL_CAMERA)]
+
+    def test_no_raster_outlives_the_objective(self, default_scenario, monkeypatch):
+        """Nothing mission_objective drew is held once it returns: the captures dict keeps
+        band vectors only."""
+        held = []
+        real = sim._draws
+
+        def watched(seed, frame, cam):
+            parts = real(seed, frame, cam)
+            held.extend(weakref.ref(a) for a in parts if a is not None)
+            return parts
+
+        monkeypatch.setattr(sim, "_draws", watched)
+        captures = {}
+        mission_objective(offset_suite(default_scenario), sim.load_rulebase(default_scenario),
+                          captures)
+        assert len(held) == 3 and len(captures) == 5
+        gc.collect()
+        assert [ref() for ref in held] == [None] * 3
+
+
 @st.composite
 def objective_scenarios(draw):
     """A noiseless_missions scenario with steps_per_image 1-7 and its noise on or off."""
@@ -1202,11 +1294,24 @@ def records_objective(scenarios, rb) -> tuple:
     return (max(drifts), sum(drifts) / len(drifts)) if drifts else (math.inf, math.inf)
 
 
+@st.composite
+def offset_suites(draw):
+    """The start offsets of one objective scenario with noise and speckle on, as
+    build_suite makes them (starts kept inside the envelope): one seed and one camera, so
+    mission_objective shares their frame-0 draws."""
+    scenario = draw(objective_scenarios())
+    camera = replace(scenario.camera, noise_amplitude=30, speckle_density=0.005)
+    suite = offset_suite(replace(scenario, camera=camera))
+    return [replace(sc, start=replace(sc.start, x=min(max(sc.start.x, 0.0), 150.0)))
+            for sc in suite]
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.lists(objective_scenarios(), max_size=3))
+@given(st.one_of(st.lists(objective_scenarios(), max_size=3), offset_suites()))
 def test_objective_equals_the_objective_of_the_records(suite):
     """mission_objective flies without an account, sharing one captures dict across rule
-    bases as tune does, and scores the drifts run_mission's records hold."""
+    bases as tune does and one suite's frame-0 draws across its missions, and scores the
+    drifts run_mission's records hold, each flown afresh."""
     captures = {}
     for rb in (fis.default_rulebase(), fis.with_term_parameters(fis.default_rulebase(),
                                                                  detuned(0.1)),
