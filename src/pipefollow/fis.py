@@ -6,13 +6,15 @@ degrees where 90 means "go straight", smaller turns left, larger turns right.
 
 Rule conjunction is minimum; defuzzification is the weighted mean of the
 consequent term centers by rule firing strength.  A RuleBase is compiled
-once when it is built, into the input variables' universe bounds, each
-distinct antecedent term once with its evaluation constants, one
-itemgetter per rule that picks that rule's grades, and the consequent
-centers.  So inference grades each term once per call, however many rules
-share it, and re-checks nothing the build already checked.
-with_term_parameters rebuilds only the terms it moves.  A rule base can be
-edited as a small text DSL, one rule per line:
+once when it is built.  Its structure (the input each distinct antecedent
+term grades, and the terms each rule takes the minimum of) becomes one
+generated straight-line function; its numbers (universe bounds, term
+constants, consequent centers) and variable names become tuples that the
+function takes as arguments, so no text of a rules file becomes code.
+Inference grades each term once per call, however many rules share it, and
+re-checks nothing the build already checked.  with_term_parameters
+rebuilds only the terms it moves and shares its source's generated
+function.  A rule base can be edited as a small text DSL, one rule per line:
 
     IF <var> IS <Term> [AND <var> IS <Term>]... THEN y1 IS <Term>
     IF x5 IS Left AND x6 IS Center THEN y1 IS TurnLeft
@@ -31,9 +33,8 @@ case-sensitive, and any other line is a parse error that names its line.
 from __future__ import annotations
 
 import math
-import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 INPUT_VARIABLES = ("x1", "x2", "x3", "x4", "x5", "x6")
 OUTPUT_VARIABLE = "y1"
@@ -188,39 +189,110 @@ def _check_rule(variables: dict, rule: Rule) -> None:
     _check_term(variables, var, term)
 
 
-def _compile(variables: dict, rules: tuple) -> tuple:
-    """(bounds, terms, strengths, centers): the rules laid out for inference.
+def _generate(count: int, bounded: tuple, terms: tuple, rules: tuple):
+    """A straight-line inference function for one rule base structure.
 
-    bounds holds (variable, lo, hi) for each input variable present, its
-    universe widened by the 1e-9 slack infer accepts.  terms holds each
-    distinct antecedent pair once, in first-use order over the rules, as
-    (variable, width, center, den), den being the gaussian's -2*sigma*sigma
-    or None for a pi term.  strengths holds per rule an itemgetter of its
-    grades, by index into terms, whose minimum is the rule's firing strength
-    (a one-antecedent rule's gets its grade twice, so that it too returns a
-    tuple).  centers holds each rule's consequent center.
+    The source is built from the structure alone: count variable names,
+    the slots of those with universe bounds, each term's (kind, slot) and
+    each rule's term indices.  Names, parameters, bounds and centers come in
+    as tuples, so nothing a rules file states ever becomes code.  The
+    function fire(values, names, params, centers, universes) returns
+    (num, den, alphas) with the very operations of the plain loops it
+    replaces, in their order: each bounded value checked, each term graded
+    once (math.exp for a gaussian, eval_pi for a pi term), each strength the
+    min of its grades taken left to right, and num += alpha * center,
+    den += alpha rule by rule, from 0.0.
+    """
+    def unpack(targets, source):
+        return [f"    {', '.join(targets)}, = {source}"] if targets else []
+
+    params = [f"{side}{i}" for i in range(len(bounded)) for side in "lh"]
+    params += [f"{side}{t}" for t in range(len(terms)) for side in "pq"]
+    lines = ["def fire(x, names, params, centers, universes):",
+             *unpack([f"n{j}" for j in range(count)], "names"),
+             *unpack(params, "params"),
+             *unpack([f"k{r}" for r in range(len(rules))], "centers")]
+    for i, j in enumerate(bounded):   # the chain is false for nan too
+        lines += [f"    if n{j} in x and not l{i} <= x[n{j}] <= h{i}:",
+                  f"        raise outside(n{j}, x[n{j}], universes[{i}])"]
+    if terms:
+        lines.append("    try:")
+        fetched = set()
+        for t, (kind, j) in enumerate(terms):
+            if j not in fetched:
+                fetched.add(j)
+                lines.append(f"        v{j} = x[n{j}]")
+            if kind == "gaussian":   # p is the center and q the gaussian's -2*sigma*sigma
+                lines.append(f"        d = v{j} - p{t}; g{t} = exp(d * d / q{t})")
+            else:
+                lines.append(f"        g{t} = pi(v{j}, p{t}, q{t})")
+        lines += ["    except KeyError:", "        raise missing(x, names) from None"]
+    lines += ["    num = 0.0", "    den = 0.0"]
+    for r, (first, *rest) in enumerate(rules):
+        lines.append(f"    a{r} = g{first}")
+        lines += [f"    a{r} = g{t} if g{t} < a{r} else a{r}" for t in rest]
+        lines.append(f"    num += a{r} * k{r}; den += a{r}")
+    lines.append(f"    return num, den, ({''.join(f'a{r}, ' for r in range(len(rules)))})")
+    namespace = {"exp": math.exp, "pi": eval_pi, "outside": _outside, "missing": _missing}
+    exec(compile("\n".join(lines), "<fis._generate>", "exec"), namespace)
+    fire = namespace.pop("fire")   # else fire and its globals form a cycle, freed late
+    fire.structure = (count, bounded, terms, rules)
+    return fire
+
+
+def _outside(var: str, value, universe) -> ValueError:
+    lo, hi = universe
+    return ValueError(f"{var}={value} outside universe [{lo}, {hi}]")
+
+
+def _missing(values, names) -> ValueError:
+    """The error for the first of names, in first-use order, that values lacks."""
+    var = next(var for var in names if var not in values)
+    return ValueError(f"no value supplied for variable {var}")
+
+
+def _compile(variables: dict, rules: tuple, like=None) -> tuple:
+    """(fire, names, params, centers, universes): the rules laid out for inference.
+
+    names holds the antecedent variables in first-use order over the rules,
+    then the other input variables present.  params holds each present
+    input variable's universe widened by the 1e-9 slack infer accepts, then
+    per distinct antecedent term, in first-use order, (center, -2*sigma*sigma)
+    for a gaussian and (half-width, center) for a pi term.  centers holds each
+    rule's consequent center, and universes each bound's universe, for the
+    message of a value outside it.  fire is _generate's function for the rule
+    base's structure; it is like's own when like has the same structure, so
+    a retuned copy generates nothing.
     """
     index = {}
     for rule in rules:
         for pair in rule.antecedents:
             index.setdefault(pair, len(index))
+    bounds = [var for var in INPUT_VARIABLES if var in variables]
+    names = list(dict.fromkeys([var for var, _ in index]))
+    names += [var for var in bounds if var not in names]
+    slot = {var: j for j, var in enumerate(names)}
+    params = []
+    for var in bounds:
+        lo, hi = variables[var].universe
+        params += (lo - 1e-9, hi + 1e-9)
     terms = []
     for var, term in index:
         mf = variables[var].terms[term]
-        den = -2.0 * mf.width * mf.width if mf.kind == "gaussian" else None
-        terms.append((var, mf.width, mf.center, den))
-    bounds = []
-    for var in INPUT_VARIABLES:
-        if var in variables:
-            lo, hi = variables[var].universe
-            bounds.append((var, lo - 1e-9, hi + 1e-9))
-    strengths = []
-    for rule in rules:
-        ids = [index[pair] for pair in rule.antecedents]
-        strengths.append(operator.itemgetter(*(ids * 2 if len(ids) == 1 else ids)))
-    centers = tuple(variables[var].terms[term].center for var, term in
-                    (rule.consequent for rule in rules))
-    return tuple(bounds), tuple(terms), tuple(strengths), centers
+        if mf.kind == "gaussian":
+            params += (mf.center, -2.0 * mf.width * mf.width)
+        else:
+            params += (mf.width, mf.center)
+        terms.append((mf.kind, slot[var]))
+    structure = (len(names), tuple([slot[var] for var in bounds]), tuple(terms),
+                 tuple([tuple(map(index.__getitem__, rule.antecedents)) for rule in rules]))
+    fire = like._compiled[0] if like is not None else None
+    if fire is None or fire.structure != structure:
+        fire = _generate(*structure)
+    centers = tuple([variables[var].terms[term].center for var, term in
+                     [rule.consequent for rule in rules]])
+    universes = tuple([variables[var].universe for var in bounds])
+    return fire, tuple(names), tuple(params), centers, universes
 
 
 @dataclass(frozen=True)
@@ -229,35 +301,34 @@ class RuleBase:
 
     Both are compiled for inference once, when the rule base is built, so
     they must not be mutated afterwards.  The compiled form takes no part in
-    equality or repr.
+    equality or repr.  _like, a rule base whose generated inference function
+    this one shares if their structures match (see _compile), is not kept.
     """
 
     variables: dict       # variable name -> LinguisticVariable
     rules: tuple          # (Rule, ...)
     _compiled: tuple = field(init=False, repr=False, compare=False)   # see _compile
+    _like: InitVar[RuleBase | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _like):
         for i, rule in enumerate(self.rules, start=1):
             try:
                 _check_rule(self.variables, rule)
             except ValueError as exc:
                 raise ValueError(f"rule {i}: {exc}") from None
         # built here, not on first use, so threads that share the rule base never race
-        object.__setattr__(self, "_compiled", _compile(self.variables, self.rules))
+        object.__setattr__(self, "_compiled", _compile(self.variables, self.rules, _like))
+
+    def __reduce__(self):   # a generated function cannot be pickled: compile the copy afresh
+        return RuleBase, (self.variables, self.rules)
 
 
-def _weighted_mean(alphas, centers) -> tuple:
-    """(num, den, mean): the strength-weighted sum of the centers, the strengths' sum
-    and their ratio clamped to OUTPUT_UNIVERSE, or NEUTRAL_STEER when den is 0."""
-    num = 0.0
-    den = 0.0
-    for alpha, center in zip(alphas, centers):
-        num += alpha * center
-        den += alpha
+def _mean(num: float, den: float) -> float:
+    """num / den clamped to OUTPUT_UNIVERSE, or NEUTRAL_STEER when den is 0."""
     if den == 0.0:
-        return num, den, NEUTRAL_STEER
+        return NEUTRAL_STEER
     lo, hi = OUTPUT_UNIVERSE
-    return num, den, min(max(num / den, lo), hi)
+    return min(max(num / den, lo), hi)
 
 
 def defuzzify(alphas, rb: RuleBase) -> float:
@@ -270,15 +341,26 @@ def defuzzify(alphas, rb: RuleBase) -> float:
     a * 180.0 / a > 180.
     """
     alphas = tuple(alphas)   # read twice below, so an iterator is checked too
-    *_, centers = rb._compiled
-    num, den, mean = _weighted_mean(alphas, centers)
+    num = 0.0
+    den = 0.0
+    for alpha, center in zip(alphas, rb._compiled[3]):
+        num += alpha * center
+        den += alpha
     if not (min(alphas, default=0.0) >= 0.0 and den < math.inf and -math.inf < num < math.inf):
         bad = next((a for a in alphas if not 0.0 <= a < math.inf), None)   # nan too
         if bad is not None:
             raise ValueError(f"firing strength must be finite and >= 0, got {bad}")
         raise ValueError("firing strengths sum to inf" if den == math.inf
                          else "weighted sum of the consequent centers overflows")
-    return mean
+    return _mean(num, den)
+
+
+def _steer(rb: RuleBase, values) -> float:
+    """infer(rb, values).output, from the same generated function, without the
+    InferenceResult: a mission needs only the steer."""
+    fire, names, params, centers, universes = rb._compiled
+    num, den, _ = fire(values, names, params, centers, universes)
+    return _mean(num, den)
 
 
 def infer(rb: RuleBase, values) -> InferenceResult:
@@ -288,25 +370,9 @@ def infer(rb: RuleBase, values) -> InferenceResult:
     each distinct antecedent term is graded once.  The strengths lie in
     [0, 1], so their weighted mean skips defuzzify's checks.
     """
-    bounds, terms, strengths, centers = rb._compiled
-    for var, lo, hi in bounds:
-        if var in values and not lo <= values[var] <= hi:   # false for nan too
-            lo, hi = rb.variables[var].universe
-            raise ValueError(f"{var}={values[var]} outside universe [{lo}, {hi}]")
-    grades = []
-    for var, width, center, den in terms:
-        try:
-            x = values[var]
-        except KeyError:
-            raise ValueError(f"no value supplied for variable {var}") from None
-        if den is None:
-            grades.append(eval_pi(x, width, center))
-        else:   # eval_gaussian's arithmetic, its checks made when the term was built
-            d = x - center
-            grades.append(math.exp(d * d / den))
-    alphas = tuple([min(get(grades)) for get in strengths])
-    _, den, mean = _weighted_mean(alphas, centers)
-    return InferenceResult(alphas, mean, den == 0.0)
+    fire, names, params, centers, universes = rb._compiled
+    num, den, alphas = fire(values, names, params, centers, universes)
+    return InferenceResult(alphas, _mean(num, den), den == 0.0)
 
 
 # --- default variables and rules -------------------------------------------
@@ -471,8 +537,9 @@ def with_term_parameters(rb: RuleBase, params: dict) -> RuleBase:
     """Copy of rb with membership widths/centers replaced from the flat view.
 
     Only the terms params names, and their variables, are rebuilt; every
-    other term and variable object is rb's own.  Keys that name no term of
-    rb are ignored.
+    other term and variable object is rb's own, and so is the generated
+    inference function, since moving a term changes no term's kind.  Keys
+    that name no term of rb are ignored.
     """
     variables = dict(rb.variables)
     for name, var in rb.variables.items():
@@ -483,4 +550,4 @@ def with_term_parameters(rb: RuleBase, params: dict) -> RuleBase:
                 moved[term] = MembershipFunction(mf.kind, width, center)
         if moved:
             variables[name] = LinguisticVariable(var.name, var.universe, {**var.terms, **moved})
-    return RuleBase(variables, rb.rules)
+    return RuleBase(variables, rb.rules, rb)

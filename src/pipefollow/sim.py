@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -56,6 +56,8 @@ class World:
     pipeline: tuple = ()               # ((x, y), ...) waypoints, strictly increasing y
     pipe_width: float = 10.0           # cm
     seed: int = 0
+    # the waypoints' (ys, xs) as read-only arrays, for the drift accounting (_pipeline_xs)
+    _waypoints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ex, ey = self.envelope
@@ -81,6 +83,10 @@ class World:
                                  "pipe_width")
         if not 0 <= self.seed < math.inf:
             raise InvariantError("seed must be finite and >= 0", "seed")
+        ys, xs = np.array([y for _, y in self.pipeline]), np.array([x for x, _ in self.pipeline])
+        ys.setflags(write=False)
+        xs.setflags(write=False)
+        object.__setattr__(self, "_waypoints", (ys, xs))
 
 
 @dataclass(frozen=True)
@@ -589,13 +595,19 @@ def _pipeline_xs(world: World, ys) -> list:
 
     Raises ValueError naming the first y outside the waypoints' span.
     """
-    wys = np.array([wy for _, wy in world.pipeline])
-    wxs = np.array([wx for wx, _ in world.pipeline])
-    ys = np.array(ys, dtype=float)
-    outside = ~((wys[0] - 1e-9 <= ys) & (ys <= wys[-1] + 1e-9))   # true for nan too
-    if outside.any():
-        raise ValueError(f"y={ys[outside.argmax()]:.2f} outside pipeline span "
-                         f"[{wys[0]:.2f}, {wys[-1]:.2f}]")
+    wys, wxs = world._waypoints
+    first, last = world.pipeline[0][1], world.pipeline[-1][1]
+    lo, hi = first - 1e-9, last + 1e-9
+    try:
+        inside = all(lo <= y <= hi for y in ys)   # false for nan too
+    except TypeError:   # numpy reads a y such as "1.5" as a float, and words the error
+        inside = False
+    if not inside:
+        ys = np.array(ys, dtype=float)
+        outside = ~((lo <= ys) & (ys <= hi))   # true for nan too
+        if outside.any():
+            raise ValueError(f"y={ys[outside.argmax()]:.2f} outside pipeline span "
+                             f"[{first:.2f}, {last:.2f}]")
     return np.interp(ys, wys, wxs).tolist()
 
 
@@ -641,30 +653,41 @@ def drift_metrics(path, world: World, tolerance: float = DEFAULT_TOLERANCE_CM) -
 # --- mission loop -------------------------------------------------------------
 
 def _capture(scenario: Scenario, auv: AuvState, frame: int, captures: dict,
-             draws=None, shared: dict | None = None) -> tuple:
+             draws=None, shared: dict | None = None, lost: dict | None = None) -> tuple:
     """The frame's 5 band feature vectors, rendered and segmented once per captures dict.
 
     The key holds everything the vectors depend on, compared exactly, so only
-    a bit-identical capture is reused.  Only the vectors are kept, and a
-    capture that raises NoObjectError is not stored.  draws goes to
+    a bit-identical capture is reused.  Only the vectors are kept.  A capture
+    that raises NoObjectError is not stored in captures; given a lost dict,
+    its message is kept there under the same key, and a later capture of that
+    key raises NoObjectError with it again, unrendered.  draws goes to
     render_view; without it, a shared slot gives the draws (_shared_draws).
-    A capture served from the dict leaves both unused, so it draws nothing.
+    A capture served from either dict leaves both unused, so it draws nothing.
     """
     key = (scenario.world, scenario.camera, scenario.thresholds, scenario.min_area, auv, frame)
     vectors = captures.get(key)
     if vectors is None:
+        if lost is not None and key in lost:
+            raise NoObjectError(lost[key])
         if draws is None and shared is not None:
             draws = _shared_draws(shared, scenario.world.seed, frame, scenario.camera)
         img = render_view(scenario.world, auv, scenario.camera, frame, draws)
-        vectors = captures[key] = tuple(features.extract_features(img, scenario.thresholds,
-                                                                   scenario.min_area))
+        try:
+            vectors = tuple(features.extract_features(img, scenario.thresholds,
+                                                      scenario.min_area))
+        except NoObjectError as exc:
+            if lost is not None:
+                lost[key] = str(exc)
+            raise
+        captures[key] = vectors
     return vectors
 
 
 def _fly(scenario: Scenario, rb, mode: str, captures: dict | None,
-         shared: dict | None = None) -> list:
+         shared: dict | None = None, lost: dict | None = None) -> list:
     """The path of states a mission flies (see run_mission); raises its MissionFailure.
-    A frame-0 capture takes its draws from the shared slot, if given (_shared_draws)."""
+    A frame-0 capture takes its draws from the shared slot, if given (_shared_draws),
+    and every capture goes through the lost dict, if given (_capture)."""
     if mode not in ("sequential", "overlapped"):
         raise ValueError(f"unknown mode {mode!r}")
     captures = {} if captures is None else captures
@@ -678,17 +701,21 @@ def _fly(scenario: Scenario, rb, mode: str, captures: dict | None,
         return None if pool is None else pool.submit(_draws, scenario.world.seed, frame,
                                                      scenario.camera)
 
+    # The next capture lies steps_per_image steps ahead, each raising y by at most a step
+    # length, and is taken only if one more step fits: beyond this reach there is none.
+    reach = (scenario.steps_per_image + 1) * scenario.step_length
     path = []
     try:
         pending = draws_of(0)
         while auv.y + scenario.step_length <= far_y + 1e-9:
             frame, i = divmod(len(path), scenario.steps_per_image)
             if i == 0:
-                draws, pending = pending, draws_of(frame + 1)
+                # a capture that finds no pending draws draws them itself
+                draws = pending
+                pending = draws_of(frame + 1) if auv.y + reach <= far_y + 1e-9 else None
                 vectors = _capture(scenario, auv, frame, captures, draws,
-                                   shared if frame == 0 else None)
-                steers = [fis.infer(rb, v.as_dict()).output
-                          for v in vectors[:scenario.steps_per_image]]
+                                   shared if frame == 0 else None, lost)
+                steers = [fis._steer(rb, v.as_dict()) for v in vectors[:scenario.steps_per_image]]
             if len(path) == max_steps:
                 raise MissionFailure("no-progress", len(path) + 1,
                                      f"after {max_steps} steps y={auv.y:.1f} is still short "
@@ -724,9 +751,10 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
     steers are inferred.  A step is taken only while its nominal landing stays
     within the pipeline span, so every recorded point has a defined centerline
     reference.  In "overlapped" mode one worker thread draws each frame's
-    noise and speckle (_draws) one capture ahead, while this thread renders
-    the pipe masks, segments and infers; outputs are identical to sequential
-    mode by construction, since the draws depend on the frame alone.
+    noise and speckle (_draws) one capture ahead, as long as a later capture
+    can still happen, while this thread renders the pipe masks, segments and
+    infers; outputs are identical to sequential mode by construction, since
+    the draws depend on the frame alone.
 
     Band features come from `captures`, a dict the caller may share between
     missions so that identical captures are rendered once; without one the
@@ -757,7 +785,8 @@ class TuneResult:
     evaluations: int
 
 
-def mission_objective(scenarios, rb, captures: dict | None = None) -> tuple:
+def mission_objective(scenarios, rb, captures: dict | None = None,
+                      lost: dict | None = None) -> tuple:
     """(max |drift|, mean |drift|) over all scenario points; failure is infinite.
 
     Each scenario is flown once, as run_mission flies it with `captures`, and
@@ -768,13 +797,14 @@ def mission_objective(scenarios, rb, captures: dict | None = None) -> tuple:
     0's draws: one slot draws them when a frame-0 capture first misses
     `captures`, so a call that renders nothing draws nothing.  The pixels
     are unchanged, since the draws depend on (seed, frame, camera) alone, and
-    the slot, one frame's draws, is dropped when the call returns.
+    the slot, one frame's draws, is dropped when the call returns.  A lost
+    dict remembers the captures that lost the object (_capture).
     """
     drifts = []
     shared = {}
     for scenario in scenarios:
         try:
-            path = _fly(scenario, rb, "sequential", captures, shared)
+            path = _fly(scenario, rb, "sequential", captures, shared, lost)
         except MissionFailure:
             return (math.inf, math.inf)
         drifts.extend(map(abs, _drifts(path, scenario.world)[1]))
@@ -803,20 +833,24 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
     mission_objective).  Results are identical to re-flying every
     evaluation.  Each candidate is the best rule base so far with only the
     moved term rebuilt, which equals rebuilding every term from the
-    candidate's parameters.
+    candidate's parameters, and shares its generated inference function
+    (fis.with_term_parameters), so the call generates one, for the starting
+    rule base.  A capture that lost the object is remembered for the call
+    too (_capture's lost dict): the evaluations that reach it fail as the
+    first did, with its message, without rendering it again.
     """
     if not budget >= 1:
         raise ValueError("budget must be >= 1")
     if not scenarios:
         raise ValueError("tune needs at least one scenario")
     rb0 = rulebase if rulebase is not None else fis.default_rulebase()
-    captures = {}
+    captures, lost = {}, {}
     evals = 0
 
     def evaluate(rb):
         nonlocal evals
         evals += 1
-        return mission_objective(scenarios, rb, captures)
+        return mission_objective(scenarios, rb, captures, lost)
 
     best_rb = fis.with_term_parameters(rb0, init)
     best_obj = evaluate(best_rb)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 
 import pytest
@@ -767,6 +769,7 @@ def rule_bases_and_values(draw):
     return RuleBase(variables, tuple(rules)), values
 
 
+@example((RuleBase(fis.default_variables(), ()), dict(zip(fis.INPUT_VARIABLES, [0.5] * 6))))
 @example((parse_rulebase("term.x5.Left = pi(0.3, 0.1)\nterm.x6.Center = pi(0.45, 0.55)\n"
                          + fis.DEFAULT_RULES_TEXT),
           dict(zip(fis.INPUT_VARIABLES, [1.0 + 1e-9, 0.1 - 1e-9, 0.1, 1.0, 0.1, 0.55]))))
@@ -835,7 +838,105 @@ def test_a_missing_value_is_named_as_the_oracle_names_it(rules, supplied):
         infer(rb, values)
 
 
+# names no rules file can hold, each of which would break or subvert generated source
+ODD_NAMES = ("x'1\n", "__import__('os')", 'T"""', "{y1}", "\\", "0.5")
+
+
+def odd_rule_base(names=ODD_NAMES, centers=(0.3, 0.6)) -> RuleBase:
+    """A rule base built through the API over two input variables named by names[0] and
+    names[1], with odd term names, a gaussian and a pi term each, beside the default x5."""
+    first, second, *terms = names
+    variables = {var: LinguisticVariable(var, (0.0, 1.0), {
+        terms[0]: MembershipFunction("gaussian", 0.2, centers[0]),
+        terms[1]: MembershipFunction("pi", 0.4, centers[1])}) for var in (first, second)}
+    defaults = fis.default_variables()
+    variables["x5"] = defaults["x5"]
+    variables["y1"] = LinguisticVariable("y1", (0.0, 180.0), {
+        terms[2]: MembershipFunction("pi", 60.0, 30.0),
+        terms[3]: MembershipFunction("pi", 60.0, 150.0)})
+    rules = (Rule(((first, terms[0]), ("x5", "Left")), ("y1", terms[2])),
+             Rule(((second, terms[1]), (first, terms[1])), ("y1", terms[3])),
+             Rule(((second, terms[0]),), ("y1", terms[2])))
+    return RuleBase(variables, rules)
+
+
+def capture_sources(monkeypatch) -> list:
+    """Route the compile of fis._generate through a spy; the list grows by its sources."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(fis, "compile", spy, raising=False)
+    return sources
+
+
+class TestGeneratedInference:
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), unit)
+    def test_odd_names_infer_as_the_oracle(self, a, b, x5):
+        rb = odd_rule_base()
+        values = {ODD_NAMES[0]: a, ODD_NAMES[1]: b, "x5": x5}
+        alphas = fire_rules(rb, values)
+        expected = InferenceResult(tuple(alphas), defuzzify(alphas, rb), sum(alphas) == 0.0)
+        assert repr(infer(rb, values)) == repr(expected)
+        assert fis._steer(rb, values) == expected.output
+
+    @pytest.mark.parametrize("supplied", [(), (0,), (1,), ("x5",), (0, "x5")])
+    def test_odd_names_name_the_missing_variable_as_the_oracle(self, supplied):
+        rb = odd_rule_base()
+        values = {ODD_NAMES[k] if isinstance(k, int) else k: 0.5 for k in supplied}
+        with pytest.raises(ValueError) as oracle:
+            fire_rules(rb, values)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(oracle.value))}$"):
+            infer(rb, values)
+
+    def test_the_source_holds_no_name_or_number_of_the_rule_base(self, monkeypatch):
+        """Two rule bases of one structure, with other names and numbers, generate the
+        same source, which holds none of those names."""
+        sources = capture_sources(monkeypatch)
+        odd_rule_base()
+        odd_rule_base(("u", "v", "a", "b", "c", "d"), centers=(0.1, 0.9))
+        first, second = sources
+        assert first == second
+        for name in ODD_NAMES:
+            assert name not in first
+
+    def test_a_retuned_copy_shares_the_function_and_generates_nothing(self, monkeypatch):
+        rb = default_rulebase()
+        sources = capture_sources(monkeypatch)
+        retuned = with_term_parameters(rb, {("x5", "Left"): (0.3, 0.2),
+                                            ("y1", "TurnLeft"): (50.0, 40.0)})
+        assert sources == []
+        assert retuned._compiled[0] is rb._compiled[0]
+        assert retuned._compiled[1:] != rb._compiled[1:]
+
+    def test_a_base_of_another_structure_generates_its_own(self, monkeypatch):
+        """The function is shared only between bases of one structure, so a mismatched
+        _like cannot steer a rule base with another's function."""
+        rb = default_rulebase()
+        sources = capture_sources(monkeypatch)
+        pi_left = parse_rulebase("term.x5.Left = pi(0.3, 0.1)\n" + fis.DEFAULT_RULES_TEXT)
+        fewer = RuleBase(rb.variables, rb.rules[1:], rb)
+        kinds = RuleBase(pi_left.variables, rb.rules, rb)
+        assert len(sources) == 3
+        assert fewer._compiled[0] is not rb._compiled[0]
+        assert kinds._compiled[0] is not rb._compiled[0]
+        values = feature_values(x5=0.2)
+        assert repr(infer(kinds, values)) == repr(infer(pi_left, values))
+        assert infer(fewer, values).firing_strengths == infer(rb, values).firing_strengths[1:]
+
+
 class TestCompiledRuleBase:
+    @pytest.mark.parametrize("copy_of", [lambda rb: pickle.loads(pickle.dumps(rb)),
+                                         copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_a_copy_is_compiled_afresh(self, copy_of):
+        rb = parse_rulebase("term.x5.Left = pi(0.3, 0.1)\n" + fis.DEFAULT_RULES_TEXT)
+        copied = copy_of(rb)
+        assert copied == rb and copied._compiled[1:] == rb._compiled[1:]
+        values = feature_values(x5=0.2)
+        assert repr(infer(copied, values)) == repr(infer(rb, values))
+
     def test_equality_and_repr_ignore_the_compiled_form(self):
         rb = default_rulebase()
         other = default_rulebase()

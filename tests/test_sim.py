@@ -43,6 +43,31 @@ def small_scenario(**kwargs):
     return Scenario(**defaults)
 
 
+class TestWorldWaypoints:
+    """World keeps its waypoints' ys and xs as arrays, outside equality, hash and repr."""
+
+    def test_equality_hash_and_repr_ignore_the_arrays(self):
+        world = World(pipeline=((40.0, 0.0), (60.0, 100.0)))
+        other = World(pipeline=((40.0, 0.0), (60.0, 100.0)))
+        object.__setattr__(other, "_waypoints", None)
+        assert other == world and hash(other) == hash(world)
+        assert repr(other) == repr(world) == ("World(envelope=(150.0, 200.0), pipeline=((40.0, "
+                                              "0.0), (60.0, 100.0)), pipe_width=10.0, seed=0)")
+
+    def test_replace_rebuilds_the_arrays(self):
+        world = World(pipeline=((40.0, 0.0), (60.0, 100.0)))
+        moved = replace(world, pipeline=((40.0, 0.0), (80.0, 50.0), (80.0, 100.0)))
+        ys, xs = moved._waypoints
+        assert ys.tolist() == [0.0, 50.0, 100.0] and xs.tolist() == [40.0, 80.0, 80.0]
+        assert pipeline_x_at(moved, 25.0) == 60.0 and pipeline_x_at(world, 25.0) == 45.0
+
+    def test_the_arrays_are_read_only(self):
+        ys, xs = TABLE_WORLD._waypoints
+        for array in (ys, xs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
 class TestWorldValidation:
     def test_needs_two_waypoints(self):
         with pytest.raises(ValueError):
@@ -500,6 +525,20 @@ class TestDriftMetrics:
         assert pipeline_x_at(world, -1e-9) == 40.0   # the slack past each end
         assert pipeline_x_at(world, 100.0 + 1e-9) == 60.0
 
+    @pytest.mark.parametrize("y, shown", [(math.nan, "nan"), (None, "nan"), (9.9, "9.90"),
+                                          (100.00001, "100.00"), (-math.inf, "-inf")])
+    def test_out_of_span_message(self, y, shown):
+        world = World(pipeline=((40.0, 10.0), (60.0, 100.0)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"y={shown} outside pipeline span [10.00, 100.00]")):
+            pipeline_x_at(world, y)
+
+    def test_drift_names_the_first_y_out_of_span(self):
+        world = World(pipeline=((40.0, 10.0), (60.0, 100.0)))
+        path = [AuvState(50.0, y, 90.0) for y in (50.0, 120.0, 5.0)]
+        with pytest.raises(ValueError, match=re.escape("y=120.00 outside pipeline span")):
+            drift_metrics(path, world)
+
     def test_out_of_span_rejected(self):
         world = World(pipeline=((40.0, 10.0), (60.0, 100.0)))
         with pytest.raises(ValueError):
@@ -786,13 +825,13 @@ class TestRunMission:
     def test_a_capture_infers_only_the_bands_it_steers(self, mode, steps_per_image,
                                                        per_capture, monkeypatch):
         infers = []
-        real = fis.infer
+        real = fis._steer   # the missions' inference entry: infer's core, without its result
 
         def counted(*args):
             infers.append(args)
             return real(*args)
 
-        monkeypatch.setattr(fis, "infer", counted)
+        monkeypatch.setattr(fis, "_steer", counted)
         renders = count_renders(monkeypatch)
         sc = small_scenario(step_length=16.0, steps_per_image=steps_per_image)
         assert len(run_mission(sc, fis.default_rulebase(), mode).points) == 7
@@ -811,7 +850,7 @@ class TestRunMission:
             return recorded
 
         monkeypatch.setattr(sim, "_draws", on_thread("draws", sim._draws))
-        monkeypatch.setattr(fis, "infer", on_thread("infer", fis.infer))
+        monkeypatch.setattr(fis, "_steer", on_thread("infer", fis._steer))
         renders = count_renders(monkeypatch)
         sc = small_scenario(step_length=16.0, steps_per_image=1)
         assert len(run_mission(sc, fis.default_rulebase(), mode).points) == len(renders) == 7
@@ -819,8 +858,23 @@ class TestRunMission:
         assert threads["infer"] == [main_thread] * 7
         if mode == "sequential":
             assert threads["draws"] == [main_thread] * 7
-        else:   # one frame is drawn ahead of the last capture, unless it was cancelled
-            assert len(threads["draws"]) in (7, 8) and main_thread not in threads["draws"]
+        else:   # no frame is drawn ahead of the last capture
+            assert len(threads["draws"]) == 7 and main_thread not in threads["draws"]
+
+    @pytest.mark.parametrize("steps_per_image, step_length", [
+        (1, 16.0), (1, 22.5), (2, 16.0), (3, 10.0), (5, 16.0), (7, 10.0), (None, None)])
+    def test_overlapped_draws_only_the_frames_it_captures(self, steps_per_image, step_length,
+                                                          monkeypatch):
+        """A frame is drawn ahead only while a later capture can still happen, so a
+        mission's _draws calls equal its captures (None: the benchmark's 9-frame survey)."""
+        if steps_per_image is None:
+            sc = sim.load_scenario(ROOT / "bench" / "data" / "survey.scenario")
+        else:
+            sc = small_scenario(steps_per_image=steps_per_image, step_length=step_length)
+        expected = run_mission(sc, fis.default_rulebase()).to_csv()
+        draws, renders = count_draws(monkeypatch), count_renders(monkeypatch)
+        assert run_mission(sc, fis.default_rulebase(), "overlapped").to_csv() == expected
+        assert draws == [(sc.world.seed, frame) for frame in range(len(renders))]
 
     @pytest.mark.parametrize("outcome", ["record", "no-object", "envelope-exit"])
     def test_an_overlapped_mission_leaves_no_thread_behind(self, outcome):
@@ -1175,6 +1229,38 @@ class TestCaptureMemo:
         assert renders == []
         assert fresh.to_csv() == reused.to_csv() == overlapped.to_csv()
 
+    def test_a_tune_call_renders_a_lost_capture_once(self, monkeypatch):
+        """The capture that loses the object at frame 0 fails every evaluation, yet is
+        rendered once; the result is the one of rendering it every time."""
+        world = World(pipeline=((10.0, 0.0), (10.0, 100.0)), seed=1)
+        suite = [Scenario(world=world, start=AuvState(140.0, 0.0, 90.0))]
+        renders = count_renders(monkeypatch)
+        result = tune(suite, {}, budget=50)
+        assert len(renders) == 1
+        assert result == sim.TuneResult(fis.term_parameters(fis.default_rulebase()),
+                                        (math.inf, math.inf), (math.inf, math.inf), 50)
+
+    @pytest.mark.parametrize("start_x, frame", [(140.0, 0), (75.0, 2)])
+    def test_a_remembered_loss_fails_with_the_same_message(self, start_x, frame, monkeypatch):
+        """A mission that loses the object at its first or a later capture fails from
+        the lost dict with the failure it raised when it rendered."""
+        # the pipe bends out of view of a vehicle that starts over it
+        world = World(pipeline=((75.0, 0.0), (75.0, 60.0), (10.0, 90.0), (10.0, 200.0)),
+                      seed=1)
+        sc = Scenario(world=world, start=AuvState(start_x, 0.0, 90.0), step_length=10.0)
+        rb = fis.default_rulebase()
+        with pytest.raises(MissionFailure) as fresh:
+            run_mission(sc, rb)
+        assert fresh.value.reason == "no-object" and fresh.value.frame == frame
+        captures, lost, failures = {}, {}, []
+        renders = count_renders(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(MissionFailure) as exc:
+                sim._fly(sc, rb, "sequential", captures, None, lost)
+            failures.append((str(exc.value), exc.value.step, exc.value.pose))
+        assert len(captures) == frame and len(lost) == 1 and len(renders) == frame + 1
+        assert failures == [(str(fresh.value), fresh.value.step, fresh.value.pose)] * 3
+
     def test_lost_object_is_not_stored(self):
         world = World(pipeline=((10.0, 0.0), (10.0, 100.0)), seed=1)
         sc = Scenario(world=world, start=AuvState(140.0, 0.0, 90.0))
@@ -1309,14 +1395,41 @@ def offset_suites(draw):
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(st.lists(objective_scenarios(), max_size=3), offset_suites()))
 def test_objective_equals_the_objective_of_the_records(suite):
-    """mission_objective flies without an account, sharing one captures dict across rule
-    bases as tune does and one suite's frame-0 draws across its missions, and scores the
-    drifts run_mission's records hold, each flown afresh."""
-    captures = {}
+    """mission_objective flies without an account, sharing one captures dict and one dict
+    of lost captures across rule bases as tune does and one suite's frame-0 draws across
+    its missions, and scores the drifts run_mission's records hold, each flown afresh."""
+    captures, lost = {}, {}
     for rb in (fis.default_rulebase(), fis.with_term_parameters(fis.default_rulebase(),
                                                                  detuned(0.1)),
                sim.read_rulebase(ROOT / "scenarios" / "tuned.rules")):
-        assert mission_objective(suite, rb, captures) == records_objective(suite, rb)
+        assert mission_objective(suite, rb, captures, lost) == records_objective(suite, rb)
+
+
+def test_a_tune_call_generates_one_inference_function(monkeypatch):
+    """A tune call shaped as the benchmark's generates its starting rule base's inference
+    function once, and every candidate it evaluates shares that function."""
+    scenario = sim.load_scenario(ROOT / "bench" / "data" / "tune.scenario")
+    init = dict(fis.term_parameters(fis.default_rulebase()))
+    for var in ("x5", "x6"):
+        init.update({(var, "Left"): (0.12, 0.1), (var, "Right"): (0.12, 1.0),
+                     (var, "Center"): (0.25, 0.55)})
+    generated, evaluated = [], []
+    real_generate, real_objective = fis._generate, sim.mission_objective
+
+    def generate(*structure):
+        generated.append(real_generate(*structure))
+        return generated[-1]
+
+    def objective(scenarios, rb, *args):
+        evaluated.append(rb)
+        return real_objective(scenarios, rb, *args)
+
+    monkeypatch.setattr(fis, "_generate", generate)
+    monkeypatch.setattr(sim, "mission_objective", objective)
+    result = tune(offset_suite(scenario), init, budget=10)
+    assert result.evaluations == len(evaluated) == 10
+    assert len(generated) == 1
+    assert all(rb._compiled[0] is generated[0] for rb in evaluated)
 
 
 def test_tune_builds_no_percentage_point_or_record(monkeypatch):
