@@ -13,6 +13,7 @@ All randomness (seabed noise, speckle) comes from a generator seeded by
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
@@ -653,22 +654,19 @@ def drift_metrics(path, world: World, tolerance: float = DEFAULT_TOLERANCE_CM) -
 # --- mission loop -------------------------------------------------------------
 
 def _capture(scenario: Scenario, auv: AuvState, frame: int, captures: dict,
-             draws=None, shared: dict | None = None, lost: dict | None = None) -> tuple:
-    """The frame's 5 band feature vectors, rendered and segmented once per captures dict.
+             draws=None, shared: dict | None = None) -> tuple:
+    """The frame's 5 band feature vectors, rendered and segmented once per captures memo.
 
-    The key holds everything the vectors depend on, compared exactly, so only
-    a bit-identical capture is reused.  Only the vectors are kept.  A capture
-    that raises NoObjectError is not stored in captures; given a lost dict,
-    its message is kept there under the same key, and a later capture of that
-    key raises NoObjectError with it again, unrendered.  draws goes to
-    render_view; without it, a shared slot gives the draws (_shared_draws).
-    A capture served from either dict leaves both unused, so it draws nothing.
+    The key holds everything the capture depends on, compared exactly.  The
+    memo keeps one outcome per key, and no raster: the vectors, or the
+    message of the NoObjectError the capture raised, which a later capture
+    of the key raises again.  draws goes to render_view; without it, a
+    shared slot gives the draws (_shared_draws).  A capture the memo serves
+    renders and draws nothing.
     """
     key = (scenario.world, scenario.camera, scenario.thresholds, scenario.min_area, auv, frame)
     vectors = captures.get(key)
     if vectors is None:
-        if lost is not None and key in lost:
-            raise NoObjectError(lost[key])
         if draws is None and shared is not None:
             draws = _shared_draws(shared, scenario.world.seed, frame, scenario.camera)
         img = render_view(scenario.world, auv, scenario.camera, frame, draws)
@@ -676,21 +674,20 @@ def _capture(scenario: Scenario, auv: AuvState, frame: int, captures: dict,
             vectors = tuple(features.extract_features(img, scenario.thresholds,
                                                       scenario.min_area))
         except NoObjectError as exc:
-            if lost is not None:
-                lost[key] = str(exc)
+            captures[key] = str(exc)
             raise
         captures[key] = vectors
+    if isinstance(vectors, str):
+        raise NoObjectError(vectors)
     return vectors
 
 
-def _fly(scenario: Scenario, rb, mode: str, captures: dict | None,
-         shared: dict | None = None, lost: dict | None = None) -> list:
+def _fly(scenario: Scenario, rb, mode: str, captures: dict, shared: dict | None = None) -> list:
     """The path of states a mission flies (see run_mission); raises its MissionFailure.
-    A frame-0 capture takes its draws from the shared slot, if given (_shared_draws),
-    and every capture goes through the lost dict, if given (_capture)."""
+    Every capture goes through the captures memo (_capture), and a frame-0 capture
+    takes its draws from the shared slot, if given (_shared_draws)."""
     if mode not in ("sequential", "overlapped"):
         raise ValueError(f"unknown mode {mode!r}")
-    captures = {} if captures is None else captures
     auv = scenario.start
     first_y, far_y = scenario.world.pipeline[0][1], scenario.world.pipeline[-1][1]
     ex, ey = scenario.world.envelope
@@ -714,7 +711,7 @@ def _fly(scenario: Scenario, rb, mode: str, captures: dict | None,
                 draws = pending
                 pending = draws_of(frame + 1) if auv.y + reach <= far_y + 1e-9 else None
                 vectors = _capture(scenario, auv, frame, captures, draws,
-                                   shared if frame == 0 else None, lost)
+                                   shared if frame == 0 else None)
                 steers = [fis._steer(rb, v.as_dict()) for v in vectors[:scenario.steps_per_image]]
             if len(path) == max_steps:
                 raise MissionFailure("no-progress", len(path) + 1,
@@ -743,8 +740,7 @@ def _fly(scenario: Scenario, rb, mode: str, captures: dict | None,
 
 
 def run_mission(scenario: Scenario, rb, mode: str = "sequential",
-                tolerance: float = DEFAULT_TOLERANCE_CM,
-                captures: dict | None = None) -> PathRecord:
+                tolerance: float = DEFAULT_TOLERANCE_CM) -> PathRecord:
     """Fly the pipeline: capture, infer a steer per band, step steps_per_image times.
 
     Steps past the 5th reuse band 5's steer, and only the bands a capture
@@ -756,11 +752,9 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
     infers; outputs are identical to sequential mode by construction, since
     the draws depend on the frame alone.
 
-    Band features come from `captures`, a dict the caller may share between
-    missions so that identical captures are rendered once; without one the
-    mission uses a fresh dict.  A mission that records no point fails with
-    "no-points".  One that takes more than twice the steps a straight run
-    along the remaining span would need (less than half a step length of
+    Each mission flies with a fresh captures memo.  A mission that records
+    no point fails with "no-points".  One that takes more than twice the
+    steps a straight run along the remaining span would need (less than half a step length of
     along-track progress per step) fails with "no-progress".  A step that
     leaves the envelope fails with "envelope-exit" and carries the pose it
     started from.  A step that lands below the first waypoint, where drift has
@@ -772,7 +766,7 @@ def run_mission(scenario: Scenario, rb, mode: str = "sequential",
     _drifts.  A bad tolerance is rejected before anything is flown.
     """
     _check_tolerance(tolerance)
-    return drift_metrics(_fly(scenario, rb, mode, captures), scenario.world, tolerance)
+    return drift_metrics(_fly(scenario, rb, mode, {}), scenario.world, tolerance)
 
 
 # --- tuning harness -----------------------------------------------------------
@@ -785,26 +779,27 @@ class TuneResult:
     evaluations: int
 
 
-def mission_objective(scenarios, rb, captures: dict | None = None,
-                      lost: dict | None = None) -> tuple:
+def mission_objective(scenarios, rb, captures: dict | None = None) -> tuple:
     """(max |drift|, mean |drift|) over all scenario points; failure is infinite.
 
-    Each scenario is flown once, as run_mission flies it with `captures`, and
-    scored from its rounded drifts alone: the drifts of run_mission's record,
-    without the percentages, points and record that account builds.
+    Each scenario is flown once, as run_mission flies it, and scored from its
+    rounded drifts alone: the drifts of run_mission's record, without the
+    percentages, points and record that account builds.
 
-    Missions of one seed and camera (a suite of start offsets) share frame
-    0's draws: one slot draws them when a frame-0 capture first misses
-    `captures`, so a call that renders nothing draws nothing.  The pixels
-    are unchanged, since the draws depend on (seed, frame, camera) alone, and
-    the slot, one frame's draws, is dropped when the call returns.  A lost
-    dict remembers the captures that lost the object (_capture).
+    The missions share one captures memo (_capture): the caller's, kept
+    across calls as tune keeps it, else a fresh one per call.  Missions of
+    one seed and camera (a suite of start offsets) share frame 0's draws:
+    one slot draws them when a frame-0 capture first misses the memo, so a
+    call that renders nothing draws nothing.  The pixels are unchanged,
+    since the draws depend on (seed, frame, camera) alone, and the slot, one
+    frame's draws, is dropped when the call returns.
     """
     drifts = []
+    captures = {} if captures is None else captures
     shared = {}
     for scenario in scenarios:
         try:
-            path = _fly(scenario, rb, "sequential", captures, shared, lost)
+            path = _fly(scenario, rb, "sequential", captures, shared)
         except MissionFailure:
             return (math.inf, math.inf)
         drifts.extend(map(abs, _drifts(path, scenario.world)[1]))
@@ -826,31 +821,32 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
     than init, and the whole search is deterministic.
 
     Evaluations only change the rule parameters, so they share one captures
-    dict for the duration of the call: a capture identical to one an earlier
-    evaluation flew reuses its band feature vectors instead of being rendered
-    again.  The first evaluation, which renders the suite's first captures,
-    draws the frame-0 noise and speckle of each seed and camera once (see
-    mission_objective).  Results are identical to re-flying every
+    memo for the duration of the call (_capture): a capture identical to one
+    an earlier evaluation flew reuses its band feature vectors, or fails with
+    its lost-object message, instead of being rendered again.  The first
+    evaluation draws the frame-0 noise and speckle of each seed and camera
+    once (see mission_objective).  Results are identical to re-flying every
     evaluation.  Each candidate is the best rule base so far with only the
     moved term rebuilt, which equals rebuilding every term from the
     candidate's parameters, and shares its generated inference function
     (fis.with_term_parameters), so the call generates one, for the starting
-    rule base.  A capture that lost the object is remembered for the call
-    too (_capture's lost dict): the evaluations that reach it fail as the
-    first did, with its message, without rendering it again.
+    rule base.  A one-shot iterator of scenarios is rejected.
     """
     if not budget >= 1:
         raise ValueError("budget must be >= 1")
+    if isinstance(scenarios, Iterator):
+        raise ValueError("tune flies its scenarios in each evaluation; pass a list, "
+                         "not an iterator")
     if not scenarios:
         raise ValueError("tune needs at least one scenario")
     rb0 = rulebase if rulebase is not None else fis.default_rulebase()
-    captures, lost = {}, {}
+    captures = {}
     evals = 0
 
     def evaluate(rb):
         nonlocal evals
         evals += 1
-        return mission_objective(scenarios, rb, captures, lost)
+        return mission_objective(scenarios, rb, captures)
 
     best_rb = fis.with_term_parameters(rb0, init)
     best_obj = evaluate(best_rb)

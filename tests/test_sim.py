@@ -1174,6 +1174,18 @@ class TestTune:
     def test_objective_of_no_scenarios_is_infinite(self):
         assert mission_objective([], fis.default_rulebase()) == (math.inf, math.inf)
 
+    def test_tune_rejects_a_one_shot_iterator(self, monkeypatch):
+        """An iterator would be empty from the second evaluation on, and every evaluation
+        after the first would score infinite: tune would tune nothing."""
+        evaluated = []
+        monkeypatch.setattr(sim, "mission_objective", lambda *args: evaluated.append(args))
+        init = fis.term_parameters(fis.default_rulebase())
+        for scenarios in (iter([small_scenario()]), (sc for sc in [small_scenario()])):
+            with pytest.raises(ValueError, match="^tune flies its scenarios in each "
+                                                 "evaluation; pass a list, not an iterator$"):
+                tune(scenarios, init, budget=12)
+        assert evaluated == []
+
     def test_tune_needs_a_scenario(self, monkeypatch):
         evaluated = []
         monkeypatch.setattr(sim, "mission_objective", lambda *args: evaluated.append(args))
@@ -1199,6 +1211,18 @@ def count_renders(monkeypatch) -> list:
     return calls
 
 
+# the pipe bends out of view of a vehicle that starts over it
+BENT_WORLD = World(pipeline=((75.0, 0.0), (75.0, 60.0), (10.0, 90.0), (10.0, 200.0)), seed=1)
+LOSING_CAMERA = CameraModel(image_width=32, image_height=24)
+
+
+def losing_scenario(start_x, camera=CameraModel()):
+    """A mission over BENT_WORLD that loses the object at frame 0 from start x=140, and at
+    frame 2 from x=75 (with the default rules, with CameraModel() or LOSING_CAMERA)."""
+    return Scenario(world=BENT_WORLD, camera=camera, start=AuvState(start_x, 0.0, 90.0),
+                    step_length=10.0)
+
+
 class TestCaptureMemo:
     def test_tune_renders_a_single_frame_scenario_once(self, monkeypatch):
         renders = count_renders(monkeypatch)
@@ -1220,14 +1244,15 @@ class TestCaptureMemo:
     def test_filled_memo_gives_identical_records(self, monkeypatch):
         sc = small_scenario(steps_per_image=1)
         rb = fis.default_rulebase()
+        fresh = run_mission(sc, rb)
         captures = {}
-        fresh = run_mission(sc, rb, captures=captures)
+        sim._fly(sc, rb, "sequential", captures)
         assert len(captures) == len(fresh.points) == 5
         renders = count_renders(monkeypatch)
-        reused = run_mission(sc, rb, captures=captures)
-        overlapped = run_mission(sc, rb, mode="overlapped", captures=captures)
+        for mode in ("sequential", "overlapped"):
+            assert drift_metrics(sim._fly(sc, rb, mode, captures), sc.world).to_csv() == \
+                fresh.to_csv()
         assert renders == []
-        assert fresh.to_csv() == reused.to_csv() == overlapped.to_csv()
 
     def test_a_tune_call_renders_a_lost_capture_once(self, monkeypatch):
         """The capture that loses the object at frame 0 fails every evaluation, yet is
@@ -1243,31 +1268,32 @@ class TestCaptureMemo:
     @pytest.mark.parametrize("start_x, frame", [(140.0, 0), (75.0, 2)])
     def test_a_remembered_loss_fails_with_the_same_message(self, start_x, frame, monkeypatch):
         """A mission that loses the object at its first or a later capture fails from
-        the lost dict with the failure it raised when it rendered."""
-        # the pipe bends out of view of a vehicle that starts over it
-        world = World(pipeline=((75.0, 0.0), (75.0, 60.0), (10.0, 90.0), (10.0, 200.0)),
-                      seed=1)
-        sc = Scenario(world=world, start=AuvState(start_x, 0.0, 90.0), step_length=10.0)
+        the memo with the failure it raised when it rendered."""
+        sc = losing_scenario(start_x)
         rb = fis.default_rulebase()
         with pytest.raises(MissionFailure) as fresh:
             run_mission(sc, rb)
         assert fresh.value.reason == "no-object" and fresh.value.frame == frame
-        captures, lost, failures = {}, {}, []
+        captures, failures = {}, []
         renders = count_renders(monkeypatch)
         for _ in range(3):
             with pytest.raises(MissionFailure) as exc:
-                sim._fly(sc, rb, "sequential", captures, None, lost)
+                sim._fly(sc, rb, "sequential", captures)
             failures.append((str(exc.value), exc.value.step, exc.value.pose))
-        assert len(captures) == frame and len(lost) == 1 and len(renders) == frame + 1
+        assert len(captures) == len(renders) == frame + 1
         assert failures == [(str(fresh.value), fresh.value.step, fresh.value.pose)] * 3
 
-    def test_lost_object_is_not_stored(self):
+    def test_a_lost_capture_is_kept_as_its_message(self):
+        """The memo keeps a capture that lost the object as the message it failed with,
+        under the capture's key, and nothing else of it."""
         world = World(pipeline=((10.0, 0.0), (10.0, 100.0)), seed=1)
         sc = Scenario(world=world, start=AuvState(140.0, 0.0, 90.0))
         captures = {}
-        with pytest.raises(MissionFailure):
-            run_mission(sc, fis.default_rulebase(), captures=captures)
-        assert captures == {}
+        with pytest.raises(MissionFailure) as exc:
+            sim._fly(sc, fis.default_rulebase(), "sequential", captures)
+        key = (sc.world, sc.camera, sc.thresholds, sc.min_area, sc.start, 0)
+        assert captures == {key: str(exc.value.__cause__)}
+        assert str(exc.value.__cause__).startswith("label map contains no regions")
 
 
 def offset_suite(base):
@@ -1313,12 +1339,16 @@ class TestSharedDraws:
         assert draws == []
 
     def test_missions_of_other_seeds_or_cameras_draw_their_own(self, monkeypatch):
+        """The slot holds the last frame-0 draws, so a start after another seed's or
+        camera's draws again; a repeated scenario is served from the call's memo."""
         base = small_scenario()
+        moved = replace(base, start=replace(ALIGNED_START, x=ALIGNED_START.x + 1.0))
         suite = [base, replace(base, world=replace(TABLE_WORLD, seed=8)),
-                 replace(base, camera=replace(SMALL_CAMERA, noise_amplitude=20)), base]
-        draws = count_draws(monkeypatch)
-        mission_objective(suite, fis.default_rulebase())
+                 replace(base, camera=replace(SMALL_CAMERA, noise_amplitude=20)), moved, base]
+        draws, renders = count_draws(monkeypatch), count_renders(monkeypatch)
+        assert mission_objective(suite, fis.default_rulebase()) < (math.inf, math.inf)
         assert draws == [(7, 0), (8, 0), (7, 0), (7, 0)]
+        assert len(renders) == 4
 
     def test_shared_arrays_are_never_written(self):
         """Two renders from one slot each equal their pose's reference, and the slot
@@ -1392,17 +1422,24 @@ def offset_suites(draw):
             for sc in suite]
 
 
+LOSING_SCENARIOS = [losing_scenario(x, LOSING_CAMERA) for x in (140.0, 75.0)]
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.one_of(st.lists(objective_scenarios(), max_size=3), offset_suites()))
+@given(st.one_of(st.lists(st.one_of(objective_scenarios(), st.sampled_from(LOSING_SCENARIOS)),
+                          max_size=3), offset_suites()))
+@example([LOSING_SCENARIOS[0]])
+@example([small_scenario(), LOSING_SCENARIOS[1]])
 def test_objective_equals_the_objective_of_the_records(suite):
-    """mission_objective flies without an account, sharing one captures dict and one dict
-    of lost captures across rule bases as tune does and one suite's frame-0 draws across
-    its missions, and scores the drifts run_mission's records hold, each flown afresh."""
-    captures, lost = {}, {}
+    """mission_objective flies without an account, sharing one captures memo across rule
+    bases as tune does (captures that lost the object at frame 0 or later included) and
+    one suite's frame-0 draws across its missions, and scores the drifts run_mission's
+    records hold, each flown afresh."""
+    captures = {}
     for rb in (fis.default_rulebase(), fis.with_term_parameters(fis.default_rulebase(),
                                                                  detuned(0.1)),
                sim.read_rulebase(ROOT / "scenarios" / "tuned.rules")):
-        assert mission_objective(suite, rb, captures, lost) == records_objective(suite, rb)
+        assert mission_objective(suite, rb, captures) == records_objective(suite, rb)
 
 
 def test_a_tune_call_generates_one_inference_function(monkeypatch):
