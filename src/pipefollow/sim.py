@@ -13,10 +13,12 @@ All randomness (seabed noise, speckle) comes from a generator seeded by
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +59,6 @@ class World:
     pipeline: tuple = ()               # ((x, y), ...) waypoints, strictly increasing y
     pipe_width: float = 10.0           # cm
     seed: int = 0
-    # the waypoints' (ys, xs) as read-only arrays, for the drift accounting (_pipeline_xs)
-    _waypoints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ex, ey = self.envelope
@@ -84,10 +84,6 @@ class World:
                                  "pipe_width")
         if not 0 <= self.seed < math.inf:
             raise InvariantError("seed must be finite and >= 0", "seed")
-        ys, xs = np.array([y for _, y in self.pipeline]), np.array([x for x, _ in self.pipeline])
-        ys.setflags(write=False)
-        xs.setflags(write=False)
-        object.__setattr__(self, "_waypoints", (ys, xs))
 
 
 @dataclass(frozen=True)
@@ -260,8 +256,10 @@ class Scenario:
         if not abs(self.steering_gain) <= MAX_STEERING_GAIN:
             raise InvariantError(f"steering gain must be at most {MAX_STEERING_GAIN:.0f} in "
                                  f"magnitude", "steering_gain")
-        if not 1 <= self.steps_per_image < math.inf:
-            raise InvariantError("steps per image must be finite and >= 1", "steps_per_image")
+        # no mission takes more steps, so a larger value would fly as one capture too
+        if not 1 <= self.steps_per_image <= MAX_MISSION_STEPS:
+            raise InvariantError(f"steps per image must be in 1-{MAX_MISSION_STEPS}",
+                                 "steps_per_image")
         if not 0 <= self.min_area < math.inf:
             raise InvariantError("minimum region area must be finite and >= 0", "min_area")
         try:
@@ -591,30 +589,19 @@ def step_auv(state: AuvState, steer: float, scenario: Scenario) -> AuvState:
 
 # --- drift accounting ---------------------------------------------------------
 
-def _pipeline_xs(world: World, ys) -> list:
-    """Pipeline centerline x at each of the ys, linearly interpolated.
-
-    Raises ValueError naming the first y outside the waypoints' span.
-    """
-    wys, wxs = world._waypoints
-    first, last = world.pipeline[0][1], world.pipeline[-1][1]
-    lo, hi = first - 1e-9, last + 1e-9
-    try:
-        inside = all(lo <= y <= hi for y in ys)   # false for nan too
-    except TypeError:   # numpy reads a y such as "1.5" as a float, and words the error
-        inside = False
-    if not inside:
-        ys = np.array(ys, dtype=float)
-        outside = ~((lo <= ys) & (ys <= hi))   # true for nan too
-        if outside.any():
-            raise ValueError(f"y={ys[outside.argmax()]:.2f} outside pipeline span "
-                             f"[{first:.2f}, {last:.2f}]")
-    return np.interp(ys, wys, wxs).tolist()
-
-
 def pipeline_x_at(world: World, y: float) -> float:
-    """Pipeline centerline x at the given y, linearly interpolated."""
-    return _pipeline_xs(world, [y])[0]
+    """Pipeline centerline x at the given y, linearly interpolated: numpy.interp's
+    cases and operations in its order, so the same float bit for bit.
+
+    Raises ValueError for a y (nan too) more than 1e-9 outside the waypoints' span.
+    """
+    pipeline = world.pipeline
+    first, last = pipeline[0][1], pipeline[-1][1]
+    if not first - 1e-9 <= y <= last + 1e-9:   # false for nan too
+        raise ValueError(f"y={y:.2f} outside pipeline span [{first:.2f}, {last:.2f}]")
+    j = bisect_right(pipeline, y, key=itemgetter(1))
+    (xa, ya), (xb, yb) = pipeline[max(j - 1, 0)], pipeline[min(j, len(pipeline) - 1)]
+    return float(xa if y <= ya else xb if y >= yb else (xb - xa) / (yb - ya) * (y - ya) + xa)
 
 
 def _round1(value: Decimal) -> float:
@@ -636,8 +623,9 @@ def pct_of_drift(drift: float, tolerance: float) -> float:
 
 
 def _drifts(path, world: World) -> tuple:
-    """(centerline xs, signed drifts rounded half-up to 1 decimal) of a sequence of states."""
-    actuals = _pipeline_xs(world, [state.y for state in path])
+    """(centerline xs, signed drifts rounded half-up to 1 decimal) of a sequence of states.
+    Raises pipeline_x_at's ValueError for the first state, in path order, out of span."""
+    actuals = [pipeline_x_at(world, state.y) for state in path]
     return actuals, [_round1(Decimal(repr(state.x - actual)))
                      for state, actual in zip(path, actuals)]
 

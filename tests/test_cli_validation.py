@@ -268,6 +268,7 @@ def test_camera_rejected_when_scenario_is_built(capsys, tmp_path, line, command,
     ("camera.height = 1.7976931348623157e308",
      "camera height must be positive and at most 1000000 cm"),
     ("steering.gain = -1e300", "steering gain must be at most 1000000 in magnitude"),
+    ("steps.per.image = " + "9" * 400, "steps per image must be in 1-10000"),
 ])
 def test_scenario_past_a_run_time_limit_exits_two(capsys, tmp_path, line, message):
     path = tmp_path / "huge.scenario"
@@ -324,19 +325,22 @@ WAYPOINT_EXTREMES = ["0:0; 0:1e-300", "0:0; 5e-324:112.5", "1e6:0; 1e6:112.5",
                      "0:0; 0:1e6", "1e155:0; 36.5:112.5", "0:0; 1e300:1e300"]
 
 
+SCENARIO_KEYS = sorted([*sim._SCENARIO_KEYS, "pipe.waypoints"])
+
+
 def key_extremes(key):
     """Extreme value texts for one scenario key, of the type the key parses as."""
     if key == "pipe.waypoints":
-        return st.sampled_from(WAYPOINT_EXTREMES)
+        return WAYPOINT_EXTREMES
     if key == "rulebase":
-        return st.sampled_from(["", "gone.rules", str(SCENARIO_DIR / "detuned.rules")])
+        return ["", "gone.rules", str(SCENARIO_DIR / "detuned.rules")]
     part, field = sim._SCENARIO_KEYS[key]
     is_int = isinstance(getattr(sim._SCENARIO_PARTS[part], field), int)
-    return st.sampled_from(INT_EXTREMES if is_int else FLOAT_EXTREMES)
+    return INT_EXTREMES if is_int else FLOAT_EXTREMES
 
 
-one_key_mutation = st.sampled_from(sorted([*sim._SCENARIO_KEYS, "pipe.waypoints"])).flatmap(
-    lambda key: key_extremes(key).map(lambda value: {key: value}))
+one_key_mutation = st.sampled_from(SCENARIO_KEYS).flatmap(
+    lambda key: st.sampled_from(key_extremes(key)).map(lambda value: {key: value}))
 
 
 def run_cli_quietly(argv):
@@ -367,6 +371,7 @@ HUGE_DRIFT = {"envelope.x": "1e27", "pipe.waypoints": "1e26:0; 1e26:112.5", "sta
 
 
 @example(changes={}, tolerance="1e-26", seed=None)
+@example(changes={"steps.per.image": "9" * 400}, tolerance=None, seed=None)
 @example(changes=HUGE_DRIFT, tolerance=None, seed=None)
 @example(changes={"pipe.width": "1e200"}, tolerance=None, seed=None)
 @example(changes={"envelope.x": "1e160", "pipe.waypoints": "1e155:0; 36.5:112.5"},
@@ -396,6 +401,21 @@ def test_run_and_plot_end_without_a_traceback(changes, tolerance, seed):
             assert svg.exists() == plotted.exists()
             if svg.exists():
                 assert svg.read_bytes() == plotted.read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"{key}-{Path(value).name if '/' in value else value[:20]}")
+    for key in SCENARIO_KEYS for value in key_extremes(key)])
+def test_every_extreme_value_runs_without_a_traceback(tmp_path, key, value):
+    """Each extreme value of each key, in a run of the default scenario in both modes,
+    ends in an exit code and stderr lines that all come from the CLI."""
+    scenario = tmp_path / "x.scenario"
+    scenario.write_text(scenario_text({key: value}))
+    for mode in ("sequential", "overlapped"):
+        code, err = run_cli_quietly(["run", "--scenario", str(scenario), "--mode", mode,
+                                     "--out", str(tmp_path / f"{mode}.csv")])
+        assert code in (0, 1, 2)
+        assert all(line.startswith("pipefollow: ") for line in err.splitlines())
 
 
 RULES_LINES = (SCENARIO_DIR / "default.rules").read_text().splitlines()

@@ -44,28 +44,20 @@ def small_scenario(**kwargs):
 
 
 class TestWorldWaypoints:
-    """World keeps its waypoints' ys and xs as arrays, outside equality, hash and repr."""
+    """A World is its fields: equal waypoints give equal worlds, and replace moves the
+    centerline pipeline_x_at interpolates."""
 
-    def test_equality_hash_and_repr_ignore_the_arrays(self):
+    def test_equality_hash_and_repr_of_equal_worlds(self):
         world = World(pipeline=((40.0, 0.0), (60.0, 100.0)))
         other = World(pipeline=((40.0, 0.0), (60.0, 100.0)))
-        object.__setattr__(other, "_waypoints", None)
         assert other == world and hash(other) == hash(world)
         assert repr(other) == repr(world) == ("World(envelope=(150.0, 200.0), pipeline=((40.0, "
                                               "0.0), (60.0, 100.0)), pipe_width=10.0, seed=0)")
 
-    def test_replace_rebuilds_the_arrays(self):
+    def test_replace_moves_the_centerline(self):
         world = World(pipeline=((40.0, 0.0), (60.0, 100.0)))
         moved = replace(world, pipeline=((40.0, 0.0), (80.0, 50.0), (80.0, 100.0)))
-        ys, xs = moved._waypoints
-        assert ys.tolist() == [0.0, 50.0, 100.0] and xs.tolist() == [40.0, 80.0, 80.0]
         assert pipeline_x_at(moved, 25.0) == 60.0 and pipeline_x_at(world, 25.0) == 45.0
-
-    def test_the_arrays_are_read_only(self):
-        ys, xs = TABLE_WORLD._waypoints
-        for array in (ys, xs):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1.0
 
 
 class TestWorldValidation:
@@ -111,8 +103,10 @@ class TestWorldValidation:
         world = World(pipeline=((10.0, 0.0), (10.0, 50.0)))
         with pytest.raises(ValueError):
             Scenario(world=world, step_length=0.0)
-        with pytest.raises(ValueError):
-            Scenario(world=world, steps_per_image=0)
+        for steps in (0, 10001, 10**400):
+            with pytest.raises(ValueError, match="^steps per image must be in 1-10000$"):
+                Scenario(world=world, steps_per_image=steps)
+        Scenario(world=world, steps_per_image=10000)   # no mission takes more steps
         with pytest.raises(ValueError):
             Scenario(world=world, start=AuvState(-5.0, 0.0, 90.0))
         with pytest.raises(ValueError, match="min"):
@@ -525,13 +519,18 @@ class TestDriftMetrics:
         assert pipeline_x_at(world, -1e-9) == 40.0   # the slack past each end
         assert pipeline_x_at(world, 100.0 + 1e-9) == 60.0
 
-    @pytest.mark.parametrize("y, shown", [(math.nan, "nan"), (None, "nan"), (9.9, "9.90"),
+    @pytest.mark.parametrize("y, shown", [(math.nan, "nan"), (9.9, "9.90"),
                                           (100.00001, "100.00"), (-math.inf, "-inf")])
     def test_out_of_span_message(self, y, shown):
         world = World(pipeline=((40.0, 10.0), (60.0, 100.0)))
         with pytest.raises(ValueError, match=re.escape(
                 f"y={shown} outside pipeline span [10.00, 100.00]")):
             pipeline_x_at(world, y)
+
+    @pytest.mark.parametrize("y", [None, "50.0"])
+    def test_a_y_that_is_no_number_is_a_type_error(self, y):
+        with pytest.raises(TypeError):
+            pipeline_x_at(World(pipeline=((40.0, 10.0), (60.0, 100.0))), y)
 
     def test_drift_names_the_first_y_out_of_span(self):
         world = World(pipeline=((40.0, 10.0), (60.0, 100.0)))
@@ -605,10 +604,14 @@ class TestDriftMetrics:
 
 
 def drift_reference(path, world):
-    """drift_metrics as a loop of scalar pipeline_x_at calls, one per point."""
+    """drift_metrics as a loop of scalar np.interp calls, one per point."""
+    xs, ys = zip(*world.pipeline)
     points = []
     for i, state in enumerate(path, start=1):
-        actual = pipeline_x_at(world, state.y)
+        if not ys[0] - 1e-9 <= state.y <= ys[-1] + 1e-9:
+            raise ValueError(f"y={state.y:.2f} outside pipeline span "
+                             f"[{ys[0]:.2f}, {ys[-1]:.2f}]")
+        actual = float(np.interp(state.y, ys, xs))
         drift = sim._round1(Decimal(repr(state.x - actual)))
         points.append(sim.PathPoint(i, actual, state.x, drift,
                                     pct_of_drift(drift, sim.DEFAULT_TOLERANCE_CM)))
@@ -635,6 +638,30 @@ def test_drift_metrics_equals_the_per_point_reference(points):
     path = [SimpleNamespace(x=x, y=y) for x, y in points]
     assert (record_or_error(drift_metrics, path, SURVEY_BEND)
             == record_or_error(drift_reference, path, SURVEY_BEND))
+
+
+@st.composite
+def worlds_and_queries(draw):
+    """A World of 2-25 waypoints, xs including +-0.0 and the envelope edge, and ys to
+    query: its waypoints' ys, the 1e-9 slack past each end, and ys between."""
+    ys = sorted(draw(st.lists(st.floats(0.0, 200.0), min_size=2, max_size=25, unique=True)))
+    assume(all((b - a) * (b - a) > 0.0 for a, b in zip(ys, ys[1:])))
+    xs = draw(st.lists(st.one_of(st.floats(0.0, 150.0), st.sampled_from([0.0, -0.0, 150.0])),
+                       min_size=len(ys), max_size=len(ys)))
+    queries = draw(st.lists(st.one_of(
+        st.sampled_from([*ys, ys[0] - 1e-9, ys[-1] + 1e-9]), st.floats(ys[0], ys[-1])),
+        min_size=1, max_size=10))
+    return World(pipeline=tuple(zip(xs, ys))), queries
+
+
+@given(worlds_and_queries())
+def test_pipeline_x_at_equals_np_interp_bit_for_bit(world_and_queries):
+    world, queries = world_and_queries
+    xs, ys = zip(*world.pipeline)
+    for y in queries:
+        x, x64 = pipeline_x_at(world, y), pipeline_x_at(world, np.float64(y))
+        assert type(x) is type(x64) is float
+        assert x.hex() == x64.hex() == float(np.interp(y, ys, xs)).hex()
 
 
 class TestPathRecordCsv:
