@@ -13,8 +13,9 @@ constants, consequent centers) and variable names become tuples that the
 function takes as arguments, so no text of a rules file becomes code.
 Inference grades each term once per call, however many rules share it, and
 re-checks nothing the build already checked.  with_term_parameters
-rebuilds only the terms it moves and shares its source's generated
-function.  A rule base can be edited as a small text DSL, one rule per line:
+rebuilds only the terms it moves, and its copy takes its source's layout
+(generated function, names, universes and term order) and builds only its
+numbers.  A rule base can be edited as a small text DSL, one rule per line:
 
     IF <var> IS <Term> [AND <var> IS <Term>]... THEN y1 IS <Term>
     IF x5 IS Left AND x6 IS Center THEN y1 IS TurnLeft
@@ -251,18 +252,51 @@ def _missing(values, names) -> ValueError:
     return ValueError(f"no value supplied for variable {var}")
 
 
-def _compile(variables: dict, rules: tuple, like=None) -> tuple:
-    """(fire, names, params, centers, universes): the rules laid out for inference.
+def _term_constants(variables: dict, pairs, params: list) -> list:
+    """The kinds of the (variable, term) pairs' terms, in order; each term's constants go
+    onto params: (center, -2*sigma*sigma) for a gaussian, (half-width, center) for a pi."""
+    kinds = []
+    for var, term in pairs:
+        mf = variables[var].terms[term]
+        if mf.kind == "gaussian":
+            params += (mf.center, -2.0 * mf.width * mf.width)
+        else:
+            params += (mf.width, mf.center)
+        kinds.append(mf.kind)
+    return kinds
 
-    names holds the antecedent variables in first-use order over the rules,
+
+def _compile(variables: dict, rules: tuple, like=None) -> tuple:
+    """(fire, names, params, centers, universes, pairs): the rules laid out for inference.
+
+    A copy of like that keeps like's rules tuple (the same object), its
+    variable names and universes and the kind of every antecedent term, as
+    a retuned copy does, has like's layout: it takes like's fire, names,
+    universes and pairs and builds only params and centers.  Any other rule
+    base is laid out in full (_layout).
+    """
+    centers = tuple([variables[var].terms[term].center for var, term in
+                     [rule.consequent for rule in rules]])
+    if (like is not None and like.rules is rules and like.variables.keys() == variables.keys()
+            and all(v.universe == like.variables[var].universe for var, v in variables.items())):
+        fire, names, old, _, universes, pairs = like._compiled
+        params = list(old[:2 * len(universes)])   # the bounds: like's universes, widened
+        if _term_constants(variables, pairs, params) == [kind for kind, _ in fire.structure[2]]:
+            return fire, names, tuple(params), centers, universes, pairs
+    return _layout(variables, rules, like, centers)
+
+
+def _layout(variables: dict, rules: tuple, like, centers: tuple) -> tuple:
+    """_compile's tuple for a rule base laid out in full.
+
+    pairs holds the distinct antecedent (variable, term) pairs in first-use
+    order over the rules, and names their variables in first-use order,
     then the other input variables present.  params holds each present
     input variable's universe widened by the 1e-9 slack infer accepts, then
-    per distinct antecedent term, in first-use order, (center, -2*sigma*sigma)
-    for a gaussian and (half-width, center) for a pi term.  centers holds each
-    rule's consequent center, and universes each bound's universe, for the
-    message of a value outside it.  fire is _generate's function for the rule
-    base's structure; it is like's own when like has the same structure, so
-    a retuned copy generates nothing.
+    each pair's term constants (_term_constants).  centers holds each rule's
+    consequent center, and universes each bound's universe, for the message
+    of a value outside it.  fire is _generate's function for the rule base's
+    structure; it is like's own when like has the same structure.
     """
     index = {}
     for rule in rules:
@@ -276,23 +310,15 @@ def _compile(variables: dict, rules: tuple, like=None) -> tuple:
     for var in bounds:
         lo, hi = variables[var].universe
         params += (lo - 1e-9, hi + 1e-9)
-    terms = []
-    for var, term in index:
-        mf = variables[var].terms[term]
-        if mf.kind == "gaussian":
-            params += (mf.center, -2.0 * mf.width * mf.width)
-        else:
-            params += (mf.width, mf.center)
-        terms.append((mf.kind, slot[var]))
-    structure = (len(names), tuple([slot[var] for var in bounds]), tuple(terms),
+    kinds = _term_constants(variables, index, params)
+    structure = (len(names), tuple([slot[var] for var in bounds]),
+                 tuple(zip(kinds, [slot[var] for var, _ in index])),
                  tuple([tuple(map(index.__getitem__, rule.antecedents)) for rule in rules]))
     fire = like._compiled[0] if like is not None else None
     if fire is None or fire.structure != structure:
         fire = _generate(*structure)
-    centers = tuple([variables[var].terms[term].center for var, term in
-                     [rule.consequent for rule in rules]])
     universes = tuple([variables[var].universe for var in bounds])
-    return fire, tuple(names), tuple(params), centers, universes
+    return fire, tuple(names), tuple(params), centers, universes, tuple(index)
 
 
 @dataclass(frozen=True)
@@ -300,9 +326,11 @@ class RuleBase:
     """Linguistic variables and an ordered tuple of rules that fit them.
 
     Both are compiled for inference once, when the rule base is built, so
-    they must not be mutated afterwards.  The compiled form takes no part in
-    equality or repr.  _like, a rule base whose generated inference function
-    this one shares if their structures match (see _compile), is not kept.
+    they must not be mutated afterwards; every rule is checked first.  The
+    compiled form takes no part in equality or repr.  _like, a rule base
+    whose layout this one takes when it is a retuned copy of it, or whose
+    generated inference function it shares when their structures match (see
+    _compile), is not kept.
     """
 
     variables: dict       # variable name -> LinguisticVariable
@@ -358,7 +386,7 @@ def defuzzify(alphas, rb: RuleBase) -> float:
 def _steer(rb: RuleBase, values) -> float:
     """infer(rb, values).output, from the same generated function, without the
     InferenceResult: a mission needs only the steer."""
-    fire, names, params, centers, universes = rb._compiled
+    fire, names, params, centers, universes, _ = rb._compiled
     num, den, _ = fire(values, names, params, centers, universes)
     return _mean(num, den)
 
@@ -370,7 +398,7 @@ def infer(rb: RuleBase, values) -> InferenceResult:
     each distinct antecedent term is graded once.  The strengths lie in
     [0, 1], so their weighted mean skips defuzzify's checks.
     """
-    fire, names, params, centers, universes = rb._compiled
+    fire, names, params, centers, universes, _ = rb._compiled
     num, den, alphas = fire(values, names, params, centers, universes)
     return InferenceResult(alphas, _mean(num, den), den == 0.0)
 
@@ -537,9 +565,11 @@ def with_term_parameters(rb: RuleBase, params: dict) -> RuleBase:
     """Copy of rb with membership widths/centers replaced from the flat view.
 
     Only the terms params names, and their variables, are rebuilt; every
-    other term and variable object is rb's own, and so is the generated
-    inference function, since moving a term changes no term's kind.  Keys
-    that name no term of rb are ignored.
+    other term and variable object is rb's own.  Moving a term changes no
+    term's kind, and the copy keeps rb's rules tuple, variable names and
+    universes, so it takes rb's layout and builds only its params and centers
+    (_compile); every rule is still checked.  Keys that name no term of rb
+    are ignored.
     """
     variables = dict(rb.variables)
     for name, var in rb.variables.items():

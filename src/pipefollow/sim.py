@@ -53,6 +53,11 @@ class InputError(Exception):
     the message always starts with the file's name (then, for a bad line, the line)."""
 
 
+def _is_whole(value) -> bool:
+    """A Python or numpy integer >= 0: what numpy takes as a seed."""
+    return isinstance(value, (int, np.integer)) and value >= 0
+
+
 @dataclass(frozen=True)
 class World:
     envelope: tuple = (150.0, 200.0)   # (width along x, depth along y), cm
@@ -82,8 +87,8 @@ class World:
         if not 0 < self.pipe_width <= MAX_WORLD_CM:
             raise InvariantError(f"pipe width must be positive and at most {MAX_WORLD_CM:.0f} cm",
                                  "pipe_width")
-        if not 0 <= self.seed < math.inf:
-            raise InvariantError("seed must be finite and >= 0", "seed")
+        if not _is_whole(self.seed):
+            raise InvariantError(f"seed must be an integer >= 0, got {self.seed!r}", "seed")
 
 
 @dataclass(frozen=True)
@@ -526,7 +531,8 @@ def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0,
     Every pixel's ray is intersected with the seabed plane; ground points
     within half a pipe width of the polyline render at pipe intensity.
     Uniform intensity noise and pipe-bright speckle are then drawn from a
-    generator seeded by (world.seed, frame).
+    generator seeded by (world.seed, frame); a frame that is not an integer
+    >= 0 raises ValueError.
 
     draws is a future of _draws(world.seed, frame, cam) that the caller has
     already started (overlapped missions draw one frame ahead) or made once
@@ -559,6 +565,8 @@ def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0,
       narrowed to uint8 (mod 256) plus v in uint8 (mod 256) is
       clip(v + n, 0, 255), which lies in 0-255.
     """
+    if not _is_whole(frame):
+        raise ValueError(f"frame must be an integer >= 0, got {frame!r}")
     pipe_mask = _pipe_mask(world, auv, cam)
     parts = _draws(world.seed, frame, cam) if draws is None else draws.result()
     seabed, pipe, speckle = parts
@@ -622,12 +630,27 @@ def pct_of_drift(drift: float, tolerance: float) -> float:
     return _round1(Decimal(repr(abs(drift))) * 100 / Decimal(repr(tolerance)))
 
 
+def _round_drift(x: float) -> float:
+    """_round1(Decimal(repr(x))), the same float bit for bit, in floats away from a tie.
+
+    With y = |x|*10 below 1e7, y is within 4e-9 of 10*|Decimal(repr(x))|, so
+    when y lies more than 1e-6 from a .5 tie both lie on one side of it, y + 0.5
+    is as far from an integer, and floor(y + 0.5) is the half-up rounding of
+    either; the quotient by 10 is correctly rounded, as float(Decimal) is.  A y
+    near a tie or at least 1e7 (inf and nan too) takes the Decimal.
+    """
+    y = abs(x) * 10
+    if y < 1e7 and abs(y % 1 - 0.5) > 1e-6:
+        return math.copysign(math.floor(y + 0.5) / 10, x)
+    return _round1(Decimal(repr(x)))
+
+
 def _drifts(path, world: World) -> tuple:
-    """(centerline xs, signed drifts rounded half-up to 1 decimal) of a sequence of states.
-    Raises pipeline_x_at's ValueError for the first state, in path order, out of span."""
+    """(centerline xs, signed drifts rounded half-up to 1 decimal, in floats away from a
+    tie: _round_drift) of a sequence of states.  Raises pipeline_x_at's ValueError for the
+    first state, in path order, out of span."""
     actuals = [pipeline_x_at(world, state.y) for state in path]
-    return actuals, [_round1(Decimal(repr(state.x - actual)))
-                     for state, actual in zip(path, actuals)]
+    return actuals, [_round_drift(state.x - actual) for state, actual in zip(path, actuals)]
 
 
 def drift_metrics(path, world: World, tolerance: float = DEFAULT_TOLERANCE_CM) -> PathRecord:
@@ -643,31 +666,32 @@ def drift_metrics(path, world: World, tolerance: float = DEFAULT_TOLERANCE_CM) -
 
 def _capture(scenario: Scenario, auv: AuvState, frame: int, captures: dict,
              draws=None, shared: dict | None = None) -> tuple:
-    """The frame's 5 band feature vectors, rendered and segmented once per captures memo.
+    """The frame's 5 band inputs, rendered and segmented once per captures memo.
 
-    The key holds everything the capture depends on, compared exactly.  The
-    memo keeps one outcome per key, and no raster: the vectors, or the
-    message of the NoObjectError the capture raised, which a later capture
-    of the key raises again.  draws goes to render_view; without it, a
-    shared slot gives the draws (_shared_draws).  A capture the memo serves
-    renders and draws nothing.
+    Each band's input is its feature vector as the dict fis infers from
+    (FeatureVector.as_dict), built once per capture, so a capture the memo
+    serves builds no dict either.  The key holds everything the capture
+    depends on, compared exactly.  The memo keeps one outcome per key, and no
+    raster: the inputs, or the message of the NoObjectError the capture
+    raised, which a later capture of the key raises again.  draws goes to
+    render_view; without it, a shared slot gives the draws (_shared_draws).
+    A capture the memo serves renders and draws nothing.
     """
     key = (scenario.world, scenario.camera, scenario.thresholds, scenario.min_area, auv, frame)
-    vectors = captures.get(key)
-    if vectors is None:
+    inputs = captures.get(key)
+    if inputs is None:
         if draws is None and shared is not None:
             draws = _shared_draws(shared, scenario.world.seed, frame, scenario.camera)
         img = render_view(scenario.world, auv, scenario.camera, frame, draws)
         try:
-            vectors = tuple(features.extract_features(img, scenario.thresholds,
-                                                      scenario.min_area))
+            vectors = features.extract_features(img, scenario.thresholds, scenario.min_area)
         except NoObjectError as exc:
             captures[key] = str(exc)
             raise
-        captures[key] = vectors
-    if isinstance(vectors, str):
-        raise NoObjectError(vectors)
-    return vectors
+        inputs = captures[key] = tuple(v.as_dict() for v in vectors)
+    if isinstance(inputs, str):
+        raise NoObjectError(inputs)
+    return inputs
 
 
 def _fly(scenario: Scenario, rb, mode: str, captures: dict, shared: dict | None = None) -> list:
@@ -698,9 +722,9 @@ def _fly(scenario: Scenario, rb, mode: str, captures: dict, shared: dict | None 
                 # a capture that finds no pending draws draws them itself
                 draws = pending
                 pending = draws_of(frame + 1) if auv.y + reach <= far_y + 1e-9 else None
-                vectors = _capture(scenario, auv, frame, captures, draws,
-                                   shared if frame == 0 else None)
-                steers = [fis._steer(rb, v.as_dict()) for v in vectors[:scenario.steps_per_image]]
+                inputs = _capture(scenario, auv, frame, captures, draws,
+                                  shared if frame == 0 else None)
+                steers = [fis._steer(rb, v) for v in inputs[:scenario.steps_per_image]]
             if len(path) == max_steps:
                 raise MissionFailure("no-progress", len(path) + 1,
                                      f"after {max_steps} steps y={auv.y:.1f} is still short "
@@ -810,15 +834,16 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
 
     Evaluations only change the rule parameters, so they share one captures
     memo for the duration of the call (_capture): a capture identical to one
-    an earlier evaluation flew reuses its band feature vectors, or fails with
-    its lost-object message, instead of being rendered again.  The first
+    an earlier evaluation flew reuses its band inputs, or fails with its
+    lost-object message, instead of being rendered again.  The first
     evaluation draws the frame-0 noise and speckle of each seed and camera
     once (see mission_objective).  Results are identical to re-flying every
     evaluation.  Each candidate is the best rule base so far with only the
     moved term rebuilt, which equals rebuilding every term from the
-    candidate's parameters, and shares its generated inference function
-    (fis.with_term_parameters), so the call generates one, for the starting
-    rule base.  A one-shot iterator of scenarios is rejected.
+    candidate's parameters, and takes its source's layout, rebuilding only
+    its numbers (fis.with_term_parameters), so the call lays out and
+    generates one inference function, for the starting rule base.  A
+    one-shot iterator of scenarios is rejected.
     """
     if not budget >= 1:
         raise ValueError("budget must be >= 1")

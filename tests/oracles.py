@@ -17,6 +17,11 @@ def gray_value(r: int, g: int, b: int) -> int:
     return int(v.quantize(Decimal(1), rounding=ROUND_HALF_UP))
 
 
+def round_half_up_tenth(value: Decimal) -> float:
+    """A decimal rounded half-up (away from zero at a tie) to one decimal place."""
+    return float(value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+
+
 def threshold_pixels(gray: np.ndarray, t1: int, t2: int) -> np.ndarray:
     h, w = gray.shape
     out = np.zeros((h, w), dtype=np.uint8)

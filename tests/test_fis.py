@@ -927,6 +927,87 @@ class TestGeneratedInference:
         assert infer(fewer, values).firing_strengths == infer(rb, values).firing_strengths[1:]
 
 
+def spy_layouts(monkeypatch) -> list:
+    """Route fis._layout, the full layout build, through a spy; the list grows by the
+    rules tuple of each rule base laid out in full."""
+    laid_out = []
+    real = fis._layout
+
+    def spy(variables, rules, *args):
+        laid_out.append(rules)
+        return real(variables, rules, *args)
+
+    monkeypatch.setattr(fis, "_layout", spy)
+    return laid_out
+
+
+def assert_laid_out_as_afresh(rb: RuleBase) -> None:
+    """rb's compiled form equals the one a fresh RuleBase of its variables and rules builds,
+    item by item and bit for bit, with a function of the same structure."""
+    fresh = RuleBase(rb.variables, rb.rules)._compiled
+    assert rb._compiled[0].structure == fresh[0].structure
+    for item, expected in zip(rb._compiled[1:], fresh[1:], strict=True):
+        assert type(item) is type(expected) and repr(item) == repr(expected)
+
+
+PI_LEFT = parse_rulebase("term.x5.Left = pi(0.3, 0.1)\nterm.x1.Large = pi(0.4, 0.9)\n"
+                         + fis.DEFAULT_RULES_TEXT)
+one_term_move = st.dictionaries(st.sampled_from(list(term_parameters(default_rulebase()))),
+                                st.tuples(st.floats(0.5, 2.0), st.floats(0.0, 1.0)),
+                                min_size=1, max_size=1)
+
+
+@example(default_rulebase(), {("y1", "GoStraight"): (1.5, 0.0)})
+@example(PI_LEFT, {("x5", "Left"): (2.0, 1.0), ("x1", "Large"): (0.5, 0.0)})
+@given(st.sampled_from([default_rulebase(), PI_LEFT]),
+       st.one_of(one_term_move, term_moves))
+def test_a_retuned_copy_takes_its_sources_layout_and_rebuilds_only_its_numbers(rb, moves):
+    """One-term and many-term moves, y1 centers and pi widths among them: the copy shares
+    rb's function, names, universes and term pairs, and its params and centers equal a
+    fresh layout's."""
+    retuned = with_term_parameters(rb, scaled_moves(rb, moves))
+    fire, names, _, _, universes, pairs = rb._compiled
+    assert retuned._compiled[0] is fire
+    assert retuned._compiled[1] is names and retuned._compiled[4] is universes
+    assert retuned._compiled[5] is pairs
+    assert_laid_out_as_afresh(retuned)
+
+
+class TestRetunedLayout:
+    def test_with_term_parameters_lays_out_nothing(self, monkeypatch):
+        rb = PI_LEFT
+        laid_out = spy_layouts(monkeypatch)
+        with_term_parameters(with_term_parameters(rb, {("x5", "Left"): (0.2, 0.3)}),
+                             {("y1", "TurnLeft"): (50.0, 40.0), ("x1", "Small"): (0.1, 0.2)})
+        assert laid_out == []
+
+    @pytest.mark.parametrize("change", ["equal-rules", "variable-set", "universe", "kind"])
+    def test_any_other_like_is_laid_out_in_full(self, change, monkeypatch):
+        """A like whose rules tuple is equal but another object, or whose variable set, a
+        universe or a term's kind differs, takes the full layout, and is laid out right."""
+        rb = default_rulebase()
+        variables, rules = dict(rb.variables), rb.rules
+        if change == "equal-rules":
+            rules = tuple(list(rb.rules))
+            assert rules == rb.rules and rules is not rb.rules
+        elif change == "variable-set":
+            rb = RuleBase({var: v for var, v in rb.variables.items() if var != "x1"},
+                          tuple(rule for rule in rules
+                                if all(var != "x1" for var, _ in rule.antecedents)))
+            rules = rb.rules
+        elif change == "universe":
+            old = variables["x5"]
+            variables["x5"] = LinguisticVariable("x5", (0.0, 1.0), old.terms)
+        else:
+            variables = PI_LEFT.variables
+        laid_out = spy_layouts(monkeypatch)
+        built = RuleBase(variables, rules, rb)
+        assert laid_out == [rules]
+        assert_laid_out_as_afresh(built)
+        assert (built._compiled[0] is rb._compiled[0]) == (change in ("equal-rules",
+                                                                      "universe"))
+
+
 class TestCompiledRuleBase:
     @pytest.mark.parametrize("copy_of", [lambda rb: pickle.loads(pickle.dumps(rb)),
                                          copy.deepcopy], ids=["pickle", "deepcopy"])

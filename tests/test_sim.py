@@ -81,6 +81,18 @@ class TestWorldValidation:
         with pytest.raises(ValueError):
             World(pipeline=((10.0, 0.0), (10.0, 50.0)), seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, -1, np.float64(3.0), "3", None])
+    def test_a_seed_that_is_not_a_whole_number_is_rejected_naming_it(self, seed):
+        """numpy would reject such a seed only at the first render, without naming it."""
+        with pytest.raises(InvariantError, match=re.escape(f"seed must be an integer >= 0, "
+                                                           f"got {seed!r}")) as exc:
+            World(pipeline=((10.0, 0.0), (10.0, 50.0)), seed=seed)
+        assert exc.value.fields == ("seed",)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint8(7), True, 2**70])
+    def test_python_and_numpy_integer_seeds_are_accepted(self, seed):
+        World(pipeline=((10.0, 0.0), (10.0, 50.0)), seed=seed)
+
     def test_camera_bounds(self):
         with pytest.raises(ValueError):
             CameraModel(tilt_deg=0.0)
@@ -266,6 +278,22 @@ class TestRenderView:
         a = render_view(world, AuvState(75.0, 10.0, 90.0), CameraModel(), frame=2)
         b = render_view(world, AuvState(75.0, 10.0, 90.0), CameraModel(), frame=2)
         assert np.array_equal(a.pixels, b.pixels)
+
+    @pytest.mark.parametrize("frame", [-1, 1.5, 2.0, np.float64(1.0), "1", None])
+    def test_a_frame_that_is_not_a_whole_number_is_rejected_naming_it(self, frame):
+        world = World(pipeline=((75.0, 0.0), (75.0, 200.0)), seed=11)
+        with pytest.raises(ValueError, match=re.escape(f"frame must be an integer >= 0, "
+                                                       f"got {frame!r}")):
+            render_view(world, AuvState(75.0, 10.0, 90.0), SMALL_CAMERA, frame)
+
+    def test_numpy_integer_seed_and_frame_render_as_python_integers(self):
+        pose = AuvState(75.0, 10.0, 90.0)
+        expected = render_view(World(pipeline=((75.0, 0.0), (75.0, 200.0)), seed=11), pose,
+                               SMALL_CAMERA, frame=2).pixels
+        world = World(pipeline=((75.0, 0.0), (75.0, 200.0)), seed=np.int64(11))
+        for frame in (np.int32(2), np.uint64(2)):
+            assert np.array_equal(render_view(world, pose, SMALL_CAMERA, frame).pixels,
+                                  expected)
 
     def test_frame_index_changes_noise(self):
         world = World(pipeline=((75.0, 0.0), (75.0, 200.0)), seed=11)
@@ -612,10 +640,44 @@ def drift_reference(path, world):
             raise ValueError(f"y={state.y:.2f} outside pipeline span "
                              f"[{ys[0]:.2f}, {ys[-1]:.2f}]")
         actual = float(np.interp(state.y, ys, xs))
-        drift = sim._round1(Decimal(repr(state.x - actual)))
-        points.append(sim.PathPoint(i, actual, state.x, drift,
-                                    pct_of_drift(drift, sim.DEFAULT_TOLERANCE_CM)))
+        drift = oracles.round_half_up_tenth(Decimal(repr(state.x - actual)))
+        pct = oracles.round_half_up_tenth(Decimal(repr(abs(drift))) * 100
+                                          / Decimal(repr(sim.DEFAULT_TOLERANCE_CM)))
+        points.append(sim.PathPoint(i, actual, state.x, drift, pct))
     return PathRecord(tuple(points), sim.DEFAULT_TOLERANCE_CM)
+
+
+def decimal_rounding(x: float) -> float:
+    return sim._round1(Decimal(repr(x)))
+
+
+@st.composite
+def near_ties(draw):
+    """k/10 +- 0.05, a half-up tie in decimal though seldom one in binary, or a neighbour."""
+    tie = draw(st.integers(-10**7, 10**7)) / 10 + draw(st.sampled_from([0.05, -0.05]))
+    return draw(st.sampled_from([tie, math.nextafter(tie, math.inf),
+                                 math.nextafter(tie, -math.inf)]))
+
+
+# |x| from 1e6 up, where 10|x| reaches the 1e7 bound of the float path, and inf and nan
+past_the_bound = st.one_of(st.floats(min_value=1e6, allow_infinity=False),
+                           st.floats(max_value=-1e6, allow_infinity=False),
+                           st.sampled_from([1e6, math.nextafter(1e6, 0.0), -1e6,
+                                            math.inf, -math.inf, math.nan]))
+
+
+@example(math.nextafter(0.45, 0.0))   # 10x rounds onto the tie 4.5, repr(x) lies below it
+@example(math.nextafter(0.05, 0.0))
+@example(0.15)
+@example(0.0)
+@example(-0.0)
+@example(-0.04)   # rounds to -0.0
+@example(5e-324)
+@given(st.one_of(st.floats(), near_ties(), past_the_bound))
+def test_float_drift_rounding_equals_the_decimal_rounding(x):
+    """_round_drift rounds in floats away from a tie and gives the bits of half-up
+    rounding of repr(x) as a Decimal, signed zeros, inf and nan included."""
+    assert sim._round_drift(x).hex() == decimal_rounding(x).hex()
 
 
 def record_or_error(drift, path, world):
@@ -1281,6 +1343,25 @@ class TestCaptureMemo:
                 fresh.to_csv()
         assert renders == []
 
+    def test_the_memo_keeps_each_bands_input_so_a_served_capture_builds_none(self,
+                                                                             monkeypatch):
+        sc = small_scenario()
+        rb = fis.default_rulebase()
+        captures = {}
+        sim._fly(sc, rb, "sequential", captures)
+        key, start = next(iter(captures)), sc.start
+        assert key == (sc.world, sc.camera, sc.thresholds, sc.min_area, start, 0)
+        img = render_view(sc.world, start, sc.camera, 0)
+        assert captures[key] == tuple(v.as_dict() for v in features.extract_features(
+            img, sc.thresholds, sc.min_area))
+        expected = run_mission(sc, rb)
+        built = []
+        real = features.FeatureVector.as_dict
+        monkeypatch.setattr(features.FeatureVector, "as_dict",
+                            lambda v: built.append(v) or real(v))
+        assert drift_metrics(sim._fly(sc, rb, "sequential", captures), sc.world) == expected
+        assert built == []
+
     def test_a_tune_call_renders_a_lost_capture_once(self, monkeypatch):
         """The capture that loses the object at frame 0 fails every evaluation, yet is
         rendered once; the result is the one of rendering it every time."""
@@ -1470,8 +1551,9 @@ def test_objective_equals_the_objective_of_the_records(suite):
 
 
 def test_a_tune_call_generates_one_inference_function(monkeypatch):
-    """A tune call shaped as the benchmark's generates its starting rule base's inference
-    function once, and every candidate it evaluates shares that function."""
+    """A tune call shaped as the benchmark's lays out its starting rule base in full and
+    generates its inference function once; every candidate it evaluates takes that
+    layout and function (fis._compile) and rebuilds only its numbers."""
     scenario = sim.load_scenario(ROOT / "bench" / "data" / "tune.scenario")
     init = dict(fis.term_parameters(fis.default_rulebase()))
     for var in ("x5", "x6"):
@@ -1488,11 +1570,20 @@ def test_a_tune_call_generates_one_inference_function(monkeypatch):
         evaluated.append(rb)
         return real_objective(scenarios, rb, *args)
 
+    laid_out = []
+    real_layout = fis._layout
+
+    def layout(variables, rules, *args):
+        laid_out.append(rules)
+        return real_layout(variables, rules, *args)
+
     monkeypatch.setattr(fis, "_generate", generate)
+    monkeypatch.setattr(fis, "_layout", layout)
     monkeypatch.setattr(sim, "mission_objective", objective)
     result = tune(offset_suite(scenario), init, budget=10)
     assert result.evaluations == len(evaluated) == 10
     assert len(generated) == 1
+    assert len(laid_out) == 1 and all(rb.rules is laid_out[0] for rb in evaluated)
     assert all(rb._compiled[0] is generated[0] for rb in evaluated)
 
 
