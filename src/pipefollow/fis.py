@@ -283,10 +283,10 @@ def _compile(variables: dict, rules: tuple, like=None) -> tuple:
         params = list(old[:2 * len(universes)])   # the bounds: like's universes, widened
         if _term_constants(variables, pairs, params) == [kind for kind, _ in fire.structure[2]]:
             return fire, names, tuple(params), centers, universes, pairs
-    return _layout(variables, rules, like, centers)
+    return _layout(variables, rules, centers)
 
 
-def _layout(variables: dict, rules: tuple, like, centers: tuple) -> tuple:
+def _layout(variables: dict, rules: tuple, centers: tuple) -> tuple:
     """_compile's tuple for a rule base laid out in full.
 
     pairs holds the distinct antecedent (variable, term) pairs in first-use
@@ -296,7 +296,7 @@ def _layout(variables: dict, rules: tuple, like, centers: tuple) -> tuple:
     each pair's term constants (_term_constants).  centers holds each rule's
     consequent center, and universes each bound's universe, for the message
     of a value outside it.  fire is _generate's function for the rule base's
-    structure; it is like's own when like has the same structure.
+    structure.
     """
     index = {}
     for rule in rules:
@@ -314,9 +314,7 @@ def _layout(variables: dict, rules: tuple, like, centers: tuple) -> tuple:
     structure = (len(names), tuple([slot[var] for var in bounds]),
                  tuple(zip(kinds, [slot[var] for var, _ in index])),
                  tuple([tuple(map(index.__getitem__, rule.antecedents)) for rule in rules]))
-    fire = like._compiled[0] if like is not None else None
-    if fire is None or fire.structure != structure:
-        fire = _generate(*structure)
+    fire = _generate(*structure)
     universes = tuple([variables[var].universe for var in bounds])
     return fire, tuple(names), tuple(params), centers, universes, tuple(index)
 
@@ -328,8 +326,7 @@ class RuleBase:
     Both are compiled for inference once, when the rule base is built, so
     they must not be mutated afterwards; every rule is checked first.  The
     compiled form takes no part in equality or repr.  _like, a rule base
-    whose layout this one takes when it is a retuned copy of it, or whose
-    generated inference function it shares when their structures match (see
+    whose layout this one takes when it is a retuned copy of it (see
     _compile), is not kept.
     """
 

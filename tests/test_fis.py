@@ -984,7 +984,8 @@ class TestRetunedLayout:
     @pytest.mark.parametrize("change", ["equal-rules", "variable-set", "universe", "kind"])
     def test_any_other_like_is_laid_out_in_full(self, change, monkeypatch):
         """A like whose rules tuple is equal but another object, or whose variable set, a
-        universe or a term's kind differs, takes the full layout, and is laid out right."""
+        universe or a term's kind differs, takes the full layout, which generates a fresh
+        function, and is laid out right."""
         rb = default_rulebase()
         variables, rules = dict(rb.variables), rb.rules
         if change == "equal-rules":
@@ -1001,11 +1002,11 @@ class TestRetunedLayout:
         else:
             variables = PI_LEFT.variables
         laid_out = spy_layouts(monkeypatch)
+        sources = capture_sources(monkeypatch)
         built = RuleBase(variables, rules, rb)
         assert laid_out == [rules]
+        assert len(sources) == 1 and built._compiled[0] is not rb._compiled[0]
         assert_laid_out_as_afresh(built)
-        assert (built._compiled[0] is rb._compiled[0]) == (change in ("equal-rules",
-                                                                      "universe"))
 
 
 class TestCompiledRuleBase:
