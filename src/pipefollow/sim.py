@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterator
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
@@ -168,9 +169,11 @@ class PathRecord:
 
     def __post_init__(self):
         _check_tolerance(self.tolerance)
+        if not self.points:   # a mission that records no point is never a success
+            raise ValueError("a path record needs at least one point")
 
     def max_abs_drift(self) -> float:
-        return max((abs(p.drift) for p in self.points), default=0.0)
+        return max(abs(p.drift) for p in self.points)
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -506,11 +509,11 @@ def _draws(seed: int, frame: int, cam: CameraModel) -> list:
     return [seabed, pipe, speckle]
 
 
-def _shared_draws(shared: dict, seed: int, frame: int, cam: CameraModel) -> Future:
-    """A completed future of _draws(seed, frame, cam), drawn at most once per shared slot.
+def _shared_draws(shared: dict, seed: int, frame: int, cam: CameraModel) -> list:
+    """_draws(seed, frame, cam), drawn at most once per shared slot.
 
     shared holds one frame's draws under their (seed, frame, cam): a key it
-    does not hold replaces them.  Each future gets its own copy of the seabed
+    does not hold replaces them.  Each call gets its own copy of the seabed
     level, the one array render_view writes into; the pipe level and the
     speckle mask are only read, so the slot's stay as drawn.
     """
@@ -519,9 +522,7 @@ def _shared_draws(shared: dict, seed: int, frame: int, cam: CameraModel) -> Futu
         shared.clear()
         shared[key] = _draws(seed, frame, cam)
     seabed, pipe, speckle = shared[key]
-    draws = Future()
-    draws.set_result([seabed.copy(), pipe, speckle])
-    return draws
+    return [seabed.copy(), pipe, speckle]
 
 
 def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0,
@@ -534,13 +535,11 @@ def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0,
     generator seeded by (world.seed, frame); a frame that is not an integer
     >= 0 raises ValueError.
 
-    draws is a future of _draws(world.seed, frame, cam) that the caller has
-    already started (overlapped missions draw one frame ahead) or made once
-    for several renders (_shared_draws); with None the draws are made here.
-    A future serves one render: its seabed level becomes the image, written
-    in place, while its pipe level and speckle mask are only read, so futures
-    may share them.  Its result is emptied so that whoever keeps the future
-    keeps no raster.
+    draws, if given, is called with no arguments once the pipe mask is
+    computed, and returns _draws(world.seed, frame, cam)'s list; with None
+    the draws are made here.  Its seabed level becomes the image, written in
+    place, while its pipe level and speckle mask are only read, so renders
+    may share them.  The list is emptied, so whoever keeps it keeps no raster.
 
     Each segment's ground points and distances are computed only at the
     two ends of its column run in each ground row it can reach; the run's
@@ -568,7 +567,7 @@ def render_view(world: World, auv: AuvState, cam: CameraModel, frame: int = 0,
     if not _is_whole(frame):
         raise ValueError(f"frame must be an integer >= 0, got {frame!r}")
     pipe_mask = _pipe_mask(world, auv, cam)
-    parts = _draws(world.seed, frame, cam) if draws is None else draws.result()
+    parts = _draws(world.seed, frame, cam) if draws is None else draws()
     seabed, pipe, speckle = parts
     parts.clear()
     np.copyto(seabed, pipe, where=pipe_mask)
@@ -665,7 +664,7 @@ def drift_metrics(path, world: World, tolerance: float = DEFAULT_TOLERANCE_CM) -
 # --- mission loop -------------------------------------------------------------
 
 def _capture(scenario: Scenario, auv: AuvState, frame: int, captures: dict,
-             draws=None, shared: dict | None = None) -> tuple:
+             draws=None) -> tuple:
     """The frame's 5 band inputs, rendered and segmented once per captures memo.
 
     Each band's input is its feature vector as the dict fis infers from
@@ -674,14 +673,11 @@ def _capture(scenario: Scenario, auv: AuvState, frame: int, captures: dict,
     depends on, compared exactly.  The memo keeps one outcome per key, and no
     raster: the inputs, or the message of the NoObjectError the capture
     raised, which a later capture of the key raises again.  draws goes to
-    render_view; without it, a shared slot gives the draws (_shared_draws).
-    A capture the memo serves renders and draws nothing.
+    render_view, so a capture the memo serves renders and draws nothing.
     """
     key = (scenario.world, scenario.camera, scenario.thresholds, scenario.min_area, auv, frame)
     inputs = captures.get(key)
     if inputs is None:
-        if draws is None and shared is not None:
-            draws = _shared_draws(shared, scenario.world.seed, frame, scenario.camera)
         img = render_view(scenario.world, auv, scenario.camera, frame, draws)
         try:
             vectors = features.extract_features(img, scenario.thresholds, scenario.min_area)
@@ -696,8 +692,7 @@ def _capture(scenario: Scenario, auv: AuvState, frame: int, captures: dict,
 
 def _fly(scenario: Scenario, rb, mode: str, captures: dict, shared: dict | None = None) -> list:
     """The path of states a mission flies (see run_mission); raises its MissionFailure.
-    Every capture goes through the captures memo (_capture), and a frame-0 capture
-    takes its draws from the shared slot, if given (_shared_draws)."""
+    Every capture goes through the captures memo (_capture); draws_of picks its draws."""
     if mode not in ("sequential", "overlapped"):
         raise ValueError(f"unknown mode {mode!r}")
     auv = scenario.start
@@ -705,10 +700,16 @@ def _fly(scenario: Scenario, rb, mode: str, captures: dict, shared: dict | None 
     ex, ey = scenario.world.envelope
     max_steps = _step_bound(scenario)
     pool = ThreadPoolExecutor(max_workers=1) if mode == "overlapped" else None
+    seed, cam = scenario.world.seed, scenario.camera
 
-    def draws_of(frame):   # overlapped mode draws each frame's noise one capture ahead
-        return None if pool is None else pool.submit(_draws, scenario.world.seed, frame,
-                                                     scenario.camera)
+    def draws_of(frame):
+        """render_view's draws for frame: the worker's, started now (overlapped mode draws
+        one capture ahead), else frame 0's from the shared slot, else None (drawn inline)."""
+        if pool is not None:
+            return pool.submit(_draws, seed, frame, cam).result
+        if frame == 0 and shared is not None:
+            return partial(_shared_draws, shared, seed, 0, cam)
+        return None
 
     # The next capture lies steps_per_image steps ahead, each raising y by at most a step
     # length, and is taken only if one more step fits: beyond this reach there is none.
@@ -719,11 +720,9 @@ def _fly(scenario: Scenario, rb, mode: str, captures: dict, shared: dict | None 
         while auv.y + scenario.step_length <= far_y + 1e-9:
             frame, i = divmod(len(path), scenario.steps_per_image)
             if i == 0:
-                # a capture that finds no pending draws draws them itself
                 draws = pending
                 pending = draws_of(frame + 1) if auv.y + reach <= far_y + 1e-9 else None
-                inputs = _capture(scenario, auv, frame, captures, draws,
-                                  shared if frame == 0 else None)
+                inputs = _capture(scenario, auv, frame, captures, draws)
                 steers = [fis._steer(rb, v) for v in inputs[:scenario.steps_per_image]]
             if len(path) == max_steps:
                 raise MissionFailure("no-progress", len(path) + 1,
@@ -800,11 +799,9 @@ def mission_objective(scenarios, rb, captures: dict | None = None) -> tuple:
 
     The missions share one captures memo (_capture): the caller's, kept
     across calls as tune keeps it, else a fresh one per call.  Missions of
-    one seed and camera (a suite of start offsets) share frame 0's draws:
-    one slot draws them when a frame-0 capture first misses the memo, so a
-    call that renders nothing draws nothing.  The pixels are unchanged,
-    since the draws depend on (seed, frame, camera) alone, and the slot, one
-    frame's draws, is dropped when the call returns.
+    one seed and camera (a suite of start offsets) share frame 0's draws
+    through one slot (_shared_draws), dropped when the call returns; the
+    draws depend on (seed, frame, camera) alone, so the pixels are unchanged.
     """
     drifts = []
     captures = {} if captures is None else captures
@@ -845,8 +842,8 @@ def tune(scenarios, init: dict, budget: int, rulebase=None) -> TuneResult:
     generates one inference function, for the starting rule base.  A
     one-shot iterator of scenarios is rejected.
     """
-    if not budget >= 1:
-        raise ValueError("budget must be >= 1")
+    if not (_is_whole(budget) and budget >= 1):
+        raise ValueError(f"budget must be a whole number >= 1, got {budget!r}")
     if isinstance(scenarios, Iterator):
         raise ValueError("tune flies its scenarios in each evaluation; pass a list, "
                          "not an iterator")

@@ -10,6 +10,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from decimal import Decimal
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -437,8 +438,29 @@ class TestRenderOracle:
         assert render_view(world, auv, cam, frame).pixels.tobytes() == expected
         with ThreadPoolExecutor(max_workers=1) as pool:
             draws = pool.submit(sim._draws, world.seed, frame, cam)
-            assert render_view(world, auv, cam, frame, draws).pixels.tobytes() == expected
+            assert render_view(world, auv, cam, frame, draws.result).pixels.tobytes() == \
+                expected
         assert draws.result() == []   # the arrays went to the image, not to the future
+
+    def test_draws_are_called_once_the_pipe_mask_is_computed(self, monkeypatch):
+        """An overlapped capture's draws wait on the worker, so render_view asks for them
+        only after the mask: asked first, frame 0's mask would wait behind its draw."""
+        world, auv, cam = TABLE_WORLD, ALIGNED_START, SMALL_CAMERA
+        calls, real = [], sim._pipe_mask
+
+        def masked(*args):
+            mask = real(*args)
+            calls.append("mask")
+            return mask
+
+        def drawn():
+            calls.append("draws")
+            return sim._draws(world.seed, 1, cam)
+
+        monkeypatch.setattr(sim, "_pipe_mask", masked)
+        assert render_view(world, auv, cam, 1, drawn).pixels.tobytes() == \
+            oracles.render_reference(world, auv, cam, 1).tobytes()
+        assert calls == ["mask", "draws"]
 
     # tilt 5 with fov 150 grazes the horizon: the longest rays, the widest
     # per-row rounding bound
@@ -600,6 +622,15 @@ class TestDriftMetrics:
         with pytest.raises(ValueError,
                            match=f"^tolerance must be positive and finite, got {tolerance}$"):
             PathRecord((), tolerance)
+
+    def test_a_record_needs_a_point(self):
+        """A mission that records no point is never a success, so no record claims one;
+        PathRecord.from_csv rejects such a record's CSV too."""
+        world = World(pipeline=((40.0, 0.0), (60.0, 100.0)))
+        with pytest.raises(ValueError, match="^a path record needs at least one point$"):
+            drift_metrics([], world)
+        with pytest.raises(ValueError, match="^CSV body is empty$"):
+            PathRecord.from_csv(sim.CSV_HEADER + "\n")
 
     @pytest.mark.parametrize("field, value, message", [
         ("actual_x", math.nan, "path point actual_x must be finite, got nan"),
@@ -1282,9 +1313,12 @@ class TestTune:
             tune([], fis.term_parameters(fis.default_rulebase()), budget=10)
         assert evaluated == []
 
-    def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            tune([small_scenario()], fis.term_parameters(fis.default_rulebase()), budget=0)
+    @pytest.mark.parametrize("budget", [0, 1.5, 2.5, math.nan])
+    def test_invalid_budget(self, budget):
+        """A fractional budget would let one more evaluation through than it names."""
+        with pytest.raises(ValueError,
+                           match=f"^budget must be a whole number >= 1, got {budget!r}$"):
+            tune([small_scenario()], fis.term_parameters(fis.default_rulebase()), budget=budget)
 
 
 def count_renders(monkeypatch) -> list:
@@ -1458,13 +1492,33 @@ class TestSharedDraws:
         assert draws == [(7, 0), (8, 0), (7, 0), (7, 0)]
         assert len(renders) == 4
 
+    def test_only_frame_0_is_shared(self, monkeypatch):
+        """Two starts of the benchmark's 9-frame survey bend, with a small camera: frame 0
+        is drawn once for both missions, from the slot, and every later frame once per
+        mission, at its render; the drifts are those of run_mission's records."""
+        base = sim.load_scenario(ROOT / "bench" / "data" / "survey.scenario")
+        rb = sim.load_rulebase(base)
+        suite = [replace(base, camera=SMALL_CAMERA, start=replace(base.start, x=base.start.x + dx))
+                 for dx in (0.0, 2.0)]
+        records = [run_mission(sc, rb) for sc in suite]
+        flown, real = [], sim._drifts
+        monkeypatch.setattr(sim, "_drifts", lambda path, world: flown.append(real(path, world))
+                            or flown[-1])
+        draws, renders = count_draws(monkeypatch), count_renders(monkeypatch)
+        assert mission_objective(suite, rb) < (math.inf, math.inf)
+        assert [drifts for _, drifts in flown] == [[p.drift for p in r.points] for r in records]
+        seed = base.world.seed
+        assert draws == [(seed, frame) for frame in (*range(9), *range(1, 9))]
+        assert [(args[3], args[4] is None) for args in renders] == \
+            [(frame, frame > 0) for frame in range(9)] * 2
+
     def test_shared_arrays_are_never_written(self):
         """Two renders from one slot each equal their pose's reference, and the slot
         still holds what _draws draws."""
         cam = replace(SMALL_CAMERA, speckle_density=0.05)
         shared = {}
         for auv in (ALIGNED_START, AuvState(45.0, 10.0, 100.0), ALIGNED_START):
-            draws = sim._shared_draws(shared, TABLE_WORLD.seed, 2, cam)
+            draws = partial(sim._shared_draws, shared, TABLE_WORLD.seed, 2, cam)
             assert render_view(TABLE_WORLD, auv, cam, 2, draws).pixels.tobytes() == \
                 oracles.render_reference(TABLE_WORLD, auv, cam, 2).tobytes()
         [(key, held)] = shared.items()
